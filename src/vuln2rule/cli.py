@@ -28,7 +28,6 @@ from .corpus import (
     load_labeled_dataset,
     load_nvd_feed,
     sentences_of,
-    tokenize,
 )
 from .embedding import EmbeddingConfig, save_embedding, train_embedding
 from .errors import ConfigError, MissingArtifact, Vuln2RuleError
@@ -47,8 +46,14 @@ from .rules.datalog import emit_rule, parse_rule_file
 from .rules.schema import load_default_lexicon, load_default_rule_corpus
 from .rules.synthesis import GenerationFailure, generate
 from .rules.wiring import estimate_wiring_matrix, impute_matrix, save_wiring
-from .tagger import BlstmConfig, EntitySet, extract_entities, save_ner, train_ner
-from .tagger import tag as tag_tokens
+from .tagger import (
+    BlstmConfig,
+    EntitySet,
+    evaluate_tagger,
+    save_ner,
+    tag_texts,
+    train_ner,
+)
 
 
 def _config_from(args) -> PipelineConfig:
@@ -153,23 +158,16 @@ def cmd_tag(args) -> int:
         records = [RawVulnerability(args.cve_id, args.text)]
     else:
         records = _load_corpus(args.input)
-    lines = []
-    for record in records:
-        tokens = tokenize(record.description)
-        tagged = tag_tokens(models.tagger, models.embedding, tokens)
-        entity_set = extract_entities(
-            list(zip(tokens, [t for t, _ in tagged])), record.id
+    tagged = tag_texts(
+        models.tagger, models.embedding, [(r.id, r.description) for r in records]
+    )
+    lines = [
+        json.dumps(
+            {"cve_id": record.id, "tags": t.tags, "entities": t.entities.entities},
+            sort_keys=True,
         )
-        lines.append(
-            json.dumps(
-                {
-                    "cve_id": record.id,
-                    "tags": [t for t, _ in tagged],
-                    "entities": entity_set.entities,
-                },
-                sort_keys=True,
-            )
-        )
+        for record, t in zip(records, tagged)
+    ]
     output = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(output, "utf-8")
@@ -182,15 +180,7 @@ def cmd_eval_ner(args) -> int:
     config = _config_from(args)
     models = load_models(config, need_tagger=True)
     data = load_labeled_dataset(args.labeled)
-    from .tagger import evaluate_f1
-
-    predictions = []
-    golds = []
-    for sentence in data:
-        tagged = tag_tokens(models.tagger, models.embedding, list(sentence.tokens))
-        predictions.append([t for t, _ in tagged])
-        golds.append(list(sentence.tags))
-    result = evaluate_f1(predictions, golds)
+    result = evaluate_tagger(models.tagger, models.embedding, data)
     print(f"{'class':<12} {'precision':>9} {'recall':>9} {'f1':>9} {'support':>8}")
     for cls, score in result.per_class.items():
         print(

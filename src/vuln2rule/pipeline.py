@@ -30,6 +30,7 @@ from .rules.schema import (
     load_mapping,
 )
 from .rules.synthesis import (
+    PLACEHOLDER_CVE_ID,
     GenerationFailure,
     GeneratorModels,
     generate,
@@ -39,8 +40,7 @@ from .rules.synthesis import (
     wire_variables,
 )
 from .rules.wiring import estimate_wiring_matrix, impute_matrix, load_wiring
-from .tagger import EntitySet, evaluate_f1, load_ner
-from .tagger import tag as tag_tokens
+from .tagger import EntitySet, evaluate_tagger, load_ner, tag_texts
 
 
 # --- configuration ----------------------------------------------------------
@@ -259,13 +259,30 @@ def run_pipeline(
     out_path: str | Path | None = None,
 ) -> tuple[RunReport, list[InteractionRule]]:
     """One rule or one failure reason per input; optionally write the rules
-    to ``out_path`` in the canonical file format."""
+    to ``out_path`` in the canonical file format.
+
+    Records without gold entities are tokenized, tagged and their entities
+    extracted first, all of them in one batched tagger call (length-bucketed
+    padded batches); ``generate`` then gets each record's pre-extracted
+    entities.  ``timings`` has one entry per stage: ``tag`` and ``generate``.
+    """
     report = RunReport()
     rules: list[InteractionRule] = []
     start = time.perf_counter()
-    for record in inputs:
-        gold = gold_entities.get(record.id) if gold_entities else None
-        result = generate(record.description, models, gold_entities=gold, cve_id=record.id)
+    entity_sets = [
+        gold_entities.get(record.id) if gold_entities else None for record in inputs
+    ]
+    untagged = [i for i, entities in enumerate(entity_sets) if entities is None]
+    if models.tagger is not None and untagged:
+        texts = [
+            (inputs[i].id or PLACEHOLDER_CVE_ID, inputs[i].description) for i in untagged
+        ]
+        for i, tagged in zip(untagged, tag_texts(models.tagger, models.embedding, texts)):
+            entity_sets[i] = tagged.entities
+    report.timings["tag"] = time.perf_counter() - start
+    start = time.perf_counter()
+    for record, entities in zip(inputs, entity_sets):
+        result = generate(record.description, models, gold_entities=entities, cve_id=record.id)
         if isinstance(result, GenerationFailure):
             report.outcomes.append((record.id, result.kind.value))
             report.failures[result.kind.value] = report.failures.get(result.kind.value, 0) + 1
@@ -403,13 +420,7 @@ def eval_suite(
     report.metrics["nearest_neighbors"] = probes
 
     if models.tagger is not None and data.labeled:
-        predictions = []
-        golds = []
-        for sentence in data.labeled:
-            tagged = tag_tokens(models.tagger, models.embedding, list(sentence.tokens))
-            predictions.append([t for t, _ in tagged])
-            golds.append(list(sentence.tags))
-        f1 = evaluate_f1(predictions, golds)
+        f1 = evaluate_tagger(models.tagger, models.embedding, data.labeled)
         report.metrics["ner_f1"] = {
             "per_class": {
                 cls: {"precision": s.precision, "recall": s.recall, "f1": s.f1, "support": s.support}

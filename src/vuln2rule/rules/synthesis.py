@@ -37,6 +37,8 @@ from .wiring import Slot, UnionFind, WiringMatrix
 #: entity keys used by structure creation, in the order they are checked
 CORE_ENTITIES = ("means", "impact", "vector")
 _CORE_TO_TAG = {"means": "MEANS", "impact": "IMPACT", "vector": "VECTOR"}
+#: the id a rule gets when its record has none
+PLACEHOLDER_CVE_ID = "CVE-0000-0000"
 
 
 class UnmappableClusterError(Vuln2RuleError):
@@ -394,8 +396,9 @@ def generate(
 ) -> InteractionRule | GenerationFailure:
     """Description to interaction rule; failures come back as values.
 
-    With ``gold_entities`` the tagging stage is bypassed, which decouples
-    rule-synthesis evaluation from tagger quality.
+    With ``gold_entities`` (gold or pre-extracted entities) the tagging
+    stage is bypassed; gold entities decouple rule-synthesis evaluation from
+    tagger quality, and ``run_pipeline`` passes entities it tagged in a batch.
     """
     if gold_entities is not None:
         entity_set = gold_entities
@@ -403,7 +406,7 @@ def generate(
     else:
         if models.tagger is None:
             raise MissingArtifact("tagger", "needed when no gold entities are given")
-        cve_id = cve_id or "CVE-0000-0000"
+        cve_id = cve_id or PLACEHOLDER_CVE_ID
         tokens = tokenize(description)
         if tokens:
             tagged = tag_tokens(models.tagger, models.embedding, tokens)

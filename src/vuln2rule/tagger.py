@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Token, LabeledSentence
+from .corpus import LabeledSentence, Token, tokenize
 from .embedding import EmbeddingModel
 from .errors import (
     DimensionMismatch,
@@ -104,32 +104,37 @@ def init_params(config: BlstmConfig, rng: np.random.Generator) -> dict[str, np.n
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign so exp never overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; min(x, -x) is -|x| but keeps a NaN's sign
+    # bit, so every input gives the same bits as evaluating each sign's
+    # branch on its own elements
+    ex = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
-def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
-    batch, steps, _ = x.shape
+def _lstm_forward(
+    x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray, keep_cache: bool = True
+):
+    """Hidden states (batch, steps, hidden) and, with ``keep_cache``, the
+    per-step backprop cache (else None).  The input product of every step is
+    one GEMM ahead of the time loop."""
+    batch, steps, dim = x.shape
     h_size = wh.shape[0]
+    xw = (x.reshape(-1, dim) @ wx).reshape(batch, steps, -1)
     h = np.zeros((batch, h_size))
     c = np.zeros((batch, h_size))
-    outputs = np.zeros((batch, steps, h_size))
-    cache = []
+    outputs = np.empty((batch, steps, h_size))
+    cache = [] if keep_cache else None
     for t in range(steps):
-        z = x[:, t] @ wx + h @ wh + b
-        gi = _sigmoid(z[:, :h_size])
-        gf = _sigmoid(z[:, h_size : 2 * h_size])
-        gg = np.tanh(z[:, 2 * h_size : 3 * h_size])
-        go = _sigmoid(z[:, 3 * h_size :])
+        z = xw[:, t] + h @ wh + b
+        # gate blocks i, f, g, o: one sigmoid call, then tanh over the g block
+        gates = _sigmoid(z)
+        np.tanh(z[:, 2 * h_size : 3 * h_size], out=gates[:, 2 * h_size : 3 * h_size])
+        gi, gf, gg, go = (gates[:, k * h_size : (k + 1) * h_size] for k in range(4))
         c_new = gf * c + gi * gg
         tanh_c = np.tanh(c_new)
         h_new = go * tanh_c
-        cache.append((x[:, t], h, c, gi, gf, gg, go, tanh_c))
+        if keep_cache:
+            cache.append((x[:, t], h, c, gi, gf, gg, go, tanh_c))
         h, c = h_new, c_new
         outputs[:, t] = h
     return outputs, cache
@@ -175,22 +180,30 @@ def _reverse_within_lengths(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def forward(
-    params: dict[str, np.ndarray], x: np.ndarray, lengths: np.ndarray
+    params: dict[str, np.ndarray],
+    x: np.ndarray,
+    lengths: np.ndarray,
+    keep_cache: bool = True,
 ):
-    """Log-probabilities (batch, steps, classes) plus the backprop cache.
+    """Log-probabilities (batch, steps, classes) plus the backprop cache
+    (None without ``keep_cache``).
 
     The backward LSTM consumes each sentence reversed within its true length,
     so trailing padding never influences real positions.
     """
-    hs_f, cache_f = _lstm_forward(x, params["fw_wx"], params["fw_wh"], params["fw_b"])
+    hs_f, cache_f = _lstm_forward(
+        x, params["fw_wx"], params["fw_wh"], params["fw_b"], keep_cache
+    )
     x_rev = _reverse_within_lengths(x, lengths)
-    hs_r, cache_r = _lstm_forward(x_rev, params["bw_wx"], params["bw_wh"], params["bw_b"])
+    hs_r, cache_r = _lstm_forward(
+        x_rev, params["bw_wx"], params["bw_wh"], params["bw_b"], keep_cache
+    )
     hs_b = _reverse_within_lengths(hs_r, lengths)
     concat = np.concatenate([hs_f, hs_b], axis=2)
     logits = concat @ params["dense_w"] + params["dense_b"]
     shifted = logits - logits.max(axis=2, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
-    return log_probs, (cache_f, cache_r, concat, lengths)
+    return log_probs, (cache_f, cache_r, concat, lengths) if keep_cache else None
 
 
 def loss_and_grads(
@@ -303,26 +316,64 @@ def train_ner(
     return BlstmModel(params=params, config=config)
 
 
+#: tag_batch cuts a batch after this many chunks ...
+_BATCH_CHUNKS = 64
+#: ... or before a chunk longer than this multiple of the batch's shortest,
+#: so that padding stays a bounded share of each forward pass
+_BATCH_STRETCH = 1.5
+
+
+def _length_buckets(chunks: list[tuple[int, int, list[str]]]):
+    """Chunks sorted by length, cut into batches of similar lengths."""
+    batch: list[tuple[int, int, list[str]]] = []
+    for chunk in sorted(chunks, key=lambda c: len(c[2])):
+        if batch and (
+            len(batch) == _BATCH_CHUNKS
+            or len(chunk[2]) > _BATCH_STRETCH * len(batch[0][2])
+        ):
+            yield batch
+            batch = []
+        batch.append(chunk)
+    if batch:
+        yield batch
+
+
+def tag_batch(
+    model: BlstmModel, emb: EmbeddingModel, sentences: list[list[Token]]
+) -> list[list[tuple[str, np.ndarray]]]:
+    """Per sentence, per token: (predicted tag, probability vector over the
+    11 classes); an empty sentence gets an empty list.
+
+    Sentences are split at ``max_len`` into chunks, chunks of similar length
+    are padded into one batch, and each batch is one forward pass.
+    """
+    config = model.config
+    if emb.dim != config.dim:
+        raise DimensionMismatch(f"embedding dim {emb.dim} != tagger dim {config.dim}")
+    chunks = [
+        (i, start, [t.norm for t in sentence[start : start + config.max_len]])
+        for i, sentence in enumerate(sentences)
+        for start in range(0, len(sentence), config.max_len)
+    ]
+    probs = [np.empty((len(sentence), config.n_classes)) for sentence in sentences]
+    for batch in _length_buckets(chunks):
+        lengths = np.array([len(norms_) for _, _, norms_ in batch])
+        x = np.zeros((len(batch), lengths.max(), config.dim))
+        for row, (_, _, norms_) in enumerate(batch):
+            x[row, : len(norms_)] = _embed_norms(norms_, emb)
+        log_probs, _ = forward(model.params, x, lengths, keep_cache=False)
+        for row, (i, start, norms_) in enumerate(batch):
+            probs[i][start : start + len(norms_)] = np.exp(log_probs[row, : len(norms_)])
+    return [[(ALL_TAGS[k], p[t]) for t, k in enumerate(p.argmax(axis=1))] for p in probs]
+
+
 def tag(
     model: BlstmModel, emb: EmbeddingModel, sentence: list[Token]
 ) -> list[tuple[str, np.ndarray]]:
     """Per-token (predicted tag, probability vector over the 11 classes)."""
     if not sentence:
         raise EmptySentence("cannot tag an empty sentence")
-    if emb.dim != model.config.dim:
-        raise DimensionMismatch(
-            f"embedding dim {emb.dim} != tagger dim {model.config.dim}"
-        )
-    norms_ = [t.norm for t in sentence]
-    results: list[tuple[str, np.ndarray]] = []
-    for start in range(0, len(norms_), model.config.max_len):
-        chunk = norms_[start : start + model.config.max_len]
-        x = _embed_norms(chunk, emb)[None, :, :]
-        log_probs, _ = forward(model.params, x, np.array([len(chunk)]))
-        probs = np.exp(log_probs[0])
-        for t in range(len(chunk)):
-            results.append((ALL_TAGS[int(np.argmax(probs[t]))], probs[t]))
-    return results
+    return tag_batch(model, emb, [sentence])[0]
 
 
 # --- entity grouping ---------------------------------------------------------
@@ -376,6 +427,28 @@ def extract_entities(tagged: list[tuple[Token, str]], cve_id: str) -> EntitySet:
     for span in extract_spans(tagged):
         entity_set.entities[span.entity_type].append(span.value)
     return entity_set
+
+
+@dataclass(frozen=True)
+class TaggedText:
+    tags: list[str]
+    entities: EntitySet
+
+
+def tag_texts(
+    model: BlstmModel, emb: EmbeddingModel, texts: list[tuple[str, str]]
+) -> list[TaggedText]:
+    """(cve id, description) pairs to per-token tags and entities, with one
+    ``tag_batch`` call; a description without word tokens gets no tags and
+    an empty entity set."""
+    token_lists = [tokenize(text) for _, text in texts]
+    out = []
+    for (cve_id, _), tokens, tagged in zip(
+        texts, token_lists, tag_batch(model, emb, token_lists)
+    ):
+        tags = [t for t, _ in tagged]
+        out.append(TaggedText(tags, extract_entities(list(zip(tokens, tags)), cve_id)))
+    return out
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -437,6 +510,14 @@ def evaluate_f1(
     micro = ClassScore(precision, recall, f1, micro_tp + micro_fn)
     macro = sum(f1_values) / len(f1_values) if f1_values else 0.0
     return F1Report(per_class=per_class, micro=micro, macro_f1=macro)
+
+
+def evaluate_tagger(
+    model: BlstmModel, emb: EmbeddingModel, data: list[LabeledSentence]
+) -> F1Report:
+    """``evaluate_f1`` of the tagger's predictions on labeled sentences."""
+    tagged = tag_batch(model, emb, [list(s.tokens) for s in data])
+    return evaluate_f1([[t for t, _ in p] for p in tagged], [list(s.tags) for s in data])
 
 
 # --- persistence ---------------------------------------------------------------

@@ -112,6 +112,26 @@ def test_tag_single_text(model_dir, capsys):
     assert "MEANS" in payload["tags"]
 
 
+def test_tag_input_keeps_records_without_words(model_dir, tmp_path, capsys):
+    feed = tmp_path / "feed.tsv"
+    feed.write_text(
+        "CVE-2020-0001\t!!! ---\n"
+        "CVE-2020-0002\tBuffer overflow in adobe reader allows remote attackers "
+        "to execute arbitrary code\n",
+        "utf-8",
+    )
+    out = tmp_path / "tags.jsonl"
+    assert main(["tag", "--model-dir", str(model_dir), "--input", str(feed),
+                 "--out", str(out)]) == 0
+    blank, text = (json.loads(line) for line in out.read_text("utf-8").splitlines())
+    assert blank["cve_id"] == "CVE-2020-0001"
+    assert blank["tags"] == []
+    assert not any(blank["entities"].values())
+    assert text["cve_id"] == "CVE-2020-0002"
+    assert len(text["tags"]) == 12
+    assert "MEANS" in text["tags"]
+
+
 def test_complete_ranks_labels(model_dir, tmp_path, capsys):
     entities = tmp_path / "query.json"
     entities.write_text(

@@ -7,6 +7,7 @@ import pytest
 from vuln2rule.corpus import RawVulnerability
 from vuln2rule.demo import golden_entity_set, synthesize_wiring_corpus
 from vuln2rule.errors import ConfigError, TooFewRules
+from vuln2rule import pipeline
 from vuln2rule.pipeline import (
     EvalInputs,
     PipelineConfig,
@@ -14,7 +15,15 @@ from vuln2rule.pipeline import (
     eval_suite,
     run_pipeline,
 )
-from vuln2rule.rules.datalog import InteractionRule, Predicate, Term, parse_rule_file
+from vuln2rule.rules.datalog import (
+    InteractionRule,
+    Predicate,
+    Term,
+    emit_rule,
+    emit_rules,
+    parse_rule_file,
+)
+from vuln2rule.rules.synthesis import GenerationFailure, generate
 from vuln2rule.rules.schema import load_default_lexicon, load_default_rule_corpus
 
 
@@ -66,6 +75,43 @@ class TestRunPipeline:
         report, rules = run_pipeline(demo_models.generator, inputs)
         assert len(report.outcomes) == 10
         assert report.success_ratio() is not None
+        assert set(report.timings) == {"tag", "generate"}
+        assert "timings" not in report.metrics_json()
+
+    def test_batch_matches_single_record_generate(self, demo_models):
+        """Batch tagging in run_pipeline gives the rule file and outcomes of
+        one generate call per record."""
+        inputs = [r.vulnerability for r in demo_models.records] + [
+            RawVulnerability("CVE-2099-0001", "!!! ---"),
+            RawVulnerability("CVE-2099-0002", "Unspecified vulnerability in adobe reader"),
+        ]
+        report, rules = run_pipeline(demo_models.generator, inputs)
+        singles = [
+            generate(r.description, demo_models.generator, cve_id=r.id) for r in inputs
+        ]
+        kept = [emit_rule(r) for r in singles if not isinstance(r, GenerationFailure)]
+        assert emit_rules(rules) == "\n\n".join(kept) + "\n"
+        assert [o for _, o in report.outcomes] == [
+            r.kind.value if isinstance(r, GenerationFailure) else "rule" for r in singles
+        ]
+
+    def test_gold_records_are_not_tagged(self, demo_models, monkeypatch):
+        records = demo_models.records[:6]
+        gold = {r.vulnerability.id: r.entities for r in records[::2]}
+        seen = []
+        original = pipeline.tag_texts
+
+        def recording(model, emb, texts):
+            seen.extend(cve_id for cve_id, _ in texts)
+            return original(model, emb, texts)
+
+        monkeypatch.setattr(pipeline, "tag_texts", recording)
+        inputs = [r.vulnerability for r in records]
+        run_pipeline(demo_models.generator, inputs, gold_entities=gold)
+        assert seen == [r.vulnerability.id for r in records[1::2]]
+        seen.clear()
+        run_pipeline(demo_models.generator, inputs[::2], gold_entities=gold)
+        assert seen == []
 
 
 def template_rule(wired: bool, tag: int = 0) -> InteractionRule:

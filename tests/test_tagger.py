@@ -18,6 +18,9 @@ from vuln2rule.tagger import (
     ALL_TAGS,
     LOSS_WEIGHTS,
     BlstmConfig,
+    BlstmModel,
+    _length_buckets,
+    _sigmoid,
     evaluate_f1,
     extract_entities,
     extract_spans,
@@ -25,6 +28,8 @@ from vuln2rule.tagger import (
     loss_and_grads,
     save_ner,
     tag,
+    tag_batch,
+    tag_texts,
     train_ner,
 )
 
@@ -227,6 +232,127 @@ class TestTagging:
         forward_first = tag(model, tiny_embedding, forward_tokens)[0][1]
         backward_last = tag(model, tiny_embedding, backward_tokens)[-1][1]
         assert not np.allclose(forward_first, backward_last)
+
+
+class TestSigmoid:
+    @staticmethod
+    def mask_split(x):
+        # reference: each sign's branch evaluated on its own elements
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def test_matches_mask_split_form_bit_for_bit(self):
+        rng = np.random.default_rng(26)
+        specials = [0.0, -0.0, 709.0, -709.0, 710.0, -710.0,
+                    1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+        x = np.concatenate([rng.normal(scale=20.0, size=5000), specials])
+        got, want = _sigmoid(x), self.mask_split(x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_matches_on_strided_gate_slices(self):
+        rng = np.random.default_rng(27)
+        z = rng.normal(scale=8.0, size=(7, 44))
+        for cols in (slice(0, 11), slice(11, 22), slice(33, 44)):
+            got = _sigmoid(z[:, cols])
+            want = self.mask_split(np.ascontiguousarray(z[:, cols]))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestTagBatch:
+    """tag_batch against per-sentence tag on a model with max_len 5, so
+    that long sentences span several chunks."""
+
+    TEXTS = [
+        "buffer overflow in adobe reader allows remote attackers to execute code",
+        "overflow",
+        "adobe reader allows code execution",
+        "remote attackers",
+        "buffer overflow in reader",
+        "in adobe reader buffer overflow allows remote attackers code execution via crafted pdf",
+        "code",
+    ]
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        rng = np.random.default_rng(28)
+        return BlstmModel(toy_params(rng, 6, 4, len(ALL_TAGS)),
+                          BlstmConfig(max_len=5, dim=6, hidden=4))
+
+    @staticmethod
+    def assert_same(got, want):
+        assert [t for t, _ in got] == [t for t, _ in want]
+        assert len(got) == len(want)
+        for (_, p_got), (_, p_want) in zip(got, want):
+            assert np.abs(p_got - p_want).max() <= 1e-12
+
+    def test_matches_per_sentence_tag(self, model, tiny_embedding):
+        sentences = [tokenize(t) for t in self.TEXTS]
+        assert max(len(s) for s in sentences) > 2 * model.config.max_len
+        for sentence, got in zip(sentences, tag_batch(model, tiny_embedding, sentences)):
+            self.assert_same(got, tag(model, tiny_embedding, sentence))
+
+    def test_input_order_does_not_matter(self, model, tiny_embedding):
+        sentences = [tokenize(t) for t in self.TEXTS]
+        first = tag_batch(model, tiny_embedding, sentences)
+        order = np.random.default_rng(29).permutation(len(sentences))
+        shuffled = tag_batch(model, tiny_embedding, [sentences[i] for i in order])
+        for pos, i in enumerate(order):
+            self.assert_same(shuffled[pos], first[i])
+
+    def test_many_chunks_match_per_sentence_tag(self, model, tiny_embedding):
+        rng = np.random.default_rng(30)
+        words = ["buffer", "overflow", "in", "adobe", "reader", "code", "unknownword"]
+        sentences = [
+            tokenize(" ".join(rng.choice(words, size=int(n))))
+            for n in rng.integers(1, 13, size=90)
+        ]
+        for sentence, got in zip(sentences, tag_batch(model, tiny_embedding, sentences)):
+            self.assert_same(got, tag(model, tiny_embedding, sentence))
+
+    def test_empty_sentence_gets_no_tags(self, model, tiny_embedding):
+        tokens = tokenize("buffer overflow")
+        empty, tagged = tag_batch(model, tiny_embedding, [[], tokens])
+        assert empty == []
+        self.assert_same(tagged, tag(model, tiny_embedding, tokens))
+
+    def test_dim_mismatch_rejected(self, tiny_embedding):
+        rng = np.random.default_rng(31)
+        model = BlstmModel(toy_params(rng, 7, 4, len(ALL_TAGS)),
+                           BlstmConfig(max_len=5, dim=7, hidden=4))
+        with pytest.raises(DimensionMismatch):
+            tag_batch(model, tiny_embedding, [tokenize("buffer")])
+
+    def test_tag_texts_without_words(self, model, tiny_embedding):
+        blank, text = tag_texts(
+            model, tiny_embedding,
+            [("CVE-2020-0003", "!!! ---"), ("CVE-2020-0004", "buffer overflow")],
+        )
+        assert blank.tags == []
+        assert not any(blank.entities.entities.values())
+        tagged = tag(model, tiny_embedding, tokenize("buffer overflow"))
+        assert text.tags == [t for t, _ in tagged]
+        assert text.entities.cve_id == "CVE-2020-0004"
+
+
+class TestLengthBuckets:
+    @staticmethod
+    def shapes(lengths):
+        chunks = [(i, 0, ["w"] * n) for i, n in enumerate(lengths)]
+        return [[len(c[2]) for c in batch] for batch in _length_buckets(chunks)]
+
+    def test_cut_before_a_chunk_over_one_and_a_half_times_the_shortest(self):
+        assert self.shapes([4, 2, 3, 6, 10]) == [[2, 3], [4, 6], [10]]
+
+    def test_cut_after_64_chunks(self):
+        assert [len(b) for b in self.shapes([3] * 130)] == [64, 64, 2]
+
+    def test_ties_keep_input_order(self):
+        chunks = [(i, 0, ["w"] * n) for i, n in enumerate([2, 1, 2, 1])]
+        assert [c[0] for b in _length_buckets(chunks) for c in b] == [1, 3, 0, 2]
 
 
 class TestEntityExtraction:
