@@ -4,11 +4,48 @@ load(save(x)) round-trips exactly."""
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .errors import FormatVersionMismatch, MalformedRecord, UnreadableFile
+
+T = TypeVar("T")
+
+
+def read_text(path: str | Path) -> str:
+    """The file's UTF-8 text; a missing, unreadable or non-UTF-8 file raises
+    UnreadableFile."""
+    try:
+        return Path(path).read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableFile(f"{path}: {exc}") from exc
+
+
+#: parsers for the field types of the config dataclasses saved in metadata
+_FIELD_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "float | None": lambda value: None if value == "none" else float(value),
+}
+
+
+def config_meta(config) -> dict[str, str]:
+    """A config dataclass as metadata, in field order: floats by repr(),
+    None as ``none``."""
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
+    return {
+        name: "none" if v is None else repr(v) if isinstance(v, float) else str(v)
+        for name, v in values.items()
+    }
+
+
+def config_from_meta(cls: type[T], meta: dict[str, str]) -> T:
+    """Inverse of ``config_meta``; call it inside a ``read_model`` build."""
+    return cls(**{f.name: _FIELD_PARSERS[f.type](meta[f.name]) for f in fields(cls)})
 
 
 def write_model(
@@ -27,13 +64,17 @@ def write_model(
 
 
 def read_model(
-    path: str | Path, marker: str
-) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    path = Path(path)
-    try:
-        lines = path.read_text("utf-8").splitlines()
-    except OSError as exc:
-        raise UnreadableFile(str(exc)) from exc
+    path: str | Path,
+    marker: str,
+    build: Callable[[dict[str, str], dict[str, np.ndarray]], T],
+) -> T:
+    """Parse a ``write_model`` file and return ``build(meta, matrices)``.
+
+    Every defect raises a Vuln2RuleError naming the file: a missing
+    metadata key or matrix (KeyError in ``build``), a value that does not
+    convert or a config that rejects it (ValueError), or a matrix header,
+    row or cell that does not parse."""
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != marker:
         raise FormatVersionMismatch(f"{path}: expected {marker!r} on the first line")
     meta: dict[str, str] = {}
@@ -43,22 +84,28 @@ def read_model(
         meta[key] = value
         i += 1
     matrices: dict[str, np.ndarray] = {}
-    while i < len(lines):
-        header = lines[i].split()
-        if len(header) != 4 or header[0] != "matrix":
-            raise MalformedRecord(f"{path}: bad matrix header {lines[i]!r}")
-        name, rows, cols = header[1], int(header[2]), int(header[3])
-        block = lines[i + 1 : i + 1 + rows]
-        if len(block) != rows:
-            raise MalformedRecord(f"{path}: matrix {name} truncated")
-        arr = np.empty((rows, cols))
-        for r, line in enumerate(block):
-            values = line.split()
-            if len(values) != cols:
-                raise MalformedRecord(
-                    f"{path}: matrix {name} row {r} has {len(values)} values"
-                )
-            arr[r] = [float(v) for v in values]
-        matrices[name] = arr
-        i += 1 + rows
-    return meta, matrices
+    try:
+        while i < len(lines):
+            header = lines[i].split()
+            if len(header) != 4 or header[0] != "matrix":
+                raise MalformedRecord(f"{path}: bad matrix header {lines[i]!r}")
+            name, rows, cols = header[1], int(header[2]), int(header[3])
+            block = lines[i + 1 : i + 1 + rows]
+            if len(block) != rows:
+                raise MalformedRecord(f"{path}: matrix {name} truncated")
+            # allocate by the first row's width: a damaged ``cols`` may be huge
+            arr = np.empty((rows, len(block[0].split()) if block else cols))
+            for r, line in enumerate(block):
+                values = line.split()
+                if len(values) != cols:
+                    raise MalformedRecord(
+                        f"{path}: matrix {name} row {r} has {len(values)} values"
+                    )
+                arr[r] = [float(v) for v in values]
+            matrices[name] = arr
+            i += 1 + rows
+        return build(meta, matrices)
+    except KeyError as exc:
+        raise MalformedRecord(f"{path}: missing {exc}") from exc
+    except (ValueError, IndexError) as exc:
+        raise MalformedRecord(f"{path}: {exc}") from exc

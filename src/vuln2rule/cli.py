@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from . import demo as demo_mod
+from ._textio import read_text
 from .completer import (
     COMPLETABLE_ENTITIES,
     build_feature_vector,
@@ -29,7 +30,7 @@ from .corpus import (
     load_nvd_feed,
     sentences_of,
 )
-from .embedding import EmbeddingConfig, save_embedding, train_embedding
+from .embedding import EmbeddingConfig, load_embedding, save_embedding, train_embedding
 from .errors import ConfigError, MissingArtifact, Vuln2RuleError
 from .pipeline import (
     ARTIFACTS,
@@ -50,6 +51,7 @@ from .tagger import (
     BlstmConfig,
     EntitySet,
     evaluate_tagger,
+    parse_json,
     save_ner,
     tag_texts,
     train_ner,
@@ -73,6 +75,13 @@ def _config_from(args) -> PipelineConfig:
 
 def _load_corpus(path: str) -> list[RawVulnerability]:
     return list(load_nvd_feed(path).records)
+
+
+def _load_embedding(config: PipelineConfig):
+    path = config.model_dir / ARTIFACTS["embedding"]
+    if not path.exists():
+        raise MissingArtifact("train-embedding", str(path))
+    return load_embedding(path)
 
 
 def _model_dir(config: PipelineConfig) -> Path:
@@ -126,12 +135,7 @@ def cmd_train_embedding(args) -> int:
 
 def cmd_train_ner(args) -> int:
     config = _config_from(args)
-    from .embedding import load_embedding
-
-    emb_path = config.model_dir / ARTIFACTS["embedding"]
-    if not emb_path.exists():
-        raise MissingArtifact("train-embedding", str(emb_path))
-    emb = load_embedding(emb_path)
+    emb = _load_embedding(config)
     data = load_labeled_dataset(args.labeled)
     ner_config = BlstmConfig(
         max_len=args.max_len,
@@ -161,13 +165,7 @@ def cmd_tag(args) -> int:
     tagged = tag_texts(
         models.tagger, models.embedding, [(r.id, r.description) for r in records]
     )
-    lines = [
-        json.dumps(
-            {"cve_id": record.id, "tags": t.tags, "entities": t.entities.entities},
-            sort_keys=True,
-        )
-        for record, t in zip(records, tagged)
-    ]
+    lines = [json.dumps({**t.entities.to_dict(), "tags": t.tags}, sort_keys=True) for t in tagged]
     output = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(output, "utf-8")
@@ -195,16 +193,11 @@ def cmd_eval_ner(args) -> int:
 
 def cmd_train_completer(args) -> int:
     config = _config_from(args)
-    from .embedding import load_embedding
-
-    emb_path = config.model_dir / ARTIFACTS["embedding"]
-    if not emb_path.exists():
-        raise MissingArtifact("train-embedding", str(emb_path))
-    emb = load_embedding(emb_path)
+    emb = _load_embedding(config)
     entity_sets = demo_mod.read_entity_records(args.entities)
     exemplars = None
     if args.exemplars:
-        exemplars = json.loads(Path(args.exemplars).read_text("utf-8"))
+        exemplars = parse_json(read_text(args.exemplars))
     for entity in COMPLETABLE_ENTITIES:
         values = [v for es in entity_sets for v in es.values_for(entity)]
         k = config.k_clusters.get(entity, 4)
@@ -235,12 +228,9 @@ def cmd_complete(args) -> int:
     entity = args.entity.upper()
     if entity not in models.completion:
         raise MissingArtifact("train-completer", entity)
-    entities = json.loads(
-        Path(args.entities).read_text("utf-8") if Path(args.entities).exists() else args.entities
-    )
-    entity_set = EntitySet(cve_id=args.cve_id)
-    for key, values in entities.items():
-        entity_set.entities.setdefault(key, []).extend(values)
+    # a JSON object literal, or else a path to a file holding one
+    text = args.entities if args.entities.startswith("{") else read_text(args.entities)
+    entity_set = EntitySet.from_dict({"cve_id": args.cve_id, "entities": parse_json(text)})
     features = build_feature_vector(entity_set, models.embedding)
     for label, prob in predict_missing(models.completion[entity], features, args.top_k):
         print(f"{label}\t{prob:.6f}")
@@ -250,7 +240,7 @@ def cmd_complete(args) -> int:
 def cmd_learn_wiring(args) -> int:
     config = _config_from(args)
     text = (
-        Path(args.rules).read_text("utf-8") if args.rules else load_default_rule_corpus()
+        read_text(args.rules) if args.rules else load_default_rule_corpus()
     )
     rules = parse_rule_file(text)
     raw = estimate_wiring_matrix(rules)
@@ -266,10 +256,10 @@ def cmd_genrule(args) -> int:
     config = _config_from(args)
     gold = None
     if args.gold_entities:
-        data = json.loads(Path(args.gold_entities).read_text("utf-8"))
-        gold = EntitySet(cve_id=data.get("cve_id", args.cve_id))
-        for key, values in data["entities"].items():
-            gold.entities.setdefault(key, []).extend(values)
+        data = parse_json(read_text(args.gold_entities))
+        if isinstance(data, dict):
+            data.setdefault("cve_id", args.cve_id)
+        gold = EntitySet.from_dict(data)
     models = load_models(config, need_tagger=gold is None)
     result = generate(args.description or "", models, gold_entities=gold, cve_id=args.cve_id)
     if isinstance(result, GenerationFailure):
@@ -314,7 +304,7 @@ def cmd_eval(args) -> int:
             labeled=load_labeled_dataset(args.labeled) if args.labeled else [],
             entity_sets=demo_mod.read_entity_records(args.entities) if args.entities else [],
             rules=parse_rule_file(
-                Path(args.rules).read_text("utf-8") if args.rules else load_default_rule_corpus()
+                read_text(args.rules) if args.rules else load_default_rule_corpus()
             ),
             pipeline_inputs=corpus,
         )
@@ -328,7 +318,7 @@ def cmd_eval(args) -> int:
 def cmd_xval_wiring(args) -> int:
     config = _config_from(args)
     text = (
-        Path(args.rules).read_text("utf-8") if args.rules else load_default_rule_corpus()
+        read_text(args.rules) if args.rules else load_default_rule_corpus()
     )
     rules = parse_rule_file(text)
     result = crossvalidate_wiring(

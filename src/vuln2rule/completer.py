@@ -21,6 +21,7 @@ from .errors import (
     EmptyDataset,
     EmptyTrainingSet,
     EmptyValue,
+    InvalidLabel,
     SingleClass,
     TooFewPoints,
 )
@@ -104,9 +105,6 @@ class DiscretizationModel:
     labels: dict[int, str]
     seed: int
     sse_history: list[float] = field(default_factory=list)
-
-    def label_of(self, cluster_id: int) -> str:
-        return self.labels[cluster_id]
 
 
 def _nearest_centroid(point: np.ndarray, centroids: np.ndarray) -> int:
@@ -416,29 +414,51 @@ def mean_precision_recall_at_k(
 # --- persistence -------------------------------------------------------------------
 
 
+def _check_labels(labels) -> None:
+    """A label is saved inside one ``,``-joined metadata line (as
+    ``id:label`` for completion classes) and names one mapping-table token,
+    so it must be non-empty and free of ``,``, ``:`` and whitespace."""
+    for label in labels:
+        if not label or any(c in ",:" or c.isspace() for c in label):
+            raise InvalidLabel(
+                f"cluster label {label!r} must be non-empty, without ',', ':' or whitespace"
+            )
+
+
 def save_discretization(model: DiscretizationModel, path: str | Path) -> None:
+    labels = [model.labels[i] for i in range(model.k_clusters)]
+    _check_labels(labels)
     meta = {
         "entity_type": model.entity_type,
         "k_clusters": str(model.k_clusters),
         "seed": str(model.seed),
-        "labels": ",".join(model.labels[i] for i in range(model.k_clusters)),
+        "labels": ",".join(labels),
     }
     _textio.write_model(path, DISC_MARKER, meta, {"centroids": model.centroids})
 
 
 def load_discretization(path: str | Path) -> DiscretizationModel:
-    meta, matrices = _textio.read_model(path, DISC_MARKER)
-    label_list = meta["labels"].split(",")
-    return DiscretizationModel(
-        entity_type=meta["entity_type"],
-        k_clusters=int(meta["k_clusters"]),
-        centroids=matrices["centroids"],
-        labels={i: lbl for i, lbl in enumerate(label_list)},
-        seed=int(meta["seed"]),
-    )
+    def build(meta: dict[str, str], matrices: dict[str, np.ndarray]) -> DiscretizationModel:
+        k_clusters = int(meta["k_clusters"])
+        labels = meta["labels"].split(",")
+        centroids = matrices["centroids"]
+        if len(labels) != k_clusters or len(centroids) != k_clusters:
+            raise ValueError(
+                f"{len(labels)} labels and {len(centroids)} centroids for {k_clusters} clusters"
+            )
+        return DiscretizationModel(
+            entity_type=meta["entity_type"],
+            k_clusters=k_clusters,
+            centroids=centroids,
+            labels=dict(enumerate(labels)),
+            seed=int(meta["seed"]),
+        )
+
+    return _textio.read_model(path, DISC_MARKER, build)
 
 
 def save_completion(model: CompletionModel, path: str | Path) -> None:
+    _check_labels(label for _, label in model.classes)
     meta = {
         "entity_type": model.entity_type,
         "classes": ",".join(f"{cid}:{label}" for cid, label in model.classes),
@@ -455,17 +475,19 @@ def save_completion(model: CompletionModel, path: str | Path) -> None:
 
 
 def load_completion(path: str | Path) -> CompletionModel:
-    meta, matrices = _textio.read_model(path, COMPLETION_MARKER)
-    classes = []
-    for item in meta["classes"].split(","):
-        cid, _, label = item.partition(":")
-        classes.append((int(cid), label))
-    return CompletionModel(
-        entity_type=meta["entity_type"],
-        weights=matrices["weights"],
-        biases=matrices["biases"][0],
-        classes=classes,
-        l2=float(meta["l2"]),
-        iterations=int(meta["iterations"]),
-        block_dim=int(meta["block_dim"]),
-    )
+    def build(meta: dict[str, str], matrices: dict[str, np.ndarray]) -> CompletionModel:
+        classes = []
+        for item in meta["classes"].split(","):
+            cid, _, label = item.partition(":")
+            classes.append((int(cid), label))
+        return CompletionModel(
+            entity_type=meta["entity_type"],
+            weights=matrices["weights"],
+            biases=matrices["biases"][0],
+            classes=classes,
+            l2=float(meta["l2"]),
+            iterations=int(meta["iterations"]),
+            block_dim=int(meta["block_dim"]),
+        )
+
+    return _textio.read_model(path, COMPLETION_MARKER, build)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._textio import read_text
 from .completer import (
     CompletionModel,
     DiscretizationModel,
@@ -23,6 +24,7 @@ from .completer import (
 )
 from .corpus import LabeledSentence, RawVulnerability, Token, tokenize
 from .embedding import CBOW, EmbeddingConfig, EmbeddingModel, train_embedding
+from .errors import MalformedRecord
 from .rules.schema import (
     load_default_lexicon,
     load_default_mapping,
@@ -31,7 +33,7 @@ from .rules.schema import (
 from .rules.datalog import parse_rule_file
 from .rules.synthesis import GeneratorModels
 from .rules.wiring import estimate_wiring_matrix, impute_matrix
-from .tagger import BlstmConfig, BlstmModel, EntitySet, train_ner
+from .tagger import BlstmConfig, BlstmModel, EntitySet, parse_json, train_ner
 
 #: value variants per class; every value keeps the class keyword so that the
 #: succinct vectors of one class stay closer to each other than to others.
@@ -289,27 +291,21 @@ def write_demo_labeled(records: list[DemoRecord], path: str | Path) -> None:
 
 
 def write_demo_entities(records: list[DemoRecord], path: str | Path) -> None:
-    lines = []
-    for r in records:
-        lines.append(
-            json.dumps(
-                {"cve_id": r.entities.cve_id, "entities": r.entities.entities},
-                sort_keys=True,
-            )
-        )
+    lines = [json.dumps(r.entities.to_dict(), sort_keys=True) for r in records]
     Path(path).write_text("\n".join(lines) + "\n", "utf-8")
 
 
 def read_entity_records(path: str | Path) -> list[EntitySet]:
+    """JSON lines of entity records; a malformed line raises MalformedRecord
+    naming the file and the line."""
     records = []
-    for line in Path(path).read_text("utf-8").splitlines():
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
-        data = json.loads(line)
-        entity_set = EntitySet(cve_id=data["cve_id"])
-        for key, values in data["entities"].items():
-            entity_set.entities.setdefault(key, []).extend(values)
-        records.append(entity_set)
+        try:
+            records.append(EntitySet.from_dict(parse_json(line)))
+        except MalformedRecord as exc:
+            raise MalformedRecord(f"{path}: {exc}", lineno) from exc
     return records
 
 
@@ -321,11 +317,7 @@ def golden_fixture() -> dict:
 
 
 def golden_entity_set() -> EntitySet:
-    data = golden_fixture()
-    entity_set = EntitySet(cve_id=data["cve_id"])
-    for key, values in data["entities"].items():
-        entity_set.entities[key].extend(values)
-    return entity_set
+    return EntitySet.from_dict(golden_fixture())
 
 
 def golden_rule_text() -> str:

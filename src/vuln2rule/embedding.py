@@ -12,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _textio
 from .corpus import OOV_WORD, Vocabulary, vocabulary_from_sentences
-from .errors import DegenerateCorpus, FormatVersionMismatch, MalformedRecord, UnreadableFile
+from .errors import DegenerateCorpus
 
-FORMAT_MARKER = "# vuln2rule-embedding 1"
+FORMAT_MARKER = "# vuln2rule-embedding 2"
 
 CBOW = "CBOW"
 SKIP_GRAM = "SG"
@@ -43,12 +44,13 @@ class EmbeddingModel:
     """Vocabulary plus the two weight matrices of the shallow network.
 
     ``w_in`` has one row per vocabulary word (the embeddings); ``w_out`` is
-    the softmax output matrix of shape (dim, vocab size).
+    the softmax output matrix of shape (dim, vocab size), or None in a loaded
+    model.
     """
 
     vocab: Vocabulary
     w_in: np.ndarray
-    w_out: np.ndarray
+    w_out: np.ndarray | None
     config: EmbeddingConfig
     initial_loss: float | None = None
     final_loss: float | None = None
@@ -60,10 +62,6 @@ class EmbeddingModel:
     def embed(self, word: str) -> np.ndarray:
         """Embedding row for ``word``; out-of-vocabulary words get the OOV row."""
         return self.w_in[self.vocab.id_for(word)].copy()
-
-
-def embed_word(model: EmbeddingModel, word: str) -> np.ndarray:
-    return model.embed(word)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -193,107 +191,35 @@ def nearest_neighbors(
 # --- persistence ------------------------------------------------------------
 
 
-def _config_header(model: EmbeddingModel) -> list[str]:
-    cfg = model.config
-    return [
-        FORMAT_MARKER,
-        f"# variant {cfg.variant}",
-        f"# dim {cfg.dim}",
-        f"# window {cfg.window}",
-        f"# epochs {cfg.epochs}",
-        f"# learning_rate {cfg.learning_rate!r}",
-        f"# max_vocab {cfg.max_vocab}",
-        f"# seed {cfg.seed}",
-        f"# coverage {model.vocab.coverage!r}",
-    ]
-
-
-def _matrix_lines(words: tuple[str, ...], rows: np.ndarray) -> list[str]:
-    return [
-        word + " " + " ".join(repr(float(v)) for v in row)
-        for word, row in zip(words, rows)
-    ]
-
-
 def save_embedding(model: EmbeddingModel, path: str | Path) -> None:
-    """Text format: config header, then ``<vocab> <dim>`` and one line per
-    word; the output matrix goes to a companion ``<path>.out`` file."""
-    path = Path(path)
-    header = _config_header(model)
-    size, dim = model.w_in.shape
-    main = header + [f"{size} {dim}"] + _matrix_lines(model.vocab.words, model.w_in)
-    path.write_text("\n".join(main) + "\n", "utf-8")
-    out = header + [f"{size} {dim}"] + _matrix_lines(model.vocab.words, model.w_out.T)
-    Path(str(path) + ".out").write_text("\n".join(out) + "\n", "utf-8")
-
-
-def _parse_header(lines: list[str]) -> tuple[dict[str, str], int]:
-    if not lines or lines[0].strip() != FORMAT_MARKER:
-        raise FormatVersionMismatch(
-            f"expected {FORMAT_MARKER!r} on the first line"
-        )
-    meta: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i].startswith("#"):
-        key, _, value = lines[i][1:].strip().partition(" ")
-        meta[key] = value
-        i += 1
-    return meta, i
-
-
-def _parse_matrix(
-    lines: list[str], start: int, path: Path
-) -> tuple[tuple[str, ...], np.ndarray]:
-    if start >= len(lines):
-        raise MalformedRecord(f"{path}: missing '<vocab> <dim>' header line")
-    try:
-        size, dim = (int(p) for p in lines[start].split())
-    except ValueError as exc:
-        raise MalformedRecord(f"{path}: bad size header {lines[start]!r}") from exc
-    rows = lines[start + 1 : start + 1 + size]
-    if len(rows) != size:
-        raise MalformedRecord(f"{path}: expected {size} rows, found {len(rows)}")
-    words: list[str] = []
-    matrix = np.empty((size, dim))
-    for r, line in enumerate(rows):
-        parts = line.split()
-        if len(parts) != dim + 1:
-            raise MalformedRecord(f"{path}: row {r} has {len(parts) - 1} values, want {dim}")
-        words.append(parts[0])
-        matrix[r] = [float(p) for p in parts[1:]]
-    return tuple(words), matrix
+    """``_textio`` format: config and vocabulary as metadata, then matrix
+    ``w_in``.  The companion ``<path>.out`` file repeats the metadata and
+    holds matrix ``w_out``, completing the trained network; loading does not
+    read it."""
+    meta = _textio.config_meta(model.config)
+    meta["coverage"] = repr(model.vocab.coverage)
+    meta["words"] = " ".join(model.vocab.words)
+    _textio.write_model(path, FORMAT_MARKER, meta, {"w_in": model.w_in})
+    _textio.write_model(str(path) + ".out", FORMAT_MARKER, meta, {"w_out": model.w_out})
 
 
 def load_embedding(path: str | Path) -> EmbeddingModel:
-    path = Path(path)
-    out_path = Path(str(path) + ".out")
-    try:
-        main_lines = path.read_text("utf-8").splitlines()
-        out_lines = out_path.read_text("utf-8").splitlines()
-    except OSError as exc:
-        raise UnreadableFile(str(exc)) from exc
+    """The vocabulary and ``w_in``; ``w_out`` is None, since only training
+    uses the output matrix."""
 
-    meta, body = _parse_header(main_lines)
-    words, w_in = _parse_matrix(main_lines, body, path)
-    _, out_body = _parse_header(out_lines)
-    out_words, w_out_rows = _parse_matrix(out_lines, out_body, out_path)
-    if out_words != words:
-        raise MalformedRecord(f"{out_path}: vocabulary differs from {path}")
+    def build(meta: dict[str, str], matrices: dict[str, np.ndarray]) -> EmbeddingModel:
+        config = _textio.config_from_meta(EmbeddingConfig, meta)
+        words = tuple(meta["words"].split())
+        w_in = matrices["w_in"]
+        if w_in.shape != (len(words), config.dim):
+            raise ValueError(f"w_in is {w_in.shape}, want ({len(words)}, {config.dim})")
+        if words[0] != OOV_WORD:
+            raise ValueError(f"first word must be {OOV_WORD}")
+        vocab = Vocabulary(
+            words=words,
+            index_of={w: i for i, w in enumerate(words)},
+            coverage=float(meta["coverage"]),
+        )
+        return EmbeddingModel(vocab=vocab, w_in=w_in, w_out=None, config=config)
 
-    config = EmbeddingConfig(
-        variant=meta.get("variant", CBOW),
-        dim=int(meta["dim"]),
-        window=int(meta["window"]),
-        epochs=int(meta["epochs"]),
-        learning_rate=float(meta["learning_rate"]),
-        max_vocab=int(meta["max_vocab"]),
-        seed=int(meta["seed"]),
-    )
-    if words[0] != OOV_WORD:
-        raise MalformedRecord(f"{path}: first word must be {OOV_WORD}")
-    vocab = Vocabulary(
-        words=words,
-        index_of={w: i for i, w in enumerate(words)},
-        coverage=float(meta.get("coverage", "0.0")),
-    )
-    return EmbeddingModel(vocab=vocab, w_in=w_in, w_out=w_out_rows.T, config=config)
+    return _textio.read_model(path, FORMAT_MARKER, build)

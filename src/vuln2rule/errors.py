@@ -82,6 +82,10 @@ class EmptyTrainingSet(Vuln2RuleError):
     pass
 
 
+class InvalidLabel(Vuln2RuleError):
+    pass
+
+
 # --- rule parsing / synthesis ----------------------------------------------
 
 class RuleSyntaxError(Vuln2RuleError):

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import _textio
 from .completer import (
     COMPLETABLE_ENTITIES,
     build_feature_vector,
@@ -20,7 +21,7 @@ from .completer import (
     predict_missing,
 )
 from .corpus import LabeledSentence, RawVulnerability, word_frequency_report
-from .embedding import EmbeddingConfig, load_embedding, nearest_neighbors
+from .embedding import load_embedding, nearest_neighbors
 from .errors import ConfigError, MissingArtifact, TooFewRules
 from .rules.datalog import InteractionRule, emit_rules
 from .rules.schema import (
@@ -47,7 +48,7 @@ from .tagger import EntitySet, evaluate_tagger, load_ner, tag_texts
 
 #: artifact file names inside the model directory (versioned)
 ARTIFACTS = {
-    "embedding": "embedding.v1.txt",
+    "embedding": "embedding.v2.txt",
     "ner": "ner.v1.txt",
     "wiring_raw": "wiring_raw.v1.csv",
     "wiring": "wiring.v1.csv",
@@ -58,21 +59,14 @@ COMPLETION_TEMPLATE = "completion_{}.v1.txt"
 
 @dataclass
 class PipelineConfig:
-    """Paths plus every stage's hyperparameters; defaults match the
-    documented full-scale values."""
+    """What the commands read besides their own flags: the model directory,
+    optional lexicon and mapping files, completer, wiring and evaluation
+    settings, and the seed.  The embedding and tagger trainers take their
+    inputs and hyperparameters from their flags only."""
 
     model_dir: Path = Path("models")
-    corpus_path: Path | None = None
-    labeled_path: Path | None = None
-    entities_path: Path | None = None
-    rule_corpus_path: Path | None = None
     lexicon_path: Path | None = None
     mapping_path: Path | None = None
-    embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
-    ner_max_len: int = 150
-    ner_epochs: int = 100
-    ner_batch_size: int = 32
-    ner_learning_rate: float = 0.01
     k_clusters: dict[str, int] = field(
         default_factory=lambda: {"VECTOR": 4, "IMPACT": 6, "MEANS": 8}
     )
@@ -87,16 +81,12 @@ class PipelineConfig:
     def from_file(path: str | Path) -> PipelineConfig:
         """Key-value config: one ``key = value`` per line, '#' comments.
 
-        Keys: model_dir, corpus_path, labeled_path, entities_path,
-        rule_corpus_path, lexicon_path, mapping_path, seed, threshold,
+        Keys: model_dir, lexicon_path, mapping_path, seed, threshold,
         wiring_k, completer_l2, completer_iterations, top_ks (comma list),
-        embedding.{variant,dim,window,epochs,learning_rate,max_vocab},
-        ner.{max_len,epochs,batch_size,learning_rate},
-        k_clusters.{VECTOR,IMPACT,MEANS}.
+        k_clusters.{VECTOR,IMPACT,MEANS}.  Any other key is a ConfigError.
         """
         config = PipelineConfig()
-        emb_kwargs: dict = {}
-        for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(_textio.read_text(path).splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -104,47 +94,32 @@ class PipelineConfig:
             if not sep:
                 raise ConfigError(f"config line {lineno}: expected 'key = value'")
             try:
-                _apply_config_key(config, emb_kwargs, key, value)
+                _apply_config_key(config, key, value)
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"config line {lineno}: {exc}") from exc
-        if emb_kwargs:
-            config.embedding = replace(config.embedding, **emb_kwargs)
-        for name in ("corpus_path", "labeled_path", "entities_path",
-                     "rule_corpus_path", "lexicon_path", "mapping_path"):
+        for name in ("lexicon_path", "mapping_path"):
             value = getattr(config, name)
             if value is not None and not Path(value).exists():
                 raise ConfigError(f"{name} does not exist: {value}")
         return config
 
 
-def _apply_config_key(config: PipelineConfig, emb_kwargs: dict, key: str, value: str) -> None:
-    paths = {"model_dir", "corpus_path", "labeled_path", "entities_path",
-             "rule_corpus_path", "lexicon_path", "mapping_path"}
-    if key in paths:
-        setattr(config, key, Path(value))
-    elif key == "seed":
-        config.seed = int(value)
-        emb_kwargs.setdefault("seed", int(value))
-    elif key == "threshold":
-        config.threshold = float(value)
-    elif key == "wiring_k":
-        config.wiring_k = int(value)
-    elif key == "completer_l2":
-        config.completer_l2 = float(value)
-    elif key == "completer_iterations":
-        config.completer_iterations = int(value)
-    elif key == "top_ks":
-        config.top_ks = tuple(int(v) for v in value.split(","))
-    elif key.startswith("embedding."):
-        attr = key.split(".", 1)[1]
-        caster = {"variant": str, "dim": int, "window": int, "epochs": int,
-                  "learning_rate": float, "max_vocab": int, "seed": int}[attr]
-        emb_kwargs[attr] = caster(value)
-    elif key.startswith("ner."):
-        attr = key.split(".", 1)[1]
-        caster = {"max_len": int, "epochs": int, "batch_size": int,
-                  "learning_rate": float}[attr]
-        setattr(config, f"ner_{attr}", caster(value))
+_CONFIG_KEYS = {
+    "model_dir": Path,
+    "lexicon_path": Path,
+    "mapping_path": Path,
+    "seed": int,
+    "threshold": float,
+    "wiring_k": int,
+    "completer_l2": float,
+    "completer_iterations": int,
+    "top_ks": lambda value: tuple(int(v) for v in value.split(",")),
+}
+
+
+def _apply_config_key(config: PipelineConfig, key: str, value: str) -> None:
+    if key in _CONFIG_KEYS:
+        setattr(config, key, _CONFIG_KEYS[key](value))
     elif key.startswith("k_clusters."):
         config.k_clusters[key.split(".", 1)[1]] = int(value)
     else:

@@ -46,10 +46,6 @@ class Term:
     def wildcard() -> Term:
         return Term(WILDCARD, "_")
 
-    @property
-    def is_variable(self) -> bool:
-        return self.kind == VARIABLE
-
 
 @dataclass(frozen=True)
 class Predicate:

@@ -9,21 +9,21 @@ gets weight 1, the ten entity classes get weight 10.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import _textio
 from .corpus import LabeledSentence, Token, tokenize
 from .embedding import EmbeddingModel
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
     EmptySentence,
-    FormatVersionMismatch,
     LengthMismatch,
     MalformedRecord,
-    UnreadableFile,
 )
 
 #: The 11 tags, O last; indices are the class ids everywhere.
@@ -404,6 +404,40 @@ class EntitySet:
     def present(self, entity_type: str) -> bool:
         return bool(self.values_for(entity_type))
 
+    # the entity-record codec: ``{"cve_id": ..., "entities": {tag: [value]}}``
+
+    def to_dict(self) -> dict:
+        return {"cve_id": self.cve_id, "entities": {k: list(v) for k, v in self.entities.items()}}
+
+    @classmethod
+    def from_dict(cls, data) -> EntitySet:
+        """Decode one record; keys other than ``cve_id`` and ``entities`` are
+        ignored.  Raises MalformedRecord unless ``cve_id`` is a string and
+        ``entities`` maps entity tags to lists of strings."""
+        if not isinstance(data, dict):
+            raise MalformedRecord(f"entity record is a {type(data).__name__}, not an object")
+        cve_id, entities = data.get("cve_id"), data.get("entities")
+        if not isinstance(cve_id, str):
+            raise MalformedRecord(f"entity record needs a string cve_id, not {type(cve_id).__name__}")
+        if not isinstance(entities, dict):
+            raise MalformedRecord(f"{cve_id}: entities is a {type(entities).__name__}, not an object")
+        entity_set = cls(cve_id=cve_id)
+        for key, values in entities.items():
+            if key not in ENTITY_TAGS:
+                raise MalformedRecord(f"{cve_id}: unknown entity tag {key!r}")
+            if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+                raise MalformedRecord(f"{cve_id}: {key} is not a list of strings")
+            entity_set.entities[key].extend(values)
+        return entity_set
+
+
+def parse_json(text: str):
+    """``json.loads`` that raises MalformedRecord on bad JSON."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise MalformedRecord(f"bad JSON: {exc}") from exc
+
 
 def extract_spans(tagged: list[tuple[Token, str]]) -> list[EntitySpan]:
     """Maximal runs of identical non-O tags become one span each."""
@@ -524,66 +558,19 @@ def evaluate_tagger(
 
 
 def save_ner(model: BlstmModel, path: str | Path) -> None:
-    cfg = model.config
-    lines = [
-        MODEL_MARKER,
-        f"# max_len {cfg.max_len}",
-        f"# dim {cfg.dim}",
-        f"# hidden {cfg.hidden}",
-        f"# n_classes {cfg.n_classes}",
-        f"# epochs {cfg.epochs}",
-        f"# batch_size {cfg.batch_size}",
-        f"# learning_rate {cfg.learning_rate!r}",
-        f"# clip_norm {'none' if cfg.clip_norm is None else repr(cfg.clip_norm)}",
-        f"# seed {cfg.seed}",
-    ]
-    for name in sorted(model.params):
-        arr = np.atleast_2d(model.params[name])
-        lines.append(f"matrix {name} {arr.shape[0]} {arr.shape[1]}")
-        for row in arr:
-            lines.append(" ".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    params = {name: model.params[name] for name in sorted(model.params)}
+    _textio.write_model(path, MODEL_MARKER, _textio.config_meta(model.config), params)
 
 
 def load_ner(path: str | Path) -> BlstmModel:
-    try:
-        lines = Path(path).read_text("utf-8").splitlines()
-    except OSError as exc:
-        raise UnreadableFile(str(exc)) from exc
-    if not lines or lines[0].strip() != MODEL_MARKER:
-        raise FormatVersionMismatch(f"expected {MODEL_MARKER!r} on the first line")
-    meta: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i].startswith("#"):
-        key, _, value = lines[i][1:].strip().partition(" ")
-        meta[key] = value
-        i += 1
-    config = BlstmConfig(
-        max_len=int(meta["max_len"]),
-        dim=int(meta["dim"]),
-        hidden=int(meta["hidden"]),
-        n_classes=int(meta["n_classes"]),
-        epochs=int(meta["epochs"]),
-        batch_size=int(meta["batch_size"]),
-        learning_rate=float(meta["learning_rate"]),
-        clip_norm=None if meta["clip_norm"] == "none" else float(meta["clip_norm"]),
-        seed=int(meta["seed"]),
-    )
-    params: dict[str, np.ndarray] = {}
-    while i < len(lines):
-        header = lines[i].split()
-        if len(header) != 4 or header[0] != "matrix":
-            raise MalformedRecord(f"bad matrix header {lines[i]!r}")
-        name, rows, cols = header[1], int(header[2]), int(header[3])
-        block = lines[i + 1 : i + 1 + rows]
-        if len(block) != rows:
-            raise MalformedRecord(f"matrix {name}: expected {rows} rows")
-        arr = np.array([[float(v) for v in line.split()] for line in block])
-        if arr.shape != (rows, cols):
-            raise MalformedRecord(f"matrix {name}: shape {arr.shape}")
-        params[name] = arr[0] if name.endswith("_b") else arr
-        i += 1 + rows
-    missing = set(PARAM_SHAPES) - set(params)
-    if missing:
-        raise MalformedRecord(f"missing matrices: {sorted(missing)}")
-    return BlstmModel(params=params, config=config)
+    def build(meta: dict[str, str], matrices: dict[str, np.ndarray]) -> BlstmModel:
+        config = _textio.config_from_meta(BlstmConfig, meta)
+        missing = set(PARAM_SHAPES) - set(matrices)
+        if missing:
+            raise ValueError(f"missing matrices: {sorted(missing)}")
+        params = {
+            name: arr[0] if name.endswith("_b") else arr for name, arr in matrices.items()
+        }
+        return BlstmModel(params=params, config=config)
+
+    return _textio.read_model(path, MODEL_MARKER, build)

@@ -64,6 +64,16 @@ def test_train_embedding_deterministic(tmp_path, demo_corpus):
     assert first == second
 
 
+def test_trainer_hyperparameter_in_config_is_error(tmp_path, capsys):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("embedding.dim = 50\n", "utf-8")
+    assert main([
+        "train-embedding", "--config", str(cfg), "--corpus", str(tmp_path / "corpus.tsv"),
+        "--model-dir", str(tmp_path / "models"),
+    ]) == 2
+    assert "unknown config key 'embedding.dim'" in capsys.readouterr().err
+
+
 def test_train_ner_and_completer(tmp_path, demo_models, demo_corpus):
     from vuln2rule.demo import write_demo_labeled, write_demo_entities, demo_exemplars
 
@@ -148,6 +158,34 @@ def test_complete_ranks_labels(model_dir, tmp_path, capsys):
     top_label, top_prob = lines[0].split("\t")
     assert top_label == "remote"
     assert 0.0 <= float(top_prob) <= 1.0
+
+
+def test_complete_long_literal(model_dir, capsys):
+    # longer than a file name may be; read as a literal, never as a path
+    entities = {"MEANS": ["buffer overflow"], "IMPACT": ["execute arbitrary code"],
+                "PLATFORM": ["adobe reader " * 30]}
+    literal = json.dumps(entities)
+    assert len(literal.encode("utf-8")) > 255
+    assert main([
+        "complete", "--entity", "vector", "--entities", literal, "--model-dir", str(model_dir),
+    ]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 3
+    entities["means"] = entities.pop("MEANS")
+    assert main([
+        "complete", "--entity", "vector", "--entities", json.dumps(entities),
+        "--model-dir", str(model_dir),
+    ]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argument", ["{bad", "absent-entities.json"])
+def test_complete_bad_entities_is_error(model_dir, argument, capsys):
+    assert main([
+        "complete", "--entity", "vector", "--entities", argument, "--model-dir", str(model_dir),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_learn_wiring_default_corpus(tmp_path, capsys):

@@ -6,9 +6,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from vuln2rule import _textio
 from vuln2rule.corpus import vocabulary_from_sentences
 from vuln2rule.embedding import (
     CBOW,
+    FORMAT_MARKER,
     SKIP_GRAM,
     EmbeddingConfig,
     example_loss_and_grads,
@@ -203,7 +205,9 @@ class TestPersistence:
         assert loaded.vocab.words == model.vocab.words
         assert loaded.vocab.coverage == model.vocab.coverage
         assert np.array_equal(loaded.w_in, model.w_in)
-        assert np.array_equal(loaded.w_out, model.w_out)
+        assert loaded.w_out is None
+        _, out = _textio.read_model(str(path) + ".out", FORMAT_MARKER, lambda meta, m: (meta, m))
+        assert np.array_equal(out["w_out"], model.w_out)
         assert loaded.config == model.config
         assert nearest_neighbors(loaded, "save", 3) == nearest_neighbors(model, "save", 3)
 
@@ -213,9 +217,7 @@ class TestPersistence:
         path = tmp_path / "model.txt"
         save_embedding(model, path)
         body = [l for l in path.read_text("utf-8").splitlines() if not l.startswith("#")]
-        size, dim = body[0].split()
-        assert int(size) == len(model.vocab)
-        assert int(dim) == 3
+        assert body[0] == f"matrix w_in {len(model.vocab)} 3"
 
     def test_truncated_file_rejected(self, tmp_path):
         sentences = [["t", "r", "u", "n", "c"]] * 3
@@ -230,6 +232,5 @@ class TestPersistence:
     def test_wrong_format_marker_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("# some-other-format 9\n1 1\nw 0.0\n", "utf-8")
-        (tmp_path / "model.txt.out").write_text("# some-other-format 9\n1 1\nw 0.0\n", "utf-8")
         with pytest.raises(FormatVersionMismatch):
             load_embedding(path)

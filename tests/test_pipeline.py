@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from vuln2rule.corpus import RawVulnerability
+from vuln2rule.embedding import EmbeddingConfig
 from vuln2rule.demo import golden_entity_set, synthesize_wiring_corpus
 from vuln2rule.errors import ConfigError, TooFewRules
 from vuln2rule import pipeline
@@ -25,6 +26,7 @@ from vuln2rule.rules.datalog import (
 )
 from vuln2rule.rules.synthesis import GenerationFailure, generate
 from vuln2rule.rules.schema import load_default_lexicon, load_default_rule_corpus
+from vuln2rule.tagger import BlstmConfig
 
 
 class TestRunPipeline:
@@ -193,38 +195,39 @@ class TestEvalSuite:
 
 class TestPipelineConfig:
     def test_defaults_follow_published_hyperparameters(self):
+        assert EmbeddingConfig().dim == 100
+        assert EmbeddingConfig().epochs == 300
+        assert BlstmConfig().epochs == 100
+        assert BlstmConfig().batch_size == 32
         config = PipelineConfig()
-        assert config.embedding.dim == 100
-        assert config.embedding.epochs == 300
-        assert config.ner_epochs == 100
-        assert config.ner_batch_size == 32
         assert config.completer_iterations == 70
         assert config.wiring_k == 5
         assert config.threshold == 0.5
 
     def test_from_file(self, tmp_path):
-        corpus = tmp_path / "corpus.tsv"
-        corpus.write_text("CVE-2020-0001\ttext\n", "utf-8")
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("# empty lexicon\n", "utf-8")
         cfg_file = tmp_path / "pipeline.cfg"
         cfg_file.write_text(
             "# comment\n"
-            f"corpus_path = {corpus}\n"
+            f"lexicon_path = {lexicon}\n"
             "seed = 11\n"
             "threshold = 0.6\n"
-            "embedding.dim = 32\n"
-            "ner.epochs = 7\n"
             "k_clusters.VECTOR = 3\n"
             "top_ks = 1,2\n",
             "utf-8",
         )
         config = PipelineConfig.from_file(cfg_file)
+        assert config.lexicon_path == lexicon
         assert config.seed == 11
         assert config.threshold == 0.6
-        assert config.embedding.dim == 32
-        assert config.embedding.seed == 11
-        assert config.ner_epochs == 7
         assert config.k_clusters["VECTOR"] == 3
         assert config.top_ks == (1, 2)
+        # the embedding and tagger trainers read these from their flags only
+        for line in ("embedding.dim = 50", "ner.epochs = 7", f"corpus_path = {lexicon}"):
+            cfg_file.write_text(line + "\n", "utf-8")
+            with pytest.raises(ConfigError, match="unknown config key"):
+                PipelineConfig.from_file(cfg_file)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
@@ -234,7 +237,7 @@ class TestPipelineConfig:
 
     def test_missing_path_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text(f"corpus_path = {tmp_path/'absent.tsv'}\n", "utf-8")
+        cfg_file.write_text(f"lexicon_path = {tmp_path/'absent.txt'}\n", "utf-8")
         with pytest.raises(ConfigError):
             PipelineConfig.from_file(cfg_file)
 
