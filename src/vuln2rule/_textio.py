@@ -1,16 +1,21 @@
-"""Shared decimal-text persistence: a format marker line, ``# key value``
-metadata, then named matrices.  Floats are written with repr() so that
-load(save(x)) round-trips exactly."""
+"""Text file access and the shared decimal-text artifact format.
+
+Every file the package reads or writes goes through ``read_text``,
+``read_data`` (files packaged under ``vuln2rule/data``) or ``write_text``,
+which raise only Vuln2RuleError subclasses.  Artifacts are a format marker
+line, ``# key value`` metadata, then named matrices; floats are written with
+repr() so that load(save(x)) round-trips exactly."""
 
 from __future__ import annotations
 
 from dataclasses import fields
+from importlib import resources
 from pathlib import Path
 from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import FormatVersionMismatch, MalformedRecord, UnreadableFile
+from .errors import FormatVersionMismatch, MalformedRecord, UnreadableFile, UnwritableFile
 
 T = TypeVar("T")
 
@@ -22,6 +27,20 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableFile(f"{path}: {exc}") from exc
+
+
+def read_data(name: str) -> str:
+    """The text of a file packaged under ``vuln2rule/data``."""
+    return read_text(resources.files("vuln2rule") / "data" / name)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8; a missing directory or any other failure
+    raises UnwritableFile."""
+    try:
+        Path(path).write_text(text, "utf-8")
+    except (OSError, UnicodeEncodeError) as exc:
+        raise UnwritableFile(f"{path}: {exc}") from exc
 
 
 #: parsers for the field types of the config dataclasses saved in metadata
@@ -60,7 +79,7 @@ def write_model(
         arr = np.atleast_2d(np.asarray(matrix, dtype=float))
         lines.append(f"matrix {name} {arr.shape[0]} {arr.shape[1]}")
         lines += [" ".join(repr(float(v)) for v in row) for row in arr]
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_model(

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import demo as demo_mod
-from ._textio import read_text
+from ._textio import read_text, write_text
 from .completer import (
     COMPLETABLE_ENTITIES,
     build_feature_vector,
@@ -31,7 +31,7 @@ from .corpus import (
     sentences_of,
 )
 from .embedding import EmbeddingConfig, load_embedding, save_embedding, train_embedding
-from .errors import ConfigError, MissingArtifact, Vuln2RuleError
+from .errors import ConfigError, MissingArtifact, UnwritableFile, Vuln2RuleError
 from .pipeline import (
     ARTIFACTS,
     COMPLETION_TEMPLATE,
@@ -45,7 +45,7 @@ from .pipeline import (
 )
 from .rules.datalog import emit_rule, parse_rule_file
 from .rules.schema import load_default_lexicon, load_default_rule_corpus
-from .rules.synthesis import GenerationFailure, generate
+from .rules.synthesis import PLACEHOLDER_CVE_ID, GenerationFailure, generate
 from .rules.wiring import estimate_wiring_matrix, impute_matrix, save_wiring
 from .tagger import (
     BlstmConfig,
@@ -85,7 +85,10 @@ def _load_embedding(config: PipelineConfig):
 
 
 def _model_dir(config: PipelineConfig) -> Path:
-    config.model_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.model_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UnwritableFile(f"{config.model_dir}: {exc}") from exc
     return config.model_dir
 
 
@@ -104,7 +107,7 @@ def cmd_ingest(args) -> int:
             print(f"warning: {path}: {warning}", file=sys.stderr)
         out_lines += [f"{r.id}\t{r.description}" for r in result.records]
     if args.out:
-        Path(args.out).write_text("\n".join(out_lines) + ("\n" if out_lines else ""), "utf-8")
+        write_text(args.out, "\n".join(out_lines) + ("\n" if out_lines else ""))
     print(f"records: {total_records}  skipped-empty: {total_skipped}")
     return 0
 
@@ -168,7 +171,7 @@ def cmd_tag(args) -> int:
     lines = [json.dumps({**t.entities.to_dict(), "tags": t.tags}, sort_keys=True) for t in tagged]
     output = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(output, "utf-8")
+        write_text(args.out, output)
     else:
         sys.stdout.write(output)
     return 0
@@ -258,7 +261,7 @@ def cmd_genrule(args) -> int:
     if args.gold_entities:
         data = parse_json(read_text(args.gold_entities))
         if isinstance(data, dict):
-            data.setdefault("cve_id", args.cve_id)
+            data.setdefault("cve_id", PLACEHOLDER_CVE_ID)
         gold = EntitySet.from_dict(data)
     models = load_models(config, need_tagger=gold is None)
     result = generate(args.description or "", models, gold_entities=gold, cve_id=args.cve_id)
@@ -267,7 +270,7 @@ def cmd_genrule(args) -> int:
         return 0
     output = emit_rule(result) + "\n"
     if args.out:
-        Path(args.out).write_text(output, "utf-8")
+        write_text(args.out, output)
     else:
         sys.stdout.write(output)
     return 0
@@ -279,7 +282,7 @@ def cmd_pipeline(args) -> int:
     inputs = _load_corpus(args.input)
     report, rules = run_pipeline(models, inputs, out_path=args.out)
     if args.report:
-        Path(args.report).write_text(report.to_json() + "\n", "utf-8")
+        write_text(args.report, report.to_json() + "\n")
     sys.stdout.write(report.render_text())
     print(f"rules emitted: {len(rules)}" + (f" -> {args.out}" if args.out else ""))
     return 0
@@ -310,7 +313,7 @@ def cmd_eval(args) -> int:
         )
     report = eval_suite(models, data, top_ks=config.top_ks)
     if args.report:
-        Path(args.report).write_text(report.to_json() + "\n", "utf-8")
+        write_text(args.report, report.to_json() + "\n")
     sys.stdout.write(report.render_text())
     return 0
 
@@ -420,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("genrule", cmd_genrule, "generate one interaction rule")
     p.add_argument("--description")
-    p.add_argument("--cve-id", default="CVE-0000-0000")
+    p.add_argument("--cve-id", help="the rule's CVE id (default: the fixture's, else a placeholder)")
     p.add_argument("--gold-entities", help="JSON fixture with cve_id + entities")
     p.add_argument("--threshold", type=float)
     p.add_argument("--out")

@@ -14,16 +14,10 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
-from .errors import (
-    EmptyCorpus,
-    MalformedLine,
-    MalformedRecord,
-    UnknownTag,
-    UnreadableFile,
-)
+from ._textio import read_data, read_text
+from .errors import EmptyCorpus, MalformedLine, MalformedRecord, UnknownTag
 
 CVE_ID_RE = re.compile(r"CVE-\d{4}-\d{4,}")
 
@@ -38,13 +32,10 @@ _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+|\n+")
 OOV_WORD = "<oov>"
 
 
-def _load_stopwords() -> frozenset[str]:
-    text = resources.files("vuln2rule").joinpath("data", "stopwords.txt").read_text("utf-8")
-    return frozenset(w for w in text.split() if not w.startswith("#"))
-
-
 #: Fixed English stopword list shipped with the tool (data/stopwords.txt).
-STOPWORDS: frozenset[str] = _load_stopwords()
+STOPWORDS: frozenset[str] = frozenset(
+    w for w in read_data("stopwords.txt").split() if not w.startswith("#")
+)
 
 
 @dataclass(frozen=True)
@@ -145,12 +136,7 @@ def load_nvd_feed(path: str | Path) -> FeedLoadResult:
     Records with blank descriptions are skipped and counted; malformed
     records are collected, and only fatal when every record is malformed.
     """
-    path = Path(path)
-    try:
-        text = path.read_text("utf-8")
-    except OSError as exc:
-        raise UnreadableFile(str(exc)) from exc
-
+    text = read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
         return _load_json_feed(text)
@@ -181,17 +167,12 @@ def _load_tsv_feed(text: str) -> FeedLoadResult:
 def _load_json_feed(text: str) -> FeedLoadResult:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedRecord(f"invalid JSON feed: {exc}") from exc
 
-    if isinstance(data, dict):
-        items = data.get("CVE_Items")
-        if items is None:
-            raise MalformedRecord("JSON feed has no CVE_Items array")
-    elif isinstance(data, list):
-        items = data
-    else:
-        raise MalformedRecord("JSON feed is neither an object nor an array")
+    items = data.get("CVE_Items") if isinstance(data, dict) else data
+    if not isinstance(items, list):
+        raise MalformedRecord("JSON feed is neither an array nor an object with a CVE_Items array")
 
     result = FeedLoadResult()
     for idx, item in enumerate(items):
@@ -202,8 +183,13 @@ def _load_json_feed(text: str) -> FeedLoadResult:
             value = next(
                 (d["value"] for d in descriptions if d.get("lang") == "en"), None
             )
-        except (TypeError, KeyError) as exc:
+            if not isinstance(cve_id, str) or not isinstance(value, (str, type(None))):
+                raise TypeError("CVE id or description is not a string")
+        except KeyError as exc:
             result.malformed.append(f"item {idx}: missing {exc}")
+            continue
+        except (TypeError, AttributeError) as exc:
+            result.malformed.append(f"item {idx}: {exc}")
             continue
         if value is None or not value.strip():
             result.skipped_empty += 1
@@ -305,12 +291,7 @@ def load_labeled_dataset(path: str | Path) -> list[LabeledSentence]:
     sentences; unknown tag strings are rejected."""
     from .tagger import ALL_TAGS  # deferred: tagger depends on corpus types
 
-    path = Path(path)
-    try:
-        text = path.read_text("utf-8")
-    except OSError as exc:
-        raise UnreadableFile(str(exc)) from exc
-
+    text = read_text(path)
     sentences: list[LabeledSentence] = []
     surfaces: list[str] = []
     tags: list[str] = []

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._textio import read_text
+from ._textio import read_data, read_text, write_text
 from .completer import (
     CompletionModel,
     DiscretizationModel,
@@ -278,7 +278,7 @@ def build_demo_models(
 
 def write_demo_corpus(records: list[DemoRecord], path: str | Path) -> None:
     lines = [f"{r.vulnerability.id}\t{r.vulnerability.description}" for r in records]
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_demo_labeled(records: list[DemoRecord], path: str | Path) -> None:
@@ -287,12 +287,12 @@ def write_demo_labeled(records: list[DemoRecord], path: str | Path) -> None:
         blocks.append(
             "\n".join(f"{t.surface}\t{tag}" for t, tag in zip(r.sentence.tokens, r.sentence.tags))
         )
-    Path(path).write_text("\n\n".join(blocks) + "\n", "utf-8")
+    write_text(path, "\n\n".join(blocks) + "\n")
 
 
 def write_demo_entities(records: list[DemoRecord], path: str | Path) -> None:
     lines = [json.dumps(r.entities.to_dict(), sort_keys=True) for r in records]
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_entity_records(path: str | Path) -> list[EntitySet]:
@@ -310,10 +310,7 @@ def read_entity_records(path: str | Path) -> list[EntitySet]:
 
 
 def golden_fixture() -> dict:
-    from importlib import resources
-
-    text = resources.files("vuln2rule").joinpath("data", "golden_cve_2010_2212.json").read_text("utf-8")
-    return json.loads(text)
+    return json.loads(read_data("golden_cve_2010_2212.json"))
 
 
 def golden_entity_set() -> EntitySet:
@@ -321,9 +318,7 @@ def golden_entity_set() -> EntitySet:
 
 
 def golden_rule_text() -> str:
-    from importlib import resources
-
-    return resources.files("vuln2rule").joinpath("data", "golden_cve_2010_2212.P").read_text("utf-8")
+    return read_data("golden_cve_2010_2212.P")
 
 
 # --- synthetic wiring corpus -----------------------------------------------------

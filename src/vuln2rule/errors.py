@@ -13,6 +13,10 @@ class UnreadableFile(Vuln2RuleError):
     pass
 
 
+class UnwritableFile(Vuln2RuleError):
+    pass
+
+
 class MalformedRecord(Vuln2RuleError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")

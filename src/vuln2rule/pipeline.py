@@ -104,10 +104,16 @@ class PipelineConfig:
         return config
 
 
+def _path(value: str) -> Path:
+    if "\0" in value:
+        raise ValueError(f"path {value!r} holds a NUL character")
+    return Path(value)
+
+
 _CONFIG_KEYS = {
-    "model_dir": Path,
-    "lexicon_path": Path,
-    "mapping_path": Path,
+    "model_dir": _path,
+    "lexicon_path": _path,
+    "mapping_path": _path,
     "seed": int,
     "threshold": float,
     "wiring_k": int,
@@ -268,7 +274,7 @@ def run_pipeline(
     report.counts["inputs"] = len(inputs)
     report.counts["rules"] = len(rules)
     if out_path is not None and rules:
-        Path(out_path).write_text(emit_rules(rules), "utf-8")
+        _textio.write_text(out_path, emit_rules(rules))
     return report, rules
 
 

@@ -1,4 +1,5 @@
-"""Datalog Horn-clause AST, parser and canonical emitter.
+r"""Datalog Horn-clause AST, parser and canonical emitter: every decision
+about Datalog text is made here.
 
 Accepted clause forms:
 
@@ -8,11 +9,21 @@ Accepted clause forms:
 with ``%`` line comments, quoted atoms, integers/decimals and nested terms.
 Nested compound arguments are preserved verbatim as constants (their
 canonical text), since slot-level reasoning only needs top-level arguments.
+
+Quoting: inside ``'...'`` and ``"..."`` a backslash escapes the next
+character.  A quoted atom keeps its source text, quotes and escapes
+included, as its ``Term`` text, so it is emitted as it was read; only the
+``rule_desc`` string is decoded (``unquote``).  ``quote`` writes ``\``,
+``'``, ``"`` and ``
+`` for a backslash, the quote mark and a newline, so
+every emitted rule parses back to itself.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import RangeRestrictionViolation, RuleSyntaxError, UnbalancedParens
 
@@ -75,11 +86,13 @@ class InteractionRule:
         if not self.body:
             raise ValueError("rule body must be non-empty")
 
-    def head_variables_unbound(self) -> set[str]:
-        bound = set()
-        for pred in self.body:
-            bound |= pred.variables()
-        return self.head.variables() - bound
+    def check_range_restriction(self) -> None:
+        """Raise when a head variable does not occur in the body."""
+        unbound = self.head.variables().difference(*(p.variables() for p in self.body))
+        if unbound:
+            raise RangeRestrictionViolation(
+                f"head variables not bound in body: {sorted(unbound)}"
+            )
 
     def predicates(self) -> list[Predicate]:
         return [self.head, *self.body]
@@ -88,94 +101,69 @@ class InteractionRule:
 # --- lexer -----------------------------------------------------------------
 
 
-_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT"}
-
-
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     value: str
-    line: int
-    col: int
+    pos: int
+
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?:\s|%[^\n]*)*                             # blanks and line comments
+    (?: (?P<NECK>:-) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,) | (?P<DOT>\.)
+      | (?P<QUOTED>'(?:\\.|[^'\\\n])*')
+      | (?P<STRING>"(?:\\.|[^"\\\n])*")
+      | (?P<NEWLINE>'(?:\\.|[^'\\\n])*\n|"(?:\\.|[^"\\\n])*\n)
+      | (?P<UNTERMINATED>['"])
+      | (?P<NUMBER>-?\d+(?:\.\d+)?)
+      | (?P<NAME>[^\W\d]\w*)                    # VAR or ATOM: no leading digit
+      | (?P<EOF>\Z)
+      | (?P<UNEXPECTED>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+
+_LEX_ERRORS = {
+    "NEWLINE": "newline inside {}-quoted text",
+    "UNTERMINATED": "unterminated {}-quoted text",
+    "UNEXPECTED": "unexpected character {!r}",
+}
+
+
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """1-based (line, column) of offset ``pos``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _lex(text: str) -> list[_Tok]:
     tokens: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
+    pos = 0
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        kind = m.lastgroup
+        value, start = m.group(kind), m.start(kind)
+        if kind in _LEX_ERRORS:
+            raise RuleSyntaxError(_LEX_ERRORS[kind].format(value[0]), *_position(text, start))
+        if kind == "NAME":
+            kind = "VAR" if value[0].isupper() or value[0] == "_" else "ATOM"
+        tokens.append(_Tok(kind, value, start))
+        if kind == "EOF":
+            return tokens
+        pos = m.end()
 
-    def error(msg: str, expected: str | None = None):
-        raise RuleSyntaxError(msg, line, col, expected)
 
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch.isspace():
-            i, col = i + 1, col + 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == ":" and text[i : i + 2] == ":-":
-            tokens.append(_Tok("NECK", ":-", start_line, start_col))
-            i, col = i + 2, col + 2
-            continue
-        if ch in _PUNCT:
-            # '.' starting a number (e.g. inside 1.5) is consumed by NUMBER
-            tokens.append(_Tok(_PUNCT[ch], ch, start_line, start_col))
-            i, col = i + 1, col + 1
-            continue
-        if ch == "'" or ch == '"':
-            quote = ch
-            j = i + 1
-            buf = []
-            while j < n:
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                    continue
-                if text[j] == quote:
-                    break
-                if text[j] == "\n":
-                    error(f"newline inside {quote}-quoted text")
-                buf.append(text[j])
-                j += 1
-            else:
-                error(f"unterminated {quote}-quoted text")
-            if j >= n:
-                error(f"unterminated {quote}-quoted text")
-            kind = "QUOTED" if quote == "'" else "STRING"
-            tokens.append(_Tok(kind, "".join(buf), start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot and j + 1 < n and text[j + 1].isdigit())):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            tokens.append(_Tok("NUMBER", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "VAR" if (ch.isupper() or ch == "_") else "ATOM"
-            tokens.append(_Tok(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        error(f"unexpected character {ch!r}")
-    tokens.append(_Tok("EOF", "", line, col))
-    return tokens
+def unquote(token: str) -> str:
+    """The text of a quoted token: the quotes dropped, ``\\n`` a newline and
+    any other backslash pair ``\\c`` the character ``c``."""
+    body = token[1:-1]
+    return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], body, flags=re.DOTALL)
+
+
+def quote(text: str, mark: str) -> str:
+    """``text`` as a ``mark``-quoted token (``mark`` is ``'`` or ``"``) that
+    lexes as one token and that ``unquote`` maps back to ``text``."""
+    escaped = text.replace("\\", "\\\\").replace(mark, "\\" + mark).replace("\n", "\\n")
+    return mark + escaped + mark
 
 
 # --- parser ----------------------------------------------------------------
@@ -183,6 +171,7 @@ def _lex(text: str) -> list[_Tok]:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _lex(text)
         self.pos = 0
 
@@ -195,129 +184,93 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Tok:
-        tok = self.peek()
-        if tok.kind != kind:
-            # a clause that ends (or the file that ends) with parens open
-            if kind == "RPAREN" and tok.kind in ("EOF", "DOT"):
-                raise UnbalancedParens("unclosed parenthesis", tok.line, tok.col, what)
-            raise RuleSyntaxError(
-                f"found {tok.value!r}" if tok.value else "found end of input",
-                tok.line,
-                tok.col,
-                what,
-            )
-        return self.next()
+    def found(self, tok: _Tok, expected: str) -> RuleSyntaxError:
+        message = f"found {tok.value!r}" if tok.value else "found end of input"
+        return RuleSyntaxError(message, *_position(self.text, tok.pos), expected)
 
-    # -- terms ------------------------------------------------------------
+    def expect(self, kind: str, what: str, value: str | None = None) -> _Tok:
+        tok = self.peek()
+        if tok.kind == kind and value in (None, tok.value):
+            return self.next()
+        # a clause that ends (or the file that ends) with parens open
+        if kind == "RPAREN" and tok.kind in ("EOF", "DOT"):
+            raise UnbalancedParens("unclosed parenthesis", *_position(self.text, tok.pos), what)
+        raise self.found(tok, what)
+
+    def comma_list(self, parse_item) -> list:
+        items = [parse_item()]
+        while self.peek().kind == "COMMA":
+            self.next()
+            items.append(parse_item())
+        return items
+
+    def parse_args(self, closing: str) -> tuple[Term, ...]:
+        """``(term, ...)`` after a predicate or functor name."""
+        self.next()
+        args = self.comma_list(self.parse_term)
+        self.expect("RPAREN", closing)
+        return tuple(args)
 
     def parse_term(self) -> Term:
-        tok = self.peek()
+        tok = self.next()
         if tok.kind == "VAR":
-            self.next()
-            if tok.value == "_":
-                return Term.wildcard()
-            return Term.variable(tok.value)
-        if tok.kind == "NUMBER":
-            self.next()
+            return Term.wildcard() if tok.value == "_" else Term.variable(tok.value)
+        if tok.kind in ("NUMBER", "QUOTED", "STRING"):
             return Term.constant(tok.value)
-        if tok.kind == "QUOTED":
-            self.next()
-            return Term.constant("'" + tok.value + "'")
-        if tok.kind == "STRING":
-            self.next()
-            return Term.constant('"' + tok.value + '"')
-        if tok.kind == "ATOM":
-            self.next()
-            if self.peek().kind == "LPAREN":
-                self.next()
-                parts = [self._term_text(self.parse_term())]
-                while self.peek().kind == "COMMA":
-                    self.next()
-                    parts.append(self._term_text(self.parse_term()))
-                self.expect("RPAREN", "')' closing nested term")
-                return Term.constant(f"{tok.value}({','.join(parts)})")
+        if tok.kind != "ATOM":
+            raise self.found(tok, "a term")
+        if self.peek().kind != "LPAREN":
             return Term.constant(tok.value)
-        raise RuleSyntaxError(
-            f"found {tok.value!r}" if tok.value else "found end of input",
-            tok.line,
-            tok.col,
-            "a term",
-        )
-
-    @staticmethod
-    def _term_text(term: Term) -> str:
-        return term.text
+        args = self.parse_args("')' closing nested term")
+        return Term.constant(f"{tok.value}({','.join(t.text for t in args)})")
 
     def parse_predicate(self) -> Predicate:
-        tok = self.peek()
-        if tok.kind == "QUOTED":
-            self.next()
-            name = "'" + tok.value + "'"
+        if self.peek().kind == "QUOTED":
+            name = self.next().value
         else:
             name = self.expect("ATOM", "a predicate name").value
         if self.peek().kind != "LPAREN":
             return Predicate(name)
-        self.next()
-        args = [self.parse_term()]
-        while self.peek().kind == "COMMA":
-            self.next()
-            args.append(self.parse_term())
-        self.expect("RPAREN", "')' closing the argument list")
-        return Predicate(name, tuple(args))
+        return Predicate(name, self.parse_args("')' closing the argument list"))
 
     def parse_horn(self) -> tuple[Predicate, tuple[Predicate, ...]]:
         head = self.parse_predicate()
         self.expect("NECK", "':-' after the rule head")
-        body = [self.parse_predicate()]
-        while self.peek().kind == "COMMA":
-            self.next()
-            body.append(self.parse_predicate())
-        return head, tuple(body)
-
-    # -- clauses ------------------------------------------------------------
+        return head, tuple(self.comma_list(self.parse_predicate))
 
     def parse_clause(self) -> InteractionRule:
-        tok = self.peek()
-        if (
-            tok.kind == "ATOM"
-            and tok.value == "interaction_rule"
-            and self.peek(1).kind == "LPAREN"
-            and self.peek(2).kind == "LPAREN"
+        tok, description = self.peek(), ""
+        if (tok.kind, tok.value) == ("ATOM", "interaction_rule") and (
+            self.peek(1).kind == self.peek(2).kind == "LPAREN"
         ):
-            self.next()
-            self.expect("LPAREN", "'(' after interaction_rule")
-            self.expect("LPAREN", "'(' opening the clause")
+            self.pos += 3
             head, body = self.parse_horn()
             self.expect("RPAREN", "')' closing the clause")
             self.expect("COMMA", "',' before rule_desc")
-            desc_tok = self.expect("ATOM", "rule_desc")
-            if desc_tok.value != "rule_desc":
-                raise RuleSyntaxError(
-                    f"found {desc_tok.value!r}", desc_tok.line, desc_tok.col, "rule_desc"
-                )
+            self.expect("ATOM", "rule_desc", "rule_desc")
             self.expect("LPAREN", "'(' after rule_desc")
-            description = self.expect("STRING", "a description string").value
+            description = unquote(self.expect("STRING", "a description string").value)
             if self.peek().kind == "COMMA":
                 self.next()
                 self.parse_term()  # rule score: accepted, not modeled
             self.expect("RPAREN", "')' closing rule_desc")
             self.expect("RPAREN", "')' closing interaction_rule")
-            self.expect("DOT", "'.' ending the clause")
-            return InteractionRule(head, body, description)
-        head, body = self.parse_horn()
+        else:
+            head, body = self.parse_horn()
         self.expect("DOT", "'.' ending the clause")
-        return InteractionRule(head, body)
-
-    def parse_file(self) -> list[InteractionRule]:
-        rules = []
-        while self.peek().kind != "EOF":
-            rules.append(self.parse_clause())
-        return rules
+        return InteractionRule(head, body, description)
 
 
 def parse_rule_file(text: str) -> list[InteractionRule]:
-    return _Parser(text).parse_file()
+    parser = _Parser(text)
+    rules = []
+    try:
+        while parser.peek().kind != "EOF":
+            rules.append(parser.parse_clause())
+    except RecursionError:
+        position = _position(text, parser.peek().pos)
+        raise RuleSyntaxError("terms nested too deeply", *position) from None
+    return rules
 
 
 # --- emitter ----------------------------------------------------------------
@@ -332,19 +285,12 @@ def format_predicate(pred: Predicate) -> str:
 def emit_rule(rule: InteractionRule) -> str:
     """Canonical text: the interaction_rule wrapper with one body predicate
     per line.  Raises when a head variable is unbound in the body."""
-    unbound = rule.head_variables_unbound()
-    if unbound:
-        raise RangeRestrictionViolation(
-            f"head variables not bound in body: {sorted(unbound)}"
-        )
-    escaped = rule.description.replace("\\", "\\\\").replace('"', '\\"')
-    body_lines = [f"    {format_predicate(p)}" for p in rule.body]
+    rule.check_range_restriction()
+    body = ",\n".join(f"    {format_predicate(p)}" for p in rule.body)
+    description = quote(rule.description, '"')
     return (
-        "interaction_rule(\n"
-        f"  ({format_predicate(rule.head)} :-\n"
-        + ",\n".join(body_lines)
-        + "),\n"
-        f'  rule_desc("{escaped}", 1.0)).'
+        f"interaction_rule(\n  ({format_predicate(rule.head)} :-\n{body}),\n"
+        f"  rule_desc({description}, 1.0))."
     )
 
 

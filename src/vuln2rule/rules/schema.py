@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
+from .._textio import read_data, read_text
 from ..errors import ConfigError
 
 _DECL_RE = re.compile(r"^predicate\s+([a-z]\w*)\((.*)\)$")
@@ -168,25 +168,21 @@ def parse_mapping(text: str) -> MappingTables:
     return MappingTables(impact=impact, vector=vector, means=means)
 
 
-def _read_data(name: str) -> str:
-    return resources.files("vuln2rule").joinpath("data", name).read_text("utf-8")
-
-
 def load_lexicon(path: str | Path) -> SchemaLexicon:
-    return parse_lexicon(Path(path).read_text("utf-8"))
+    return parse_lexicon(read_text(path))
 
 
 def load_mapping(path: str | Path) -> MappingTables:
-    return parse_mapping(Path(path).read_text("utf-8"))
+    return parse_mapping(read_text(path))
 
 
 def load_default_lexicon() -> SchemaLexicon:
-    return parse_lexicon(_read_data("predicate_schemas.txt"))
+    return parse_lexicon(read_data("predicate_schemas.txt"))
 
 
 def load_default_mapping() -> MappingTables:
-    return parse_mapping(_read_data("mapping_tables.txt"))
+    return parse_mapping(read_data("mapping_tables.txt"))
 
 
 def load_default_rule_corpus() -> str:
-    return _read_data("interaction_rules.P")
+    return read_data("interaction_rules.P")

@@ -30,7 +30,7 @@ from ..errors import (
 )
 from ..tagger import BlstmModel, EntitySet, extract_entities
 from ..tagger import tag as tag_tokens
-from .datalog import VARIABLE, WILDCARD, InteractionRule, Predicate, Term
+from .datalog import VARIABLE, WILDCARD, InteractionRule, Predicate, Term, quote
 from .schema import MappingTables, PredicateSchema, SchemaLexicon
 from .wiring import Slot, UnionFind, WiringMatrix
 
@@ -112,12 +112,12 @@ def create_structure(
 
 
 def to_atom(text: str) -> str:
-    """Constant-safe rendering: lowercase_underscore atom, quoted when the
-    slug cannot stand alone (leading digit, empty, ...)."""
+    """Constant-safe rendering: lowercase_underscore atom, or the quoted text
+    when the slug cannot stand alone (leading digit, empty, ...)."""
     slug = re.sub(r"[^a-z0-9_]+", "_", text.lower()).strip("_")
     if re.fullmatch(r"[a-z][a-z0-9_]*", slug):
         return slug
-    return "'" + text + "'"
+    return quote(text, "'")
 
 
 def assign_constants(
@@ -131,7 +131,7 @@ def assign_constants(
         return values[0] if values else None
 
     fillers = {
-        "vulnid": lambda: Term.constant("'" + cve_id + "'"),
+        "vulnid": lambda: Term.constant(quote(cve_id, "'")),
         "product": lambda: _entity_constant(first_value("PLATFORM")),
         "protocol": lambda: _entity_constant(first_value("PROTOCOL")),
         "port": lambda: _port_constant(first_value("PORT")),
@@ -160,7 +160,7 @@ def _entity_constant(value: str | None) -> Term:
 def _port_constant(value: str | None) -> Term:
     if value is None:
         return Term.wildcard()
-    return Term.constant(value) if value.isdigit() else Term.constant(to_atom(value))
+    return Term.constant(value) if value.isdecimal() else Term.constant(to_atom(value))
 
 
 def _hint_for(schema: PredicateSchema, pos: int) -> str:
@@ -242,11 +242,7 @@ def wire_variables(
         trace=dict(skeleton.trace),
     )
     if enforce_range_restriction:
-        unbound = rule.head_variables_unbound()
-        if unbound:
-            raise RangeRestrictionViolation(
-                f"head variables not bound in body: {sorted(unbound)}"
-            )
+        rule.check_range_restriction()
     return rule
 
 

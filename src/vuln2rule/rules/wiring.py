@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import EmptyMatrix
+from .._textio import read_text, write_text
+from ..errors import EmptyMatrix, MalformedRecord
 from .datalog import VARIABLE, InteractionRule
 
 
@@ -215,24 +216,29 @@ def wiring_to_csv(matrix: WiringMatrix) -> str:
 
 
 def wiring_from_csv(text: str) -> WiringMatrix:
+    """Inverse of ``wiring_to_csv``; a bad slot label, a cell that is not a
+    float or ``?``, or more rows or cells than slots raise MalformedRecord."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise EmptyMatrix("empty CSV")
-    header = lines[0].split(",")[1:]
-    slots = tuple(Slot.from_label(label) for label in header)
-    n = len(slots)
-    probs = np.full((n, n), np.nan)
-    for i, line in enumerate(lines[1:]):
-        cells = line.split(",")[1:]
-        for j, cell in enumerate(cells):
-            if cell != "?":
-                probs[i, j] = float(cell)
+    try:
+        slots = tuple(Slot.from_label(label) for label in lines[0].split(",")[1:])
+        probs = np.full((len(slots), len(slots)), np.nan)
+        for i, line in enumerate(lines[1:]):
+            for j, cell in enumerate(line.split(",")[1:]):
+                if cell != "?":
+                    probs[i, j] = float(cell)
+    except (ValueError, IndexError) as exc:
+        raise MalformedRecord(f"wiring CSV: {exc}") from exc
     return WiringMatrix(slots=slots, probs=probs)
 
 
 def save_wiring(matrix: WiringMatrix, path: str | Path) -> None:
-    Path(path).write_text(wiring_to_csv(matrix), "utf-8")
+    write_text(path, wiring_to_csv(matrix))
 
 
 def load_wiring(path: str | Path) -> WiringMatrix:
-    return wiring_from_csv(Path(path).read_text("utf-8"))
+    try:
+        return wiring_from_csv(read_text(path))
+    except MalformedRecord as exc:
+        raise MalformedRecord(f"{path}: {exc}") from exc

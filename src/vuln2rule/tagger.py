@@ -432,10 +432,11 @@ class EntitySet:
 
 
 def parse_json(text: str):
-    """``json.loads`` that raises MalformedRecord on bad JSON."""
+    """``json.loads`` that raises MalformedRecord on bad or too deeply
+    nested JSON."""
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedRecord(f"bad JSON: {exc}") from exc
 
 

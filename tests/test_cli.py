@@ -6,11 +6,20 @@ import json
 
 import pytest
 
+from vuln2rule import demo
 from vuln2rule.cli import main
 from vuln2rule.completer import COMPLETABLE_ENTITIES, save_completion, save_discretization
+from vuln2rule.corpus import load_nvd_feed
 from vuln2rule.embedding import save_embedding
-from vuln2rule.pipeline import ARTIFACTS, COMPLETION_TEMPLATE, DISC_TEMPLATE
-from vuln2rule.rules.datalog import parse_rule_file
+from vuln2rule.pipeline import (
+    ARTIFACTS,
+    COMPLETION_TEMPLATE,
+    DISC_TEMPLATE,
+    PipelineConfig,
+    load_models,
+    run_pipeline,
+)
+from vuln2rule.rules.datalog import Term, emit_rules, parse_rule_file
 from vuln2rule.rules.wiring import save_wiring
 from vuln2rule.tagger import save_ner
 
@@ -210,6 +219,69 @@ def test_genrule_with_gold_entities(model_dir, tmp_path, capsys):
     ]) == 0
     rule = parse_rule_file(out.read_text("utf-8"))[0]
     assert rule.head.name == "execCode"
+
+
+def _gold_fixture(tmp_path, **changes):
+    fixture = demo.golden_fixture()
+    fixture.update(changes.pop("fixture", {}))
+    fixture["entities"].update(changes)
+    path = tmp_path / "gold.json"
+    path.write_text(json.dumps(fixture), "utf-8")
+    return path
+
+
+def test_genrule_takes_the_fixture_cve_id(model_dir, tmp_path, capsys):
+    gold = _gold_fixture(tmp_path, fixture={"cve_id": "CVE-2020-0001"})
+    assert main(["genrule", "--model-dir", str(model_dir), "--gold-entities", str(gold)]) == 0
+    rule = parse_rule_file(capsys.readouterr().out)[0]
+    assert Term.constant("'CVE-2020-0001'") in rule.body[0].args
+    assert rule.description.startswith("CVE-2020-0001: ")
+    assert main(["genrule", "--model-dir", str(model_dir), "--gold-entities", str(gold),
+                 "--cve-id", "CVE-2021-0002"]) == 0
+    assert "'CVE-2021-0002'" in capsys.readouterr().out
+
+
+def test_genrule_quoted_platform_re_parses(model_dir, tmp_path):
+    gold = _gold_fixture(tmp_path, PLATFORM=["3com's router"])
+    out = tmp_path / "rule.P"
+    assert main(["genrule", "--model-dir", str(model_dir), "--gold-entities", str(gold),
+                 "--out", str(out)]) == 0
+    rule = parse_rule_file(out.read_text("utf-8"))[0]
+    assert Term.constant("'3com\\'s router'") in rule.body[0].args
+    assert "in 3com's router enables" in rule.description
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_pipeline_unwritable_output_is_error(model_dir, demo_corpus, tmp_path, capsys, flag):
+    target = tmp_path / "absent" / "file"
+    assert main([
+        "pipeline", "--model-dir", str(model_dir), "--input", str(demo_corpus), flag, str(target),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {target}: ")
+    assert "Traceback" not in err
+
+
+def test_unwritable_model_dir_is_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", "utf-8")
+    assert main(["learn-wiring", "--model-dir", str(blocker / "models")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_make_demo(tmp_path, demo_models, monkeypatch, capsys):
+    monkeypatch.setattr(demo, "build_demo_models", lambda seed: demo_models)
+    out = tmp_path / "models"
+    assert main(["make-demo", "--model-dir", str(out), "--seed", "7"]) == 0
+    loaded = load_models(PipelineConfig(model_dir=out))
+    inputs = list(load_nvd_feed(out / "demo_corpus.tsv"))
+    assert len(inputs) == len(demo_models.records)
+    _, from_disk = run_pipeline(loaded, inputs)
+    _, in_memory = run_pipeline(demo_models.generator, inputs)
+    assert from_disk
+    assert from_disk == in_memory
+    assert emit_rules(from_disk) == emit_rules(in_memory)
+    assert len(demo.read_entity_records(out / "demo_entities.jsonl")) == len(inputs)
 
 
 def test_pipeline_subcommand(model_dir, demo_corpus, tmp_path, capsys):

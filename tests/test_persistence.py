@@ -1,5 +1,6 @@
-"""Artifact and entity-record codecs: typed errors for damaged input,
-label checks before a save, and byte-level fuzzing of every loader."""
+"""Artifact and entity-record codecs, the other readers and the writers:
+typed errors for damaged input and unwritable paths, label checks before a
+save, and byte-level fuzzing of every reader."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vuln2rule._textio import read_text, write_text
 from vuln2rule.completer import (
     CompletionModel,
     DiscretizationModel,
@@ -18,13 +20,25 @@ from vuln2rule.completer import (
     save_completion,
     save_discretization,
 )
-from vuln2rule.demo import golden_entity_set, golden_fixture, read_entity_records
+from vuln2rule.corpus import load_labeled_dataset, load_nvd_feed
+from vuln2rule.demo import golden_entity_set, golden_fixture, golden_rule_text, read_entity_records
 from vuln2rule.embedding import EmbeddingConfig, load_embedding, save_embedding, train_embedding
 from vuln2rule.errors import (
+    ConfigError,
     InvalidLabel,
     MalformedRecord,
     UnreadableFile,
+    UnwritableFile,
     Vuln2RuleError,
+)
+from vuln2rule.pipeline import PipelineConfig
+from vuln2rule.rules.datalog import parse_rule_file
+from vuln2rule.rules.schema import load_lexicon, load_mapping
+from vuln2rule.rules.wiring import (
+    estimate_wiring_matrix,
+    load_wiring,
+    save_wiring,
+    wiring_from_csv,
 )
 from vuln2rule.tagger import (
     BlstmConfig,
@@ -53,8 +67,54 @@ def _completion(classes: list[tuple[int, str]]) -> CompletionModel:
     )
 
 
+def _read_rules(path):
+    return parse_rule_file(read_text(path))
+
+
+_NVD_JSON = {
+    "CVE_Items": [
+        {"cve": {"CVE_data_meta": {"ID": f"CVE-2020-000{i}"},
+                 "description": {"description_data": [{"lang": "en", "value": text}]}}}
+        for i, text in enumerate(["A buffer overflow.", "SQL injection in x."], 1)
+    ]
+}
+
+#: readers of text files that are not artifacts, with one small valid file each
+_TEXT_READERS = {
+    "wiring_csv": ("wiring.csv", load_wiring, None),
+    "lexicon": (
+        "lexicon.txt", load_lexicon,
+        "predicate execCode(Host:host, Perm:perm)\npredicate vulExists(Host:host, V:vulnid!)\n",
+    ),
+    "mapping": (
+        "mapping.txt", load_mapping,
+        "impact execCode head=execCode consequence=privEscalation\n"
+        "vector remote range=remoteExploit support=netAccess,attackerLocated\n"
+        "means sqlInjection body=vulExists\n",
+    ),
+    "nvd_tsv": (
+        "feed.tsv", load_nvd_feed,
+        "CVE-2020-0001\tA buffer overflow.\nCVE-2020-0002\tSQL injection in x.\n",
+    ),
+    "nvd_json": ("feed.json", load_nvd_feed, json.dumps(_NVD_JSON)),
+    "labeled_tsv": (
+        "labeled.tsv", load_labeled_dataset,
+        "Buffer\tMEANS\noverflow\tMEANS\nin\tO\nreader\tPLATFORM\n\nremote\tVECTOR\n",
+    ),
+    "rule_file": (
+        "rules.P", _read_rules,
+        golden_rule_text() + "a(X) :- b(X, 'it\\'s', f(Y, 2.5), _), 'q'(X). % done\n",
+    ),
+    "config": (
+        "pipeline.cfg", PipelineConfig.from_file,
+        "# comment\nmodel_dir = models\nseed = 3\nthreshold = 0.4\ntop_ks = 1,2\n"
+        "k_clusters.MEANS = 5\nlexicon_path = {directory}/lexicon.txt\n",
+    ),
+}
+
+
 def _saved_artifacts(directory) -> dict:
-    """name -> (path, loader) for one small artifact of each kind."""
+    """name -> (path, loader) for one small file of each kind the package reads."""
     emb = train_embedding(
         [["remote", "attackers", "execute", "code"]] * 3, EmbeddingConfig(dim=3, epochs=1, seed=1)
     )
@@ -73,6 +133,14 @@ def _saved_artifacts(directory) -> dict:
     save_discretization(_discretization({0: "remote", 1: "local"}), saved["discretization"][0])
     save_completion(_completion([(0, "sqlInjection"), (2, "pathTraversal")]), saved["completion"][0])
     saved["entity_record"][0].write_text(json.dumps(record.to_dict()) + "\n", "utf-8")
+    for name, (file_name, load, text) in _TEXT_READERS.items():
+        saved[name] = (directory / file_name, load)
+        if text is not None:
+            saved[name][0].write_text(text.replace("{directory}", str(directory)), "utf-8")
+    save_wiring(
+        estimate_wiring_matrix(parse_rule_file("a(X) :- b(X, Y), c(Y).\nd(Z) :- c(Z), e(Z).\n")),
+        saved["wiring_csv"][0],
+    )
     return saved
 
 
@@ -212,6 +280,78 @@ class TestLabelsRejectedBeforeSave:
             save_discretization(_discretization({0: label, 1: "ok"}), tmp_path / "disc.txt")
 
 
+class TestReaderErrors:
+    @pytest.mark.parametrize(
+        "text, match",
+        [("slot,a/1#0\na/1#0,x\n", "'x'"), ("slot,a/1#0\na/1#0,?,0.5\n", "out of bounds"),
+         ("slot,a/1\n", "invalid literal")],
+    )
+    def test_bad_wiring_csv(self, tmp_path, text, match):
+        with pytest.raises(MalformedRecord, match=match):
+            wiring_from_csv(text)
+        path = tmp_path / "wiring.csv"
+        path.write_text(text, "utf-8")
+        with pytest.raises(MalformedRecord, match=str(path)):
+            load_wiring(path)
+
+    @pytest.mark.parametrize("load", [load_wiring, load_lexicon, load_mapping, load_nvd_feed])
+    def test_directory_is_unreadable(self, tmp_path, load):
+        with pytest.raises(UnreadableFile, match=str(tmp_path)):
+            load(tmp_path)
+
+    @pytest.mark.parametrize("load", [load_nvd_feed, load_labeled_dataset])
+    def test_latin1_bytes_are_unreadable(self, tmp_path, load):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes("CVE-2020-0001\tcaf\u00e9 overflow\n".encode("latin-1"))
+        with pytest.raises(UnreadableFile):
+            load(path)
+
+    def test_wrongly_typed_feed_items_are_malformed(self, tmp_path):
+        good, = _NVD_JSON["CVE_Items"][:1]
+        bad_id = {"cve": {**good["cve"], "CVE_data_meta": {"ID": 5}}}
+        text_entry = {"cve": {**good["cve"], "description": {"description_data": ["en"]}}}
+        bad_value = {"cve": {**good["cve"], "description": {
+            "description_data": [{"lang": "en", "value": 7}]}}}
+        path = tmp_path / "feed.json"
+        path.write_text(json.dumps({"CVE_Items": [bad_id, text_entry, bad_value, good]}), "utf-8")
+        result = load_nvd_feed(path)
+        assert [r.id for r in result] == ["CVE-2020-0001"]
+        assert [m.split(":")[0] for m in result.malformed] == ["item 0", "item 1", "item 2"]
+        path.write_text(json.dumps({"CVE_Items": [bad_id, text_entry, bad_value]}), "utf-8")
+        with pytest.raises(MalformedRecord, match="all 3 records malformed"):
+            load_nvd_feed(path)
+        path.write_text(json.dumps({"CVE_Items": 5}), "utf-8")
+        with pytest.raises(MalformedRecord, match="CVE_Items"):
+            load_nvd_feed(path)
+
+    def test_deeply_nested_json(self, tmp_path):
+        deep = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(MalformedRecord):
+            parse_json(deep)
+        path = tmp_path / "feed.json"
+        path.write_text(deep, "utf-8")
+        with pytest.raises(MalformedRecord):
+            load_nvd_feed(path)
+
+    def test_nul_in_config_path(self, tmp_path):
+        path = tmp_path / "pipeline.cfg"
+        path.write_text("model_dir = mod\0els\n", "utf-8")
+        with pytest.raises(ConfigError, match="NUL"):
+            PipelineConfig.from_file(path)
+
+
+class TestWriteErrors:
+    def test_missing_directory(self, tmp_path, artifacts):
+        target = tmp_path / "absent" / "file.txt"
+        with pytest.raises(UnwritableFile, match=str(target)):
+            write_text(target, "x")
+        with pytest.raises(UnwritableFile):
+            save_wiring(load_wiring(artifacts["wiring_csv"][0]), target)
+        with pytest.raises(UnwritableFile):
+            save_discretization(_discretization({0: "remote", 1: "local"}), target)
+        assert not target.parent.exists()
+
+
 # --- fuzzing: damaged bytes give a Vuln2RuleError or a model, nothing else -------
 
 
@@ -233,7 +373,8 @@ def _mutations(original: bytes):
 
 
 @pytest.mark.parametrize(
-    "name", ["embedding", "tagger", "discretization", "completion", "entity_record"]
+    "name",
+    ["embedding", "tagger", "discretization", "completion", "entity_record", *_TEXT_READERS],
 )
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vuln2rule.errors import RangeRestrictionViolation, RuleSyntaxError, UnbalancedParens
 from vuln2rule.rules.datalog import (
@@ -16,6 +18,8 @@ from vuln2rule.rules.datalog import (
     emit_rule,
     emit_rules,
     parse_rule_file,
+    quote,
+    unquote,
 )
 from vuln2rule.rules.schema import load_default_rule_corpus
 
@@ -116,6 +120,34 @@ class TestParser:
         with pytest.raises(UnbalancedParens):
             parse_rule_file("a(X) :- b(X.\n")
 
+    @pytest.mark.parametrize(
+        "text, error, line, column, message",
+        [
+            ("a(X) :- b(X).\n  c(Y) :- ;", RuleSyntaxError, 2, 11, "unexpected character ';'"),
+            ("a(X) :- b(X, 'ab\ncd').", RuleSyntaxError, 1, 14, "newline inside '-quoted text"),
+            ('a(X) :- b(X, "ab', RuleSyntaxError, 1, 14, 'unterminated "-quoted text'),
+            ("a(X) :- b(X, 'ab\\", RuleSyntaxError, 1, 14, "unterminated '-quoted text"),
+            ("a(X) :- b(X, :).", RuleSyntaxError, 1, 14, "unexpected character ':'"),
+            ("a(X) :- b(X, -x).", RuleSyntaxError, 1, 14, "unexpected character '-'"),
+            ("a(X) :-\n\tb(X) c.", RuleSyntaxError, 2, 7, "found 'c'"),
+            ("a(X) :- b(X, 1.5.2).", UnbalancedParens, 1, 17, "unclosed parenthesis"),
+            ("a(X) :- b(X % open\n", UnbalancedParens, 2, 1, "unclosed parenthesis"),
+            # the end of input after a trailing comment is at the comment's end
+            ("a(X) :- b(X % open", UnbalancedParens, 1, 19, "unclosed parenthesis"),
+        ],
+    )
+    def test_error_class_and_position(self, text, error, line, column, message):
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_rule_file(text)
+        assert type(err.value) is error
+        assert (err.value.line, err.value.column) == (line, column)
+        assert message in str(err.value)
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        depth = 5000
+        with pytest.raises(RuleSyntaxError, match="nested too deeply"):
+            parse_rule_file("a(X) :- b(" + "f(" * depth + "x" + ")" * (depth + 1) + ".")
+
     def test_missing_neck_reported(self):
         with pytest.raises(RuleSyntaxError) as err:
             parse_rule_file("a(X) b(X).\n")
@@ -155,10 +187,22 @@ class TestEmitter:
         rule = InteractionRule(
             head=Predicate("a", (Term.variable("X"),)),
             body=(Predicate("b", (Term.variable("X"),)),),
-            description='say "hi" \\ there',
+            description='say "hi" \\ there\nand \\n',
         )
         again = parse_rule_file(emit_rule(rule))[0]
         assert again.description == rule.description
+
+    def test_escaped_quote_in_atom_re_emits_as_read(self):
+        text = "a(X) :- b(X, 'it\\'s', \"say \\\"hi\\\"\"), 'q\\'d'(X)."
+        rule = parse_rule_file(text)[0]
+        assert [t.text for t in rule.body[0].args[1:]] == ["'it\\'s'", '"say \\"hi\\""']
+        assert rule.body[1].name == "'q\\'d'"
+        assert parse_rule_file(emit_rule(rule)) == [rule]
+
+    def test_quote_and_unquote(self):
+        assert quote("it's \\ \"x\"\n", "'") == "'it\\'s \\\\ \"x\"\\n'"
+        assert quote("it's", '"') == '"it\'s"'
+        assert unquote('"a\\\\n\\n\\t\\""') == 'a\\n\nt"'
 
 
 class TestRoundTrip:
@@ -178,3 +222,24 @@ class TestRoundTrip:
             assert len(parsed) == 1
             assert parsed[0] == rule
             assert emit_rule(parsed[0]) == text
+
+
+_TRICKY = st.text(alphabet=st.sampled_from("ab '\"\\\n%(),.:-X_é"), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(constants=st.lists(_TRICKY, min_size=1, max_size=3), description=_TRICKY)
+def test_quoted_constants_and_descriptions_round_trip(constants, description):
+    """Any text quoted as a constant, and any description, survives
+    emit -> parse, and emit is a fixpoint."""
+    rule = InteractionRule(
+        head=Predicate("a", (Term.variable("X"),)),
+        body=(
+            Predicate("b", (Term.variable("X"), *(Term.constant(quote(c, "'")) for c in constants))),
+            Predicate(quote(constants[0], "'"), (Term.constant(quote(description, '"')),)),
+        ),
+        description=description,
+    )
+    text = emit_rule(rule)
+    assert parse_rule_file(text) == [rule]
+    assert emit_rule(parse_rule_file(text)[0]) == text

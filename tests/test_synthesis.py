@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vuln2rule.errors import MissingCoreEntity, RangeRestrictionViolation
-from vuln2rule.rules.datalog import Term, parse_rule_file
+from vuln2rule.rules.datalog import Term, emit_rule, parse_rule_file
 from vuln2rule.rules.schema import (
     load_default_lexicon,
     load_default_mapping,
@@ -131,6 +133,7 @@ class TestAssignConstants:
         assert to_atom("Mac OS X") == "mac_os_x"
         assert to_atom("adobe reader") == "adobe_reader"
         assert to_atom("9front") == "'9front'"
+        assert to_atom("3com's router") == "'3com\\'s router'"
 
 
 class TestWireVariables:
@@ -276,6 +279,29 @@ class TestGenerate:
             )
             if not isinstance(result, GenerationFailure):
                 emit_rule(result)  # raises if a head variable is unbound
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    cve_id=st.text(alphabet=st.sampled_from("CVE-2010'\"\\\n x"), min_size=1, max_size=12),
+    platform=st.text(alphabet=st.sampled_from("3com's \"\\\nrouter"), min_size=1, max_size=12),
+    port=st.sampled_from(["8080", "1\u00b2", "\u0663", "http's"]),
+)
+def test_generated_rules_with_quotes_re_parse(demo_models, cve_id, platform, port):
+    """CVE ids, products and ports holding quotes, backslashes or newlines
+    give rules that parse back to themselves."""
+    from vuln2rule.demo import golden_entity_set
+
+    gold = golden_entity_set()
+    gold.entities["PLATFORM"] = [platform]
+    gold.entities["PORT"] = [port]
+    rule = generate("", demo_models.generator, gold_entities=gold, cve_id=cve_id)
+    text = emit_rule(rule)
+    assert parse_rule_file(text) == [rule]
+    assert parse_rule_file(text)[0].description == rule.description
+    assert emit_rule(parse_rule_file(text)[0]) == text
 
 
 def replace_models(models, **changes):
