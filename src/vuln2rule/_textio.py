@@ -1,13 +1,16 @@
-"""Text file access and the shared decimal-text artifact format.
+"""File access and the shared artifact codec.
 
 Every file the package reads or writes goes through ``read_text``,
-``read_data`` (files packaged under ``vuln2rule/data``) or ``write_text``,
-which raise only Vuln2RuleError subclasses.  Artifacts are a format marker
-line, ``# key value`` metadata, then named matrices; floats are written with
-repr() so that load(save(x)) round-trips exactly."""
+``read_data`` (files packaged under ``vuln2rule/data``), ``write_text`` or
+``read_model``/``write_model``, which raise only Vuln2RuleError subclasses.
+An artifact starts with UTF-8 text lines: a format marker, then ``# key
+value`` metadata.  Each matrix follows as a ``matrix <name> <rows> <cols>``
+line and exactly rows*cols*8 bytes of little-endian float64 in row order, so
+load(save(x)) is bit-exact."""
 
 from __future__ import annotations
 
+import io
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
@@ -34,11 +37,11 @@ def read_data(name: str) -> str:
     return read_text(resources.files("vuln2rule") / "data" / name)
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8; a missing directory or any other failure
-    raises UnwritableFile."""
+def write_text(path: str | Path, text: str | bytes) -> None:
+    """Write ``text`` (as UTF-8 if a str); a missing directory or any other
+    failure raises UnwritableFile."""
     try:
-        Path(path).write_text(text, "utf-8")
+        Path(path).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     except (OSError, UnicodeEncodeError) as exc:
         raise UnwritableFile(f"{path}: {exc}") from exc
 
@@ -73,13 +76,12 @@ def write_model(
     meta: dict[str, str],
     matrices: dict[str, np.ndarray],
 ) -> None:
-    lines = [marker]
-    lines += [f"# {key} {value}" for key, value in meta.items()]
+    lines = [marker, *(f"# {key} {value}" for key, value in meta.items())]
+    parts = ["".join(line + "\n" for line in lines).encode("utf-8")]
     for name, matrix in matrices.items():
-        arr = np.atleast_2d(np.asarray(matrix, dtype=float))
-        lines.append(f"matrix {name} {arr.shape[0]} {arr.shape[1]}")
-        lines += [" ".join(repr(float(v)) for v in row) for row in arr]
-    write_text(path, "\n".join(lines) + "\n")
+        arr = np.atleast_2d(np.asarray(matrix, dtype="<f8"))
+        parts += [f"matrix {name} {arr.shape[0]} {arr.shape[1]}\n".encode("utf-8"), arr.tobytes()]
+    write_text(path, b"".join(parts))
 
 
 def read_model(
@@ -89,41 +91,38 @@ def read_model(
 ) -> T:
     """Parse a ``write_model`` file and return ``build(meta, matrices)``.
 
-    Every defect raises a Vuln2RuleError naming the file: a missing
-    metadata key or matrix (KeyError in ``build``), a value that does not
-    convert or a config that rejects it (ValueError), or a matrix header,
-    row or cell that does not parse."""
-    lines = read_text(path).splitlines()
-    if not lines or lines[0].strip() != marker:
+    Every defect raises a Vuln2RuleError naming the file: non-UTF-8 metadata
+    (UnreadableFile), a missing metadata key or matrix (KeyError in ``build``),
+    a value that does not convert or a config that rejects it (ValueError), a
+    bad matrix header, a block larger than the bytes left or trailing bytes."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise UnreadableFile(f"{path}: {exc}") from exc
+    stream = io.BytesIO(data)
+    if stream.readline() != f"{marker}\n".encode("utf-8"):
         raise FormatVersionMismatch(f"{path}: expected {marker!r} on the first line")
     meta: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i].startswith("#"):
-        key, _, value = lines[i][1:].strip().partition(" ")
-        meta[key] = value
-        i += 1
     matrices: dict[str, np.ndarray] = {}
     try:
-        while i < len(lines):
-            header = lines[i].split()
-            if len(header) != 4 or header[0] != "matrix":
-                raise MalformedRecord(f"{path}: bad matrix header {lines[i]!r}")
-            name, rows, cols = header[1], int(header[2]), int(header[3])
-            block = lines[i + 1 : i + 1 + rows]
-            if len(block) != rows:
-                raise MalformedRecord(f"{path}: matrix {name} truncated")
-            # allocate by the first row's width: a damaged ``cols`` may be huge
-            arr = np.empty((rows, len(block[0].split()) if block else cols))
-            for r, line in enumerate(block):
-                values = line.split()
-                if len(values) != cols:
-                    raise MalformedRecord(
-                        f"{path}: matrix {name} row {r} has {len(values)} values"
-                    )
-                arr[r] = [float(v) for v in values]
-            matrices[name] = arr
-            i += 1 + rows
+        while (line := stream.readline()).startswith(b"#"):
+            key, _, value = line[1:].decode("utf-8").strip().partition(" ")
+            meta[key] = value
+        while line:
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != b"matrix":
+                raise MalformedRecord(f"{path}: bad matrix header {line[:60]!r}")
+            name, rows, cols = parts[1].decode("utf-8", "replace"), int(parts[2]), int(parts[3])
+            # check the declared size before reading: a damaged one may be huge
+            offset, count = stream.tell(), rows * cols
+            if min(rows, cols) < 0 or 8 * count > len(data) - offset:
+                raise MalformedRecord(f"{path}: matrix {name} {rows}x{cols} does not fit the file")
+            matrices[name] = np.frombuffer(data, "<f8", count, offset).reshape(rows, cols).copy()
+            stream.seek(offset + 8 * count)
+            line = stream.readline()
         return build(meta, matrices)
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise MalformedRecord(f"{path}: missing {exc}") from exc
     except (ValueError, IndexError) as exc:

@@ -16,6 +16,7 @@ from ._textio import read_text, write_text
 from .completer import (
     COMPLETABLE_ENTITIES,
     build_feature_vector,
+    check_exemplars,
     cluster_exemplars,
     fit_discretization,
     label_clusters_by_exemplars,
@@ -200,7 +201,7 @@ def cmd_train_completer(args) -> int:
     entity_sets = demo_mod.read_entity_records(args.entities)
     exemplars = None
     if args.exemplars:
-        exemplars = parse_json(read_text(args.exemplars))
+        exemplars = check_exemplars(parse_json(read_text(args.exemplars)), args.exemplars)
     for entity in COMPLETABLE_ENTITIES:
         values = [v for es in entity_sets for v in es.values_for(entity)]
         k = config.k_clusters.get(entity, 4)

@@ -22,6 +22,7 @@ from .errors import (
     EmptyTrainingSet,
     EmptyValue,
     InvalidLabel,
+    MalformedRecord,
     SingleClass,
     TooFewPoints,
 )
@@ -34,8 +35,8 @@ BLOCK_INDEX: dict[str, int] = {t: i for i, t in enumerate(FEATURE_ENTITIES)}
 #: Entities the completion stage predicts.
 COMPLETABLE_ENTITIES: tuple[str, ...] = ("VECTOR", "IMPACT", "MEANS")
 
-DISC_MARKER = "# vuln2rule-discretization 1"
-COMPLETION_MARKER = "# vuln2rule-completion 1"
+DISC_MARKER = "# vuln2rule-discretization 2"
+COMPLETION_MARKER = "# vuln2rule-completion 2"
 
 
 @dataclass(frozen=True)
@@ -192,6 +193,25 @@ def label_clusters(
     if missing:
         raise ValueError(f"labels missing for clusters {sorted(missing)}")
     return replace(model, labels=dict(labels))
+
+
+def check_exemplars(data: object, source: str) -> dict[str, dict[str, list[str]]]:
+    """``data`` if it maps an entity to an object that maps a cluster label
+    to a list of exemplar phrases; else MalformedRecord naming ``source``.
+    A label that could not be saved raises InvalidLabel."""
+    def phrases(value: object) -> bool:
+        return isinstance(value, list) and all(isinstance(p, str) for p in value)
+
+    if not isinstance(data, dict) or not all(
+        isinstance(labels, dict) and all(map(phrases, labels.values()))
+        for labels in data.values()
+    ):
+        raise MalformedRecord(
+            f"{source}: exemplars must map an entity to an object of label -> list of strings"
+        )
+    for labels in data.values():
+        _check_labels(labels)
+    return data
 
 
 def label_clusters_by_exemplars(

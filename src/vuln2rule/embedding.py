@@ -16,7 +16,7 @@ from . import _textio
 from .corpus import OOV_WORD, Vocabulary, vocabulary_from_sentences
 from .errors import DegenerateCorpus
 
-FORMAT_MARKER = "# vuln2rule-embedding 2"
+FORMAT_MARKER = "# vuln2rule-embedding 3"
 
 CBOW = "CBOW"
 SKIP_GRAM = "SG"

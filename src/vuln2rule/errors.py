@@ -129,6 +129,10 @@ class MissingArtifact(Vuln2RuleError):
         self.stage = stage
 
 
+class MismatchedArtifacts(Vuln2RuleError):
+    pass
+
+
 class ConfigError(Vuln2RuleError):
     pass
 

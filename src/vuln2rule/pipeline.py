@@ -22,7 +22,7 @@ from .completer import (
 )
 from .corpus import LabeledSentence, RawVulnerability, word_frequency_report
 from .embedding import load_embedding, nearest_neighbors
-from .errors import ConfigError, MissingArtifact, TooFewRules
+from .errors import ConfigError, MismatchedArtifacts, MissingArtifact, TooFewRules
 from .rules.datalog import InteractionRule, emit_rules
 from .rules.schema import (
     load_default_lexicon,
@@ -48,13 +48,13 @@ from .tagger import EntitySet, evaluate_tagger, load_ner, tag_texts
 
 #: artifact file names inside the model directory (versioned)
 ARTIFACTS = {
-    "embedding": "embedding.v2.txt",
-    "ner": "ner.v1.txt",
+    "embedding": "embedding.v3.bin",
+    "ner": "ner.v2.bin",
     "wiring_raw": "wiring_raw.v1.csv",
     "wiring": "wiring.v1.csv",
 }
-DISC_TEMPLATE = "discretization_{}.v1.txt"
-COMPLETION_TEMPLATE = "completion_{}.v1.txt"
+DISC_TEMPLATE = "discretization_{}.v2.bin"
+COMPLETION_TEMPLATE = "completion_{}.v2.bin"
 
 
 @dataclass
@@ -134,7 +134,8 @@ def _apply_config_key(config: PipelineConfig, key: str, value: str) -> None:
 
 def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorModels:
     """Load every artifact from the model directory; raises MissingArtifact
-    naming the stage whose file is absent."""
+    naming the stage whose file is absent, and MismatchedArtifacts when a
+    file was trained for another embedding dimension than the embedding."""
     model_dir = Path(config.model_dir)
 
     def path_for(stage: str, name: str) -> Path:
@@ -143,18 +144,32 @@ def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorMo
             raise MissingArtifact(stage, str(p))
         return p
 
-    emb = load_embedding(path_for("train-embedding", ARTIFACTS["embedding"]))
+    emb_path = path_for("train-embedding", ARTIFACTS["embedding"])
+    emb = load_embedding(emb_path)
+    dim = emb.config.dim
+
+    def check(path: Path, fits: bool, found: str) -> None:
+        if not fits:
+            raise MismatchedArtifacts(f"{path} has {found}, but {emb_path} has dim {dim}")
+
     tagger_model = None
     if need_tagger:
-        tagger_model = load_ner(path_for("train-ner", ARTIFACTS["ner"]))
+        ner_path = path_for("train-ner", ARTIFACTS["ner"])
+        tagger_model = load_ner(ner_path)
+        check(ner_path, tagger_model.config.dim == dim, f"dim {tagger_model.config.dim}")
     discretization = {}
     completion = {}
     for entity in COMPLETABLE_ENTITIES:
-        discretization[entity] = load_discretization(
-            path_for("train-completer", DISC_TEMPLATE.format(entity.lower()))
-        )
-        completion[entity] = load_completion(
-            path_for("train-completer", COMPLETION_TEMPLATE.format(entity.lower()))
+        disc_path = path_for("train-completer", DISC_TEMPLATE.format(entity.lower()))
+        disc = discretization[entity] = load_discretization(disc_path)
+        cols = disc.centroids.shape[1]
+        check(disc_path, cols == dim, f"{cols}-column centroids")
+        comp_path = path_for("train-completer", COMPLETION_TEMPLATE.format(entity.lower()))
+        comp = completion[entity] = load_completion(comp_path)
+        check(
+            comp_path,
+            comp.block_dim == dim and comp.weights.shape[1] == 9 * dim,
+            f"block_dim {comp.block_dim} and {comp.weights.shape[1]} weight columns",
         )
     wiring = load_wiring(path_for("learn-wiring", ARTIFACTS["wiring"]))
     lexicon = (

@@ -56,6 +56,9 @@ class SchemaLexicon:
         matches = [s for (n, _), s in self.schemas.items() if n == name]
         if not matches:
             raise ConfigError(f"predicate {name!r} not in the lexicon")
+        if len(matches) > 1:
+            arities = " and ".join(str(s.arity) for s in matches)
+            raise ConfigError(f"predicate {name!r} is declared at arities {arities}")
         return matches[0]
 
     def sort_of(self, name: str, arity: int, pos: int) -> str | None:

@@ -217,17 +217,26 @@ def wiring_to_csv(matrix: WiringMatrix) -> str:
 
 def wiring_from_csv(text: str) -> WiringMatrix:
     """Inverse of ``wiring_to_csv``; a bad slot label, a cell that is not a
-    float or ``?``, or more rows or cells than slots raise MalformedRecord."""
+    float or ``?``, or anything but one row of one cell per slot for each
+    header slot, in header order, raises MalformedRecord."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise EmptyMatrix("empty CSV")
     try:
-        slots = tuple(Slot.from_label(label) for label in lines[0].split(",")[1:])
+        labels = lines[0].split(",")[1:]
+        slots = tuple(Slot.from_label(label) for label in labels)
+        if len(lines) - 1 != len(slots):
+            raise ValueError(f"{len(lines) - 1} rows for {len(slots)} slots")
         probs = np.full((len(slots), len(slots)), np.nan)
         for i, line in enumerate(lines[1:]):
-            for j, cell in enumerate(line.split(",")[1:]):
+            label, *cells = line.split(",")
+            if label != labels[i]:
+                raise ValueError(f"row {i + 1} is {label!r}, want {labels[i]!r}")
+            for j, cell in enumerate(cells):
                 if cell != "?":
                     probs[i, j] = float(cell)
+            if len(cells) != len(slots):
+                raise ValueError(f"row {label!r} has {len(cells)} cells for {len(slots)} slots")
     except (ValueError, IndexError) as exc:
         raise MalformedRecord(f"wiring CSV: {exc}") from exc
     return WiringMatrix(slots=slots, probs=probs)

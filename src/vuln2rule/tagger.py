@@ -47,7 +47,7 @@ TAG_INDEX: dict[str, int] = {t: i for i, t in enumerate(ALL_TAGS)}
 #: Loss weights: 10 for the entity classes, 1 for O.
 LOSS_WEIGHTS = np.array([10.0] * 10 + [1.0])
 
-MODEL_MARKER = "# vuln2rule-blstm 1"
+MODEL_MARKER = "# vuln2rule-blstm 2"
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,16 @@ PARAM_SHAPES = {
 }
 
 
+def param_shapes(config: BlstmConfig) -> dict[str, tuple[int, ...]]:
+    h = config.hidden
+    sizes = {"dim": config.dim, "h": h, "4h": 4 * h, "2h": 2 * h, "classes": config.n_classes}
+    return {name: tuple(sizes[k] for k in dims) for name, dims in PARAM_SHAPES.items()}
+
+
 def init_params(config: BlstmConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    d, h, o = config.dim, config.hidden, config.n_classes
-    sizes = {"dim": d, "h": h, "4h": 4 * h, "2h": 2 * h, "classes": o}
+    h = config.hidden
     params: dict[str, np.ndarray] = {}
-    for name, dims in PARAM_SHAPES.items():
-        shape = tuple(sizes[k] for k in dims)
+    for name, shape in param_shapes(config).items():
         if name.endswith("_b"):
             params[name] = np.zeros(shape)
         else:
@@ -566,12 +570,13 @@ def save_ner(model: BlstmModel, path: str | Path) -> None:
 def load_ner(path: str | Path) -> BlstmModel:
     def build(meta: dict[str, str], matrices: dict[str, np.ndarray]) -> BlstmModel:
         config = _textio.config_from_meta(BlstmConfig, meta)
-        missing = set(PARAM_SHAPES) - set(matrices)
-        if missing:
-            raise ValueError(f"missing matrices: {sorted(missing)}")
-        params = {
-            name: arr[0] if name.endswith("_b") else arr for name, arr in matrices.items()
-        }
+        params = {}
+        for name, shape in param_shapes(config).items():
+            # biases are saved as one-row matrices
+            stored = shape if len(shape) == 2 else (1, *shape)
+            if matrices[name].shape != stored:
+                raise ValueError(f"{name} is {matrices[name].shape}, want {stored}")
+            params[name] = matrices[name].reshape(shape)
         return BlstmModel(params=params, config=config)
 
     return _textio.read_model(path, MODEL_MARKER, build)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import shutil
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from vuln2rule import demo
@@ -11,6 +14,7 @@ from vuln2rule.cli import main
 from vuln2rule.completer import COMPLETABLE_ENTITIES, save_completion, save_discretization
 from vuln2rule.corpus import load_nvd_feed
 from vuln2rule.embedding import save_embedding
+from vuln2rule.errors import MismatchedArtifacts
 from vuln2rule.pipeline import (
     ARTIFACTS,
     COMPLETION_TEMPLATE,
@@ -21,7 +25,7 @@ from vuln2rule.pipeline import (
 )
 from vuln2rule.rules.datalog import Term, emit_rules, parse_rule_file
 from vuln2rule.rules.wiring import save_wiring
-from vuln2rule.tagger import save_ner
+from vuln2rule.tagger import BlstmModel, init_params, save_ner
 
 
 @pytest.fixture(scope="session")
@@ -331,3 +335,76 @@ def test_missing_artifact_is_fatal(tmp_path, capsys):
     ])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_pipeline_with_embedding_of_another_dim_is_error(model_dir, demo_corpus, tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(model_dir, models)
+    assert main([
+        "train-embedding", "--corpus", str(demo_corpus), "--model-dir", str(models),
+        "--dim", "8", "--epochs", "1", "--seed", "13",
+    ]) == 0
+    capsys.readouterr()
+    out = tmp_path / "rules.P"
+    assert main([
+        "pipeline", "--model-dir", str(models), "--input", str(demo_corpus), "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ARTIFACTS["ner"] in err and ARTIFACTS["embedding"] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exemplars", ['{"VECTOR": 5}', "[1]", '{"VECTOR": {"remote": "x"}}'])
+def test_train_completer_badly_shaped_exemplars_is_error(
+    model_dir, demo_models, tmp_path, capsys, exemplars
+):
+    from vuln2rule.demo import write_demo_entities
+
+    models = tmp_path / "models"
+    models.mkdir()
+    shutil.copy(model_dir / ARTIFACTS["embedding"], models)
+    entities = tmp_path / "entities.jsonl"
+    write_demo_entities(demo_models.records[:40], entities)
+    path = tmp_path / "exemplars.json"
+    path.write_text(exemplars, "utf-8")
+    assert main([
+        "train-completer", "--entities", str(entities), "--exemplars", str(path),
+        "--model-dir", str(models),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exemplars" in err and "Traceback" not in err
+    assert sorted(p.name for p in models.iterdir()) == [ARTIFACTS["embedding"]]
+
+
+def _saved_at_another_dim(demo_models, models, kind: str):
+    """Overwrite one artifact in ``models`` with one built for dim + 1;
+    return its path."""
+    dim = demo_models.embedding.config.dim
+    if kind == "ner":
+        config = replace(demo_models.tagger.config, dim=dim + 1)
+        path = models / ARTIFACTS["ner"]
+        save_ner(BlstmModel(init_params(config, np.random.default_rng(0)), config), path)
+        return path
+    if kind == "discretization":
+        disc = demo_models.discretization["VECTOR"]
+        path = models / DISC_TEMPLATE.format("vector")
+        wider = np.hstack([disc.centroids, np.zeros((disc.k_clusters, 1))])
+        save_discretization(replace(disc, centroids=wider), path)
+        return path
+    comp = demo_models.completion["MEANS"]
+    path = models / COMPLETION_TEMPLATE.format("means")
+    weights = np.zeros((comp.n_classes, 9 * (dim + 1)))
+    save_completion(replace(comp, weights=weights, block_dim=dim + 1), path)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["ner", "discretization", "completion"])
+def test_artifacts_of_another_dim_rejected_at_load(model_dir, demo_models, tmp_path, kind):
+    models = tmp_path / "models"
+    shutil.copytree(model_dir, models)
+    path = _saved_at_another_dim(demo_models, models, kind)
+    with pytest.raises(MismatchedArtifacts) as excinfo:
+        load_models(PipelineConfig(model_dir=models))
+    assert str(path) in str(excinfo.value)
+    assert str(models / ARTIFACTS["embedding"]) in str(excinfo.value)

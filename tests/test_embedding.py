@@ -216,16 +216,18 @@ class TestPersistence:
         model = train_embedding(sentences, EmbeddingConfig(dim=3, epochs=1, seed=8))
         path = tmp_path / "model.txt"
         save_embedding(model, path)
-        body = [l for l in path.read_text("utf-8").splitlines() if not l.startswith("#")]
-        assert body[0] == f"matrix w_in {len(model.vocab)} 3"
+        data = path.read_bytes()
+        block = model.w_in.astype("<f8").tobytes()
+        assert data.endswith(block)
+        header = data[: -len(block)].decode("utf-8").splitlines()[-1]
+        assert header == f"matrix w_in {len(model.vocab)} 3"
 
     def test_truncated_file_rejected(self, tmp_path):
         sentences = [["t", "r", "u", "n", "c"]] * 3
         model = train_embedding(sentences, EmbeddingConfig(dim=3, epochs=1, seed=8))
         path = tmp_path / "model.txt"
         save_embedding(model, path)
-        lines = path.read_text("utf-8").splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n", "utf-8")
+        path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(MalformedRecord):
             load_embedding(path)
 

@@ -5,14 +5,18 @@ save, and byte-level fuzzing of every reader."""
 from __future__ import annotations
 
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vuln2rule._textio import read_text, write_text
+from vuln2rule._textio import read_model, read_text, write_model, write_text
 from vuln2rule.completer import (
+    COMPLETION_MARKER,
+    DISC_MARKER,
     CompletionModel,
     DiscretizationModel,
     load_completion,
@@ -22,9 +26,11 @@ from vuln2rule.completer import (
 )
 from vuln2rule.corpus import load_labeled_dataset, load_nvd_feed
 from vuln2rule.demo import golden_entity_set, golden_fixture, golden_rule_text, read_entity_records
+from vuln2rule.embedding import FORMAT_MARKER as EMBEDDING_MARKER
 from vuln2rule.embedding import EmbeddingConfig, load_embedding, save_embedding, train_embedding
 from vuln2rule.errors import (
     ConfigError,
+    FormatVersionMismatch,
     InvalidLabel,
     MalformedRecord,
     UnreadableFile,
@@ -41,6 +47,7 @@ from vuln2rule.rules.wiring import (
     wiring_from_csv,
 )
 from vuln2rule.tagger import (
+    MODEL_MARKER,
     BlstmConfig,
     BlstmModel,
     EntitySet,
@@ -198,65 +205,139 @@ class TestEntitySetCodec:
             read_entity_records(tmp_path / "absent.jsonl")
 
 
-def _rewrite(path, old: str, new: str) -> None:
-    text = path.read_text("utf-8")
-    assert old in text
-    path.write_text(text.replace(old, new, 1), "utf-8")
+def _rewrite(path, old: bytes, new: bytes) -> None:
+    data = path.read_bytes()
+    assert old in data
+    path.write_bytes(data.replace(old, new, 1))
 
 
 class TestLoaderErrors:
     @pytest.mark.parametrize("name", ["embedding", "tagger"])
     def test_renamed_meta_key(self, tmp_path, name):
         path, load = _saved_artifacts(tmp_path)[name]
-        _rewrite(path, "\n# dim ", "\n# dims ")
+        _rewrite(path, b"\n# dim ", b"\n# dims ")
         with pytest.raises(MalformedRecord, match="'dim'") as excinfo:
             load(path)
         assert str(path) in str(excinfo.value)
 
     def test_non_integer_matrix_size(self, tmp_path):
         path, load = _saved_artifacts(tmp_path)["discretization"]
-        _rewrite(path, "matrix centroids 2 2", "matrix centroids two 2")
+        _rewrite(path, b"matrix centroids 2 2", b"matrix centroids two 2")
         with pytest.raises(MalformedRecord, match=str(path)):
             load(path)
 
     def test_non_float_cell(self, tmp_path):
+        # a block shorter than its header declares
         path, load = _saved_artifacts(tmp_path)["completion"]
-        _rewrite(path, "matrix biases 1 2\n0.0", "matrix biases 1 2\nzero")
+        _rewrite(path, b"matrix biases 1 2\n", b"matrix biases 1 3\n")
         with pytest.raises(MalformedRecord):
             load(path)
 
     def test_missing_matrix(self, tmp_path):
         path, load = _saved_artifacts(tmp_path)["completion"]
-        _rewrite(path, "matrix biases", "matrix bias")
+        _rewrite(path, b"matrix biases", b"matrix bias")
         with pytest.raises(MalformedRecord, match="'biases'"):
             load(path)
 
     def test_config_rejection(self, tmp_path):
         path, load = _saved_artifacts(tmp_path)["embedding"]
-        _rewrite(path, "# variant CBOW", "# variant GloVe")
+        _rewrite(path, b"# variant CBOW", b"# variant GloVe")
         with pytest.raises(MalformedRecord, match="variant"):
             load(path)
 
     def test_vocabulary_size_mismatch(self, tmp_path):
         path, load = _saved_artifacts(tmp_path)["embedding"]
-        _rewrite(path, " code", "")
+        _rewrite(path, b" code", b"")
         with pytest.raises(MalformedRecord, match="w_in"):
             load(path)
 
     def test_label_count_mismatch(self, tmp_path):
         path, load = _saved_artifacts(tmp_path)["discretization"]
-        _rewrite(path, "# labels remote,local", "# labels remote,net,local")
+        _rewrite(path, b"# labels remote,local", b"# labels remote,net,local")
         with pytest.raises(MalformedRecord, match="3 labels"):
             load(path)
 
     @pytest.mark.parametrize("name", ["embedding", "tagger", "discretization", "completion"])
     def test_non_utf8_and_missing_files(self, tmp_path, name):
         path, load = _saved_artifacts(tmp_path)[name]
-        path.write_bytes(path.read_bytes() + b"\xff\xfe")
+        _rewrite(path, b"\n# ", b"\n# \xff\xfe")
         with pytest.raises(UnreadableFile, match=str(path)):
             load(path)
         with pytest.raises(UnreadableFile):
             load(tmp_path / "absent.txt")
+
+
+class TestMatrixBlocks:
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        tiny = np.finfo(float).smallest_subnormal
+        payload_nan = np.array([0x7FF8_0000_0000_0123, 0xFFF0_0000_0000_0001], "<u8").view("<f8")
+        matrices = {
+            "special": np.array([
+                [-0.0, 0.0, np.inf, -np.inf],
+                [np.nan, -np.nan, *payload_nan],
+                [tiny, -3 * tiny, np.finfo(float).tiny / 3, np.finfo(float).max],
+            ]),
+            "row": np.array([1 / 3, -2.5e-310]),
+            "w_in": np.random.default_rng(0).normal(size=(10_001, 100)),
+            "empty": np.zeros((0, 4)),
+        }
+        path = tmp_path / "model.bin"
+        write_model(path, "# test-model 1", {"key": "value"}, matrices)
+        meta, loaded = read_model(path, "# test-model 1", lambda meta, m: (meta, m))
+        assert meta == {"key": "value"}
+        assert list(loaded) == list(matrices)
+        for name, original in matrices.items():
+            original = np.atleast_2d(original)
+            assert loaded[name].shape == original.shape
+            assert np.array_equal(loaded[name].view("<u8"), original.view("<u8")), name
+            assert loaded[name].flags.writeable
+        assert path.stat().st_size < 8 * 10_001 * 100 + 1_000
+
+    @pytest.mark.parametrize(
+        "name, old_marker, load, marker",
+        [
+            ("embedding", "# vuln2rule-embedding 2", load_embedding, EMBEDDING_MARKER),
+            ("tagger", "# vuln2rule-blstm 1", load_ner, MODEL_MARKER),
+            ("discretization", "# vuln2rule-discretization 1", load_discretization, DISC_MARKER),
+            ("completion", "# vuln2rule-completion 1", load_completion, COMPLETION_MARKER),
+        ],
+    )
+    def test_text_format_names_expected_marker(self, tmp_path, name, old_marker, load, marker):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(f"{old_marker}\n# dim 2\nmatrix w 1 2\n0.5 -0.25\n", "utf-8")
+        with pytest.raises(FormatVersionMismatch, match=re.escape(repr(marker))):
+            load(path)
+
+    @pytest.mark.parametrize("header", [f"{10**12} 2", f"2 {10**12}", "-2 -2", "3 2"])
+    def test_declared_size_beyond_the_file(self, tmp_path, header):
+        path, load = _saved_artifacts(tmp_path)["discretization"]
+        _rewrite(path, b"matrix centroids 2 2\n", f"matrix centroids {header}\n".encode())
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedRecord, match="centroids"):
+                load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("tail", [b"junk\n", b"\x00" * 8, b"\xff", b"\n"])
+    def test_trailing_bytes_rejected(self, tmp_path, tail):
+        path, load = _saved_artifacts(tmp_path)["completion"]
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(MalformedRecord, match=str(path)):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [(b"matrix fw_wh 2 8\n", b"matrix fw_wh 8 2\n"), (b"matrix bw_b 1 8\n", b"matrix bw_b 2 4\n")],
+    )
+    def test_tagger_parameter_shapes_checked(self, tmp_path, old, new):
+        # the same number of floats under another shape still fills the block
+        path, load = _saved_artifacts(tmp_path)["tagger"]
+        _rewrite(path, old, new)
+        with pytest.raises(MalformedRecord, match=old.split()[1].decode()):
+            load(path)
 
 
 class TestLabelsRejectedBeforeSave:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vuln2rule.errors import MissingCoreEntity, RangeRestrictionViolation
+from vuln2rule.errors import ConfigError, MissingCoreEntity, RangeRestrictionViolation
 from vuln2rule.rules.datalog import Term, emit_rule, parse_rule_file
 from vuln2rule.rules.schema import (
     load_default_lexicon,
@@ -97,6 +97,15 @@ class TestCreateStructure:
                 {"impact": "teleport", "vector": "remote", "means": "bufferOverflow"},
                 mapping, lexicon,
             )
+
+
+def test_lexicon_require_rejects_a_name_at_two_arities():
+    lexicon = parse_lexicon("predicate h(V:thing)\npredicate h(V:thing, W:thing)\n")
+    assert lexicon.get("h", 2).arity == 2
+    with pytest.raises(ConfigError, match="'h'.* 1 and 2"):
+        lexicon.require("h")
+    with pytest.raises(ConfigError, match="not in the lexicon"):
+        lexicon.require("g")
 
 
 class TestAssignConstants:

@@ -6,8 +6,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vuln2rule.errors import EmptyMatrix
+from vuln2rule.errors import EmptyMatrix, MalformedRecord
 from vuln2rule.rules.datalog import parse_rule_file
+from vuln2rule.rules.schema import load_default_rule_corpus
 from vuln2rule.rules.wiring import (
     Slot,
     UnionFind,
@@ -16,6 +17,8 @@ from vuln2rule.rules.wiring import (
     impute_matrix,
     save_wiring,
     load_wiring,
+    wiring_from_csv,
+    wiring_to_csv,
 )
 
 SINGLE_RULE = "execCode(H, P) :- attackerLocated(A), netAccess(A, H, Pr, Po).\n"
@@ -286,3 +289,33 @@ class TestCsv:
     def test_slot_labels(self):
         assert slot("netAccess", 4, 2).label == "netAccess/4#2"
         assert Slot.from_label("netAccess/4#2") == slot("netAccess", 4, 2)
+
+    def test_packaged_corpus_matrices_load(self):
+        raw = estimate_wiring_matrix(parse_rule_file(load_default_rule_corpus()))
+        for matrix in (raw, impute_matrix(raw, 5)):
+            loaded = wiring_from_csv(wiring_to_csv(matrix))
+            assert loaded.slots == matrix.slots
+            assert np.array_equal(loaded.probs, matrix.probs, equal_nan=True)
+
+    @staticmethod
+    def _lines():
+        return wiring_to_csv(estimate_wiring_matrix(parse_rule_file(FIVE_RULES))).splitlines()
+
+    def test_missing_rows_rejected(self, tmp_path):
+        lines = self._lines()
+        path = tmp_path / "wiring.csv"
+        path.write_text("\n".join(lines[:-3]) + "\n", "utf-8")
+        with pytest.raises(MalformedRecord, match=f"{len(lines) - 4} rows for {len(lines) - 1} slots"):
+            load_wiring(path)
+
+    def test_short_row_rejected(self):
+        lines = self._lines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        with pytest.raises(MalformedRecord, match="cells for"):
+            wiring_from_csv("\n".join(lines))
+
+    def test_mislabelled_row_rejected(self):
+        lines = self._lines()
+        lines[1], lines[2] = lines[2], lines[1]
+        with pytest.raises(MalformedRecord, match="row 1 is"):
+            wiring_from_csv("\n".join(lines))
