@@ -500,14 +500,22 @@ def load_completion(path: str | Path) -> CompletionModel:
         for item in meta["classes"].split(","):
             cid, _, label = item.partition(":")
             classes.append((int(cid), label))
+        block_dim = int(meta["block_dim"])
+        weights, biases = matrices["weights"], matrices["biases"]
+        want = ((len(classes), 9 * block_dim), (1, len(classes)))
+        if (weights.shape, biases.shape) != want:
+            raise ValueError(
+                f"weights {weights.shape} and biases {biases.shape} for {len(classes)} "
+                f"classes at block_dim {block_dim}, want {want[0]} and {want[1]}"
+            )
         return CompletionModel(
             entity_type=meta["entity_type"],
-            weights=matrices["weights"],
-            biases=matrices["biases"][0],
+            weights=weights,
+            biases=biases[0],
             classes=classes,
             l2=float(meta["l2"]),
             iterations=int(meta["iterations"]),
-            block_dim=int(meta["block_dim"]),
+            block_dim=block_dim,
         )
 
     return _textio.read_model(path, COMPLETION_MARKER, build)

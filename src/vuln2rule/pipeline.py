@@ -110,13 +110,20 @@ def _path(value: str) -> Path:
     return Path(value)
 
 
+def _wiring_k(value: str) -> int:
+    k = int(value)
+    if k < 1:
+        raise ValueError(f"wiring_k must be at least 1, got {k}")
+    return k
+
+
 _CONFIG_KEYS = {
     "model_dir": _path,
     "lexicon_path": _path,
     "mapping_path": _path,
     "seed": int,
     "threshold": float,
-    "wiring_k": int,
+    "wiring_k": _wiring_k,
     "completer_l2": float,
     "completer_iterations": int,
     "top_ks": lambda value: tuple(int(v) for v in value.split(",")),
@@ -135,7 +142,8 @@ def _apply_config_key(config: PipelineConfig, key: str, value: str) -> None:
 def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorModels:
     """Load every artifact from the model directory; raises MissingArtifact
     naming the stage whose file is absent, and MismatchedArtifacts when a
-    file was trained for another embedding dimension than the embedding."""
+    file was trained for another embedding dimension than the embedding, or
+    holds a cluster label that the mapping tables do not map."""
     model_dir = Path(config.model_dir)
 
     def path_for(stage: str, name: str) -> Path:
@@ -159,6 +167,7 @@ def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorMo
         check(ner_path, tagger_model.config.dim == dim, f"dim {tagger_model.config.dim}")
     discretization = {}
     completion = {}
+    labels_from: dict[str, list[tuple[Path, list[str]]]] = {}
     for entity in COMPLETABLE_ENTITIES:
         disc_path = path_for("train-completer", DISC_TEMPLATE.format(entity.lower()))
         disc = discretization[entity] = load_discretization(disc_path)
@@ -166,11 +175,12 @@ def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorMo
         check(disc_path, cols == dim, f"{cols}-column centroids")
         comp_path = path_for("train-completer", COMPLETION_TEMPLATE.format(entity.lower()))
         comp = completion[entity] = load_completion(comp_path)
-        check(
-            comp_path,
-            comp.block_dim == dim and comp.weights.shape[1] == 9 * dim,
-            f"block_dim {comp.block_dim} and {comp.weights.shape[1]} weight columns",
-        )
+        # load_completion has checked weights against block_dim
+        check(comp_path, comp.block_dim == dim, f"block_dim {comp.block_dim}")
+        labels_from[entity] = [
+            (disc_path, list(disc.labels.values())),
+            (comp_path, [label for _, label in comp.classes]),
+        ]
     wiring = load_wiring(path_for("learn-wiring", ARTIFACTS["wiring"]))
     lexicon = (
         load_lexicon(config.lexicon_path) if config.lexicon_path else load_default_lexicon()
@@ -178,6 +188,15 @@ def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorMo
     mapping = (
         load_mapping(config.mapping_path) if config.mapping_path else load_default_mapping()
     )
+    mapping_source = config.mapping_path or "the packaged mapping tables"
+    mapped = mapping.labels()
+    for entity, sources in labels_from.items():
+        for path, labels in sources:
+            unmapped = sorted(set(labels) - set(mapped[entity]))
+            if unmapped:
+                raise MismatchedArtifacts(
+                    f"{path} has {entity} labels {unmapped} that {mapping_source} do not map"
+                )
     return GeneratorModels(
         embedding=emb,
         discretization=discretization,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .._textio import read_text, write_text
-from ..errors import EmptyMatrix, MalformedRecord
+from ..errors import ConfigError, EmptyMatrix, MalformedRecord
 from .datalog import VARIABLE, InteractionRule
 
 
@@ -115,87 +115,121 @@ def estimate_wiring_matrix(rules: list[InteractionRule]) -> WiringMatrix:
 
     Two slots count as wired in a rule when any occurrence of one holds the
     same variable as any occurrence of the other; the diagonal stays Unknown.
+    Both counts are integers: co-occurrence is a rules x slots presence
+    product, and each rule adds 1 to every slot pair that one of its
+    variables links, so every ratio is one exact division.
     """
-    slot_set: set[Slot] = set()
-    for rule in rules:
-        for pred in rule.predicates():
-            for pos in range(pred.arity):
-                slot_set.add(Slot(pred.name, pred.arity, pos))
-    slots = tuple(sorted(slot_set))
+    per_rule = [_slot_occurrences(rule) for rule in rules]
+    slots = tuple(sorted({s for occurrences in per_rule for s in occurrences}))
     index = {s: i for i, s in enumerate(slots)}
     n = len(slots)
-    wired = np.zeros((n, n), dtype=np.int64)
-    cooccur = np.zeros((n, n), dtype=np.int64)
-    for rule in rules:
-        occurrences = _slot_occurrences(rule)
-        present = sorted(occurrences)
-        for a_idx in range(len(present)):
-            for b_idx in range(a_idx + 1, len(present)):
-                sa, sb = present[a_idx], present[b_idx]
-                ia, ib = index[sa], index[sb]
-                cooccur[ia, ib] += 1
-                cooccur[ib, ia] += 1
-                names_a = {v for v in occurrences[sa] if v is not None}
-                names_b = {v for v in occurrences[sb] if v is not None}
-                if names_a & names_b:
-                    wired[ia, ib] += 1
-                    wired[ib, ia] += 1
+    presence = np.zeros((len(rules), n))
+    pair_codes: list[int] = []
+    for r, occurrences in enumerate(per_rule):
+        holders: dict[str, set[int]] = {}  # variable -> the slots holding it
+        for slot, names in occurrences.items():
+            col = index[slot]
+            presence[r, col] = 1.0
+            for name in names:
+                if name is not None:
+                    holders.setdefault(name, set()).add(col)
+        # a set: a pair linked by two variables still counts once per rule
+        pair_codes += {a * n + b for held in holders.values() for a in held for b in held if a != b}
+    wired = np.bincount(np.array(pair_codes, dtype=np.int64), minlength=n * n).reshape(n, n)
+    # float products of 0/1 entries are exact integers far below 2**53
+    cooccur = (presence.T @ presence).astype(np.int64)
+    np.fill_diagonal(cooccur, 0)
     probs = np.full((n, n), np.nan)
     known = cooccur > 0
     probs[known] = wired[known] / cooccur[known]
     return WiringMatrix(slots=slots, probs=probs, wired_counts=wired, cooccur_counts=cooccur)
 
 
+#: row pairs per block of the distance pass; bounds its temporaries to a few MB
+_PAIR_BLOCK = 4096
+
+
+def _row_distances(probs: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Masked Euclidean distance between every two rows, inf without overlap.
+
+    Pairs are grouped by their mutual-known count ``m`` so that each pair's
+    squared differences form one contiguous length-``m`` row: ``sum(axis=1)``
+    then adds exactly the terms, in exactly the order, that a per-pair
+    ``sum`` does, and the distances are bit-identical to the pairwise loop.
+    """
+    n = len(probs)
+    mutual_counts = (known.astype(float) @ known.T.astype(float)).astype(np.int64)
+    first, second = np.triu_indices(n, 1)
+    counts = mutual_counts[first, second]
+    distances = np.full((n, n), np.inf)
+    for m in np.unique(counts[counts > 0]):
+        group = np.flatnonzero(counts == m)
+        for block in range(0, len(group), _PAIR_BLOCK):
+            pairs = group[block : block + _PAIR_BLOCK]
+            a, b = first[pairs], second[pairs]
+            diff = (probs[a] - probs[b])[known[a] & known[b]].reshape(len(a), m)
+            d = np.sqrt(n / m * (diff**2).sum(axis=1))
+            distances[a, b] = distances[b, a] = d
+    return distances
+
+
 def impute_matrix(matrix: WiringMatrix, k_neighbors: int = 5) -> WiringMatrix:
-    """Fill every Unknown entry from the k nearest rows.
+    """Fill every Unknown entry from the k nearest rows (KNNimpute).
 
     Row distance is masked Euclidean over mutually known coordinates,
     scaled up by the fraction of usable coordinates:
-    ``sqrt(n_cols / m * sum(diff^2))`` with ``m`` mutual coordinates.
-    Unknown (i, j) becomes the mean of column j over the k nearest rows
-    that know j; rows with no overlap fall back to the global mean of all
-    known entries.  The result is symmetrized by averaging and its diagonal
-    is set to 1.
+    ``sqrt(n_cols / m * sum(diff^2))`` with ``m`` mutual coordinates; rows
+    with no mutual coordinate are never neighbours.  Unknown (i, j) becomes
+    the mean of column j over the first ``k_neighbors`` rows that know j,
+    in (distance, row index) order; with no such row it gets the global
+    mean of all known entries.  The result is symmetrized by averaging and
+    its diagonal is set to 1.  ``k_neighbors < 1`` raises ConfigError.
+
+    The array code here matches the definition as a pair of plain loops
+    (kept in the tests as the reference) bit for bit: every distance and
+    every mean adds the same terms in the same order.
     """
+    if k_neighbors < 1:
+        raise ConfigError(f"k_neighbors must be at least 1, got {k_neighbors}")
     n = len(matrix.slots)
     if n == 0:
         raise EmptyMatrix("no slots")
     probs = matrix.probs
-    off_diag = ~np.eye(n, dtype=bool)
-    known_mask = ~np.isnan(probs) & off_diag
+    known = ~np.isnan(probs)
+    np.fill_diagonal(known, False)
     if matrix.fully_known:
         return matrix
-    if not known_mask.any():
+    if not known.any():
         raise EmptyMatrix("no known entries to impute from")
-    global_mean = float(probs[known_mask].mean())
+    global_mean = float(probs[known].mean())
+    distances = _row_distances(probs, known)
 
-    distances = np.full((n, n), np.inf)
+    # the Unknown entries in row-major order, so row i's are one slice
+    rows, cols = np.nonzero(~known & ~np.eye(n, dtype=bool))
+    bounds = np.searchsorted(rows, np.arange(n + 1))
+    # row i's candidates: every row at finite distance, nearest first; the
+    # stable sort breaks distance ties toward the lower row index
+    order = np.argsort(distances, axis=1, kind="stable")
+    n_candidates = np.isfinite(distances).sum(axis=1)
+    known_t, probs_t = known.T.copy(), probs.T.copy()
+    values, sizes = [], []
     for i in range(n):
-        for j in range(i + 1, n):
-            mutual = known_mask[i] & known_mask[j]
-            m = int(mutual.sum())
-            if m == 0:
-                continue
-            diff = probs[i, mutual] - probs[j, mutual]
-            d = float(np.sqrt(n / m * (diff**2).sum()))
-            distances[i, j] = distances[j, i] = d
+        missing, candidates = cols[bounds[i] : bounds[i + 1]], order[i, : n_candidates[i]]
+        knows = known_t[missing][:, candidates]
+        chosen = knows & (np.cumsum(knows, axis=1) <= k_neighbors)
+        values.append(probs_t[missing][:, candidates][chosen])
+        sizes.append(chosen.sum(axis=1))
+    # each entry's chosen values, contiguous and nearest first
+    values, size = np.concatenate(values), np.concatenate(sizes)
+    starts = np.cumsum(size) - size
 
     filled = probs.copy()
-    for i in range(n):
-        for j in range(n):
-            if i == j or known_mask[i, j]:
-                continue
-            candidates = [
-                r
-                for r in range(n)
-                if r != i and known_mask[r, j] and np.isfinite(distances[i, r])
-            ]
-            candidates.sort(key=lambda r: (distances[i, r], r))
-            chosen = candidates[:k_neighbors]
-            if chosen:
-                filled[i, j] = float(np.mean([probs[r, j] for r in chosen]))
-            else:
-                filled[i, j] = global_mean
+    filled[rows, cols] = global_mean
+    for c in np.unique(size[size > 0]):
+        # one length-c row per entry, so the sum adds what np.mean would
+        group = np.flatnonzero(size == c)
+        chosen_values = values[starts[group, None] + np.arange(c)]
+        filled[rows[group], cols[group]] = chosen_values.sum(axis=1) / c
     filled = (filled + filled.T) / 2.0
     np.fill_diagonal(filled, 1.0)
     return replace(matrix, probs=filled)
@@ -207,10 +241,9 @@ def impute_matrix(matrix: WiringMatrix, k_neighbors: int = 5) -> WiringMatrix:
 def wiring_to_csv(matrix: WiringMatrix) -> str:
     labels = [s.label for s in matrix.slots]
     lines = ["slot," + ",".join(labels)]
-    for i, label in enumerate(labels):
-        cells = [
-            "?" if np.isnan(v) else repr(float(v)) for v in matrix.probs[i]
-        ]
+    for label, row in zip(labels, matrix.probs.tolist()):
+        # v != v is the NaN test; repr of a Python float is the CSV spelling
+        cells = ["?" if v != v else repr(v) for v in row]
         lines.append(label + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -210,6 +210,15 @@ def test_learn_wiring_default_corpus(tmp_path, capsys):
     assert "?" not in imputed
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_learn_wiring_k_below_one_is_error(tmp_path, capsys, k):
+    model_dir = tmp_path / "models"
+    assert main(["learn-wiring", "--model-dir", str(model_dir), "--k-neighbors", k]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "k_neighbors" in err and "Traceback" not in err
+    assert not model_dir.exists()
+
+
 def test_genrule_with_gold_entities(model_dir, tmp_path, capsys):
     from importlib import resources
 
@@ -353,6 +362,55 @@ def test_pipeline_with_embedding_of_another_dim_is_error(model_dir, demo_corpus,
     assert err.startswith("error: ") and "Traceback" not in err
     assert ARTIFACTS["ner"] in err and ARTIFACTS["embedding"] in err
     assert not out.exists()
+
+
+def test_pipeline_with_unlabeled_clusters_is_error(
+    model_dir, demo_models, demo_corpus, tmp_path, capsys
+):
+    from vuln2rule.demo import write_demo_entities
+
+    # without --exemplars the clusters keep their clusterN labels, which no
+    # mapping table maps
+    models = tmp_path / "models"
+    shutil.copytree(model_dir, models)
+    entities = tmp_path / "entities.jsonl"
+    write_demo_entities(demo_models.records[:40], entities)
+    assert main(["train-completer", "--entities", str(entities), "--model-dir", str(models)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "rules.P"
+    assert main([
+        "pipeline", "--model-dir", str(models), "--input", str(demo_corpus), "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert DISC_TEMPLATE.format("vector") in err and "packaged mapping tables" in err
+    assert "cluster0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["completion", "mapping"])
+def test_labels_missing_from_mapping_rejected_at_load(model_dir, demo_models, tmp_path, source):
+    from vuln2rule._textio import read_data
+
+    models = tmp_path / "models"
+    shutil.copytree(model_dir, models)
+    config = PipelineConfig(model_dir=models)
+    if source == "completion":
+        comp = demo_models.completion["MEANS"]
+        classes = [(comp.classes[0][0], "unmappedMeans"), *comp.classes[1:]]
+        path = models / COMPLETION_TEMPLATE.format("means")
+        save_completion(replace(comp, classes=classes), path)
+        tables = "the packaged mapping tables"
+    else:
+        label = demo_models.discretization["MEANS"].labels[0]
+        tables = tmp_path / "mapping.txt"
+        lines = read_data("mapping_tables.txt").splitlines()
+        tables.write_text("\n".join(x for x in lines if not x.startswith(f"means {label} ")), "utf-8")
+        config.mapping_path = tables
+        path = models / DISC_TEMPLATE.format("means")
+    with pytest.raises(MismatchedArtifacts) as excinfo:
+        load_models(config)
+    assert str(path) in str(excinfo.value) and str(tables) in str(excinfo.value)
 
 
 @pytest.mark.parametrize("exemplars", ['{"VECTOR": 5}', "[1]", '{"VECTOR": {"remote": "x"}}'])

@@ -69,7 +69,7 @@ def _discretization(labels: dict[int, str]) -> DiscretizationModel:
 def _completion(classes: list[tuple[int, str]]) -> CompletionModel:
     n = len(classes)
     return CompletionModel(
-        entity_type="MEANS", weights=np.linspace(-1, 1, 9 * 2 * n).reshape(18, n),
+        entity_type="MEANS", weights=np.linspace(-1, 1, 9 * 2 * n).reshape(n, 18),
         biases=np.linspace(0, 1, n), classes=classes, l2=0.01, iterations=3, block_dim=2,
     )
 
@@ -337,6 +337,16 @@ class TestMatrixBlocks:
         path, load = _saved_artifacts(tmp_path)["tagger"]
         _rewrite(path, old, new)
         with pytest.raises(MalformedRecord, match=old.split()[1].decode()):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [(b"matrix weights 2 18\n", b"matrix weights 18 2\n"), (b"matrix biases 1 2\n", b"matrix biases 2 1\n")],
+    )
+    def test_completion_shapes_checked(self, tmp_path, old, new):
+        path, load = _saved_artifacts(tmp_path)["completion"]
+        _rewrite(path, old, new)
+        with pytest.raises(MalformedRecord, match=f"{path}: weights .* for 2 classes at block_dim 2"):
             load(path)
 
 

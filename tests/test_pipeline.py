@@ -241,6 +241,13 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_file(cfg_file)
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_wiring_k_below_one_rejected(self, tmp_path, value):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"wiring_k = {value}\n", "utf-8")
+        with pytest.raises(ConfigError, match="config line 1: wiring_k must be at least 1"):
+            PipelineConfig.from_file(cfg_file)
+
     def test_bad_line_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("just a line without equals\n", "utf-8")

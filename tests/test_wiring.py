@@ -3,10 +3,15 @@ union-find substrate."""
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vuln2rule.errors import EmptyMatrix, MalformedRecord
+from vuln2rule.errors import ConfigError, EmptyMatrix, MalformedRecord
 from vuln2rule.rules.datalog import parse_rule_file
 from vuln2rule.rules.schema import load_default_rule_corpus
 from vuln2rule.rules.wiring import (
@@ -35,6 +40,53 @@ a(X, Y) :- c(X, Y).
 
 def slot(name, arity, pos):
     return Slot(name, arity, pos)
+
+
+def _impute_reference(matrix: WiringMatrix, k_neighbors: int) -> WiringMatrix:
+    """KNN imputation as plain loops over row pairs and Unknown entries:
+    the definition ``impute_matrix`` must match bit for bit."""
+    n = len(matrix.slots)
+    if n == 0:
+        raise EmptyMatrix("no slots")
+    probs = matrix.probs
+    off_diag = ~np.eye(n, dtype=bool)
+    known_mask = ~np.isnan(probs) & off_diag
+    if matrix.fully_known:
+        return matrix
+    if not known_mask.any():
+        raise EmptyMatrix("no known entries to impute from")
+    global_mean = float(probs[known_mask].mean())
+
+    distances = np.full((n, n), np.inf)
+    for i in range(n):
+        for j in range(i + 1, n):
+            mutual = known_mask[i] & known_mask[j]
+            m = int(mutual.sum())
+            if m == 0:
+                continue
+            diff = probs[i, mutual] - probs[j, mutual]
+            d = float(np.sqrt(n / m * (diff**2).sum()))
+            distances[i, j] = distances[j, i] = d
+
+    filled = probs.copy()
+    for i in range(n):
+        for j in range(n):
+            if i == j or known_mask[i, j]:
+                continue
+            candidates = [
+                r
+                for r in range(n)
+                if r != i and known_mask[r, j] and np.isfinite(distances[i, r])
+            ]
+            candidates.sort(key=lambda r: (distances[i, r], r))
+            chosen = candidates[:k_neighbors]
+            if chosen:
+                filled[i, j] = float(np.mean([probs[r, j] for r in chosen]))
+            else:
+                filled[i, j] = global_mean
+    filled = (filled + filled.T) / 2.0
+    np.fill_diagonal(filled, 1.0)
+    return replace(matrix, probs=filled)
 
 
 class TestEstimate:
@@ -78,7 +130,17 @@ class TestEstimate:
         assert np.array_equal(matrix.probs[known], matrix.probs.T[known])
 
     def test_recount_oracle(self):
-        rules = parse_rule_file(FIVE_RULES)
+        from test_rules_datalog import random_rule
+
+        rng = np.random.default_rng(63)
+        # a pair linked by two variables in one rule still counts once there
+        corpora = [parse_rule_file(FIVE_RULES), parse_rule_file("a(X) :- b(X, Y), b(Y, X).\n")]
+        corpora += [[random_rule(rng) for _ in range(int(rng.integers(2, 12)))] for _ in range(20)]
+        for rules in corpora:
+            self._check_recount(rules)
+
+    @staticmethod
+    def _check_recount(rules):
         matrix = estimate_wiring_matrix(rules)
         for i, si in enumerate(matrix.slots):
             for j, sj in enumerate(matrix.slots):
@@ -182,11 +244,50 @@ class TestImpute:
         with pytest.raises(EmptyMatrix):
             impute_matrix(WiringMatrix(slots=(), probs=np.empty((0, 0))), 1)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        probs = np.array([[np.nan, 0.5, np.nan], [0.5, np.nan, 0.25], [np.nan, 0.25, np.nan]])
+        with pytest.raises(ConfigError, match="k_neighbors"):
+            impute_matrix(self.toy_matrix(probs), k)
+
     def test_diagonal_set_to_one(self):
         nan = np.nan
         probs = np.array([[nan, 0.5, nan], [0.5, nan, 0.25], [nan, 0.25, nan]])
         filled = impute_matrix(self.toy_matrix(probs), 1)
         assert np.array_equal(np.diag(filled.probs), np.ones(3))
+
+
+#: exact fractions a small corpus produces, so that distances tie often
+_TIED_VALUES = np.array([0.0, 1 / 3, 1 / 2, 2 / 3, 1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    k=st.integers(1, 13),
+    unknown_share=st.floats(0.0, 0.95),
+    random_share=st.sampled_from([0.0, 0.2, 1.0]),
+    symmetric=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_impute_matches_loop_reference_bit_for_bit(n, k, unknown_share, random_share, symmetric, seed):
+    rng = np.random.default_rng(seed)
+    probs = np.where(
+        rng.random((n, n)) < random_share, rng.random((n, n)), rng.choice(_TIED_VALUES, (n, n))
+    )
+    probs[rng.random((n, n)) < unknown_share] = np.nan
+    if symmetric:
+        probs = np.triu(probs, 1) + np.triu(probs, 1).T
+    np.fill_diagonal(probs, np.nan)
+    matrix = WiringMatrix(slots=tuple(Slot(f"s{i}", 1, 0) for i in range(n)), probs=probs)
+    try:
+        expected = _impute_reference(matrix, k)
+    except EmptyMatrix:
+        with pytest.raises(EmptyMatrix):
+            impute_matrix(matrix, k)
+        return
+    got = impute_matrix(matrix, k)
+    assert np.array_equal(got.probs.view("<u8"), expected.probs.view("<u8"))
 
 
 class TestUnionFind:
@@ -289,6 +390,17 @@ class TestCsv:
     def test_slot_labels(self):
         assert slot("netAccess", 4, 2).label == "netAccess/4#2"
         assert Slot.from_label("netAccess/4#2") == slot("netAccess", 4, 2)
+
+    def test_packaged_corpus_csv_digests(self):
+        raw = estimate_wiring_matrix(parse_rule_file(load_default_rule_corpus()))
+        digests = [
+            hashlib.sha256(wiring_to_csv(m).encode("utf-8")).hexdigest()
+            for m in (raw, impute_matrix(raw, 5))
+        ]
+        assert digests == [
+            "40c0793925259ea7d15f438bb02447ce4329bcb3caeafb935a63995196df7138",  # wiring_raw.v1.csv
+            "d5e6ec0e6302199560b0a1d55d6231da55d67e6f488c5311aeb8727d61c601a1",  # wiring.v1.csv
+        ]
 
     def test_packaged_corpus_matrices_load(self):
         raw = estimate_wiring_matrix(parse_rule_file(load_default_rule_corpus()))
