@@ -17,7 +17,6 @@ from .completer import (
     COMPLETABLE_ENTITIES,
     build_feature_vector,
     check_exemplars,
-    cluster_exemplars,
     fit_discretization,
     label_clusters_by_exemplars,
     predict_missing,
@@ -199,19 +198,12 @@ def cmd_train_completer(args) -> int:
     config = _config_from(args)
     emb = _load_embedding(config)
     entity_sets = demo_mod.read_entity_records(args.entities)
-    exemplars = None
-    if args.exemplars:
-        exemplars = check_exemplars(parse_json(read_text(args.exemplars)), args.exemplars)
+    exemplars = check_exemplars(parse_json(read_text(args.exemplars)), args.exemplars)
     for entity in COMPLETABLE_ENTITIES:
         values = [v for es in entity_sets for v in es.values_for(entity)]
         k = config.k_clusters.get(entity, 4)
         disc = fit_discretization(values, emb, k, config.seed, entity)
-        if exemplars and entity in exemplars:
-            disc = label_clusters_by_exemplars(disc, exemplars[entity], emb)
-        else:
-            print(f"{entity}: clusters left unlabeled; exemplar values per cluster:")
-            for cid, members in cluster_exemplars(disc, values, emb).items():
-                print(f"  cluster{cid}: {members}")
+        disc = label_clusters_by_exemplars(disc, exemplars[entity], emb)
         completion = train_completion(
             entity_sets, emb, disc, entity,
             l2=config.completer_l2, iterations=config.completer_iterations,
@@ -410,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("train-completer", cmd_train_completer, "fit discretization + completion models")
     p.add_argument("--entities", required=True, help="JSON-lines entity records")
-    p.add_argument("--exemplars", help="JSON {entity: {label: [phrases]}} for cluster labeling")
+    p.add_argument(
+        "--exemplars", required=True, help="JSON {entity: {label: [phrases]}} for cluster labeling"
+    )
 
     p = add("complete", cmd_complete, "predict a missing entity from an entity record")
     p.add_argument("--entity", required=True, choices=["vector", "impact", "means"])

@@ -197,8 +197,9 @@ def label_clusters(
 
 def check_exemplars(data: object, source: str) -> dict[str, dict[str, list[str]]]:
     """``data`` if it maps an entity to an object that maps a cluster label
-    to a list of exemplar phrases; else MalformedRecord naming ``source``.
-    A label that could not be saved raises InvalidLabel."""
+    to a list of exemplar phrases, with a phrase for every completable
+    entity; else MalformedRecord naming ``source``.  A label that could not
+    be saved raises InvalidLabel."""
     def phrases(value: object) -> bool:
         return isinstance(value, list) and all(isinstance(p, str) for p in value)
 
@@ -209,6 +210,9 @@ def check_exemplars(data: object, source: str) -> dict[str, dict[str, list[str]]
         raise MalformedRecord(
             f"{source}: exemplars must map an entity to an object of label -> list of strings"
         )
+    unlabeled = [e for e in COMPLETABLE_ENTITIES if not any(data.get(e, {}).values())]
+    if unlabeled:
+        raise MalformedRecord(f"{source}: exemplars hold no phrase for {', '.join(unlabeled)}")
     for labels in data.values():
         _check_labels(labels)
     return data
@@ -232,21 +236,6 @@ def label_clusters_by_exemplars(
                     best_label, best_dist = label, dist
         labeled[cid] = best_label if best_label is not None else f"cluster{cid}"
     return replace(model, labels=labeled)
-
-
-def cluster_exemplars(
-    model: DiscretizationModel,
-    values: list[str],
-    emb: EmbeddingModel,
-    per_cluster: int = 5,
-) -> dict[int, list[str]]:
-    """Sample member values per cluster, to support manual labeling."""
-    buckets: dict[int, list[str]] = {i: [] for i in range(model.k_clusters)}
-    for value in values:
-        cid, _ = map_to_cluster(model, value.split(), emb)
-        if len(buckets[cid]) < per_cluster:
-            buckets[cid].append(value)
-    return buckets
 
 
 def map_to_cluster(

@@ -258,15 +258,6 @@ def vocabulary_from_sentences(
     return Vocabulary(words=words, index_of=index_of, coverage=covered / total)
 
 
-def build_vocabulary(
-    corpus: list[RawVulnerability], max_size: int
-) -> Vocabulary:
-    if not corpus:
-        raise EmptyCorpus("empty corpus")
-    sentences = [ns for rec in corpus for ns in sentences_of(rec)]
-    return vocabulary_from_sentences(sentences, max_size)
-
-
 def word_frequency_report(
     corpus: list[RawVulnerability], top_k: int, drop_stopwords: bool = True
 ) -> list[tuple[str, int]]:

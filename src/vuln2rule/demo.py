@@ -319,49 +319,3 @@ def golden_entity_set() -> EntitySet:
 
 def golden_rule_text() -> str:
     return read_data("golden_cve_2010_2212.P")
-
-
-# --- synthetic wiring corpus -----------------------------------------------------
-
-
-def synthesize_wiring_corpus(
-    n_templates: int = 6,
-    per_template: int = 10,
-    noise_rate: float = 0.1,
-    seed: int = 0,
-):
-    """Rules drawn from fixed wiring templates, with a fraction of rules
-    carrying one flipped wiring decision.
-
-    Template t: ``goal_t(A, B) :- pre_t(A, C), aux_t(C, B)``.  A noisy rule
-    breaks the pre/aux link by giving aux a fresh first variable.
-    """
-    from .rules.datalog import InteractionRule, Predicate, Term
-
-    rng = np.random.default_rng(seed)
-    rules = []
-    for t in range(n_templates):
-        for _ in range(per_template):
-            a, b, c = Term.variable("A"), Term.variable("B"), Term.variable("C")
-            rules.append(
-                InteractionRule(
-                    head=Predicate(f"goal{t}", (a, b)),
-                    body=(
-                        Predicate(f"pre{t}", (a, c)),
-                        Predicate(f"aux{t}", (c, b)),
-                    ),
-                    description=f"template {t}",
-                )
-            )
-    order = rng.permutation(len(rules))
-    rules = [rules[i] for i in order]
-    n_noisy = int(round(noise_rate * len(rules)))
-    for idx in rng.choice(len(rules), size=n_noisy, replace=False):
-        rule = rules[idx]
-        noisy_aux = Predicate(rule.body[1].name, (Term.variable("N"), rule.body[1].args[1]))
-        rules[idx] = InteractionRule(
-            head=rule.head,
-            body=(rule.body[0], noisy_aux),
-            description=rule.description + " (noisy)",
-        )
-    return rules

@@ -25,6 +25,7 @@ from .embedding import load_embedding, nearest_neighbors
 from .errors import ConfigError, MismatchedArtifacts, MissingArtifact, TooFewRules
 from .rules.datalog import InteractionRule, emit_rules
 from .rules.schema import (
+    SchemaLexicon,
     load_default_lexicon,
     load_default_mapping,
     load_lexicon,
@@ -36,11 +37,10 @@ from .rules.synthesis import (
     GeneratorModels,
     generate,
     infer_slot_sorts,
-    skeleton_from_rule,
     variable_groups,
     wire_variables,
 )
-from .rules.wiring import estimate_wiring_matrix, impute_matrix, load_wiring
+from .rules.wiring import Slot, estimate_wiring_matrix, impute_matrix, load_wiring
 from .tagger import EntitySet, evaluate_tagger, load_ner, tag_texts
 
 
@@ -323,22 +323,11 @@ class WiringCvResult:
     fold_accuracy: tuple[float, ...]
 
 
-def _pair_sets(rule_like: InteractionRule) -> tuple[set[frozenset], set[frozenset]]:
-    """(all unordered variable-node pairs, wired pairs) for one rule."""
-    groups = variable_groups(rule_like)
-    nodes = sorted({n for g in groups for n in g})
-    all_pairs = {
-        frozenset((a, b))
-        for i, a in enumerate(nodes)
-        for b in nodes[i + 1 :]
-    }
-    wired = {
-        frozenset((a, b))
-        for g in groups
-        for i, a in enumerate(sorted(g))
-        for b in sorted(g)[i + 1 :]
-    }
-    return all_pairs, wired
+def _slot_sort(slot: Slot, lexicon: SchemaLexicon | None, inferred: dict[Slot, str]) -> str:
+    declared = lexicon.sort_of(slot.name, slot.arity, slot.pos) if lexicon is not None else None
+    if declared is not None:
+        return declared
+    return inferred.get(slot, f"slot_{slot.name}_{slot.arity}_{slot.pos}")
 
 
 def crossvalidate_wiring(
@@ -346,11 +335,14 @@ def crossvalidate_wiring(
     folds: int = 10,
     k_neighbors: int = 5,
     threshold: float = 0.5,
-    lexicon=None,
+    lexicon: SchemaLexicon | None = None,
 ) -> WiringCvResult:
-    """Per fold: learn the matrix on the training rules, re-wire each test
-    rule's skeleton, and score every variable-slot pair as wired/not-wired
-    against the rule's own wiring."""
+    """Per fold: learn the matrix on the training rules, partition each test
+    rule's variable slots with ``wire_variables``, and score every pair of
+    variable slots as wired/not-wired against the rule's own variables.
+
+    A slot's sort is the lexicon's when its predicate is declared, else the
+    training fold's inferred sort, else one of its own."""
     if len(rules) < folds:
         raise TooFewRules(f"{len(rules)} rules for {folds} folds")
     chunks = np.array_split(np.arange(len(rules)), folds)
@@ -361,25 +353,31 @@ def crossvalidate_wiring(
         train = [r for i, r in enumerate(rules) if i not in test_idx]
         test = [rules[i] for i in sorted(test_idx)]
         matrix = impute_matrix(estimate_wiring_matrix(train), k_neighbors)
-        sorts = infer_slot_sorts(train, lexicon)
+        inferred = infer_slot_sorts(train, lexicon)
         tp = fp = fn = tn = 0
         for rule in test:
-            skeleton = skeleton_from_rule(rule, lexicon, sorts)
-            rewired = wire_variables(
-                skeleton, matrix, threshold, enforce_range_restriction=False
-            )
-            all_pairs, truth = _pair_sets(rule)
-            _, predicted = _pair_sets(rewired)
-            for pair in all_pairs:
-                in_truth, in_pred = pair in truth, pair in predicted
-                if in_truth and in_pred:
-                    tp += 1
-                elif in_pred:
-                    fp += 1
-                elif in_truth:
-                    fn += 1
-                else:
-                    tn += 1
+            # node -> the index of its variable in the rule
+            truth = {node: v for v, group in enumerate(variable_groups(rule)) for node in group}
+            nodes = sorted(truth)
+            predicates = rule.predicates()
+            slots = [Slot(predicates[ai].name, predicates[ai].arity, pos) for ai, pos in nodes]
+            sorts = [_slot_sort(slot, lexicon, inferred) for slot in slots]
+            predicted = [0] * len(nodes)
+            for g, members in enumerate(wire_variables(slots, sorts, matrix, threshold)):
+                for m in members:
+                    predicted[m] = g
+            for j in range(len(nodes)):
+                for i in range(j):
+                    in_truth = truth[nodes[i]] == truth[nodes[j]]
+                    in_pred = predicted[i] == predicted[j]
+                    if in_truth and in_pred:
+                        tp += 1
+                    elif in_pred:
+                        fp += 1
+                    elif in_truth:
+                        fn += 1
+                    else:
+                        tn += 1
         precision = tp / (tp + fp) if tp + fp else (1.0 if fn == 0 else 0.0)
         recall = tp / (tp + fn) if tp + fn else 1.0
         f1 = (

@@ -1,53 +1,2 @@
 """MulVAL-style Datalog interaction rules: parsing, emission, wiring
 statistics and rule synthesis."""
-
-from .datalog import (
-    CONSTANT,
-    VARIABLE,
-    WILDCARD,
-    InteractionRule,
-    Predicate,
-    Term,
-    emit_rule,
-    emit_rules,
-    parse_rule_file,
-)
-from .schema import MappingTables, PredicateSchema, SchemaLexicon, load_default_lexicon, load_default_mapping
-from .wiring import Slot, WiringMatrix, estimate_wiring_matrix, impute_matrix
-from .synthesis import (
-    FailureKind,
-    GenerationFailure,
-    RuleSkeleton,
-    assign_constants,
-    create_structure,
-    generate,
-    wire_variables,
-)
-
-__all__ = [
-    "CONSTANT",
-    "VARIABLE",
-    "WILDCARD",
-    "InteractionRule",
-    "Predicate",
-    "Term",
-    "emit_rule",
-    "emit_rules",
-    "parse_rule_file",
-    "MappingTables",
-    "PredicateSchema",
-    "SchemaLexicon",
-    "load_default_lexicon",
-    "load_default_mapping",
-    "Slot",
-    "WiringMatrix",
-    "estimate_wiring_matrix",
-    "impute_matrix",
-    "FailureKind",
-    "GenerationFailure",
-    "RuleSkeleton",
-    "assign_constants",
-    "create_structure",
-    "generate",
-    "wire_variables",
-]

@@ -59,7 +59,6 @@ class SkeletonAtom:
 class RuleSkeleton:
     head: SkeletonAtom
     body: list[SkeletonAtom]
-    labels: dict[str, str]
     description: str = ""
     trace: dict[str, str] = field(default_factory=dict)
 
@@ -108,7 +107,7 @@ def create_structure(
 
     head = instantiate(impact.head)
     body = [instantiate(name) for name in means.body + vector.support]
-    return RuleSkeleton(head=head, body=body, labels=dict(clusters))
+    return RuleSkeleton(head=head, body=body)
 
 
 def to_atom(text: str) -> str:
@@ -172,81 +171,64 @@ def _hint_for(schema: PredicateSchema, pos: int) -> str:
 
 
 def wire_variables(
-    skeleton: RuleSkeleton,
-    matrix: WiringMatrix,
-    threshold: float = 0.5,
-    enforce_range_restriction: bool = True,
-) -> InteractionRule:
-    """Union-find merge of variable slots with probability >= threshold and
-    equal sorts; merged classes get canonical names from the slot hints.
-    Raises RangeRestrictionViolation when a head variable stays unbound
-    (cross-validation scoring disables the check to keep the partition)."""
+    slots: list[Slot], sorts: list[str], matrix: WiringMatrix, threshold: float
+) -> list[list[int]]:
+    """The wiring decision: union-find merge of every two nodes whose slots
+    differ, whose probability is at least ``threshold`` and whose sorts
+    agree.  Groups of node indices come ordered by their lowest node, with
+    members ascending."""
+    uf = UnionFind(len(slots))
+    for i in range(len(slots)):
+        for j in range(i + 1, len(slots)):
+            if slots[i] == slots[j] or sorts[i] != sorts[j]:
+                continue
+            prob = matrix.prob(slots[i], slots[j])
+            if prob is not None and prob >= threshold:
+                uf.union(i, j)
+    return sorted(uf.groups().values(), key=min)
+
+
+def wire_rule(skeleton: RuleSkeleton, matrix: WiringMatrix, threshold: float) -> InteractionRule:
+    """The rule whose variables are the classes ``wire_variables`` returns.
+
+    A class is named from its first slot's hint: the hint itself, or else
+    the first free ``<hint><n>`` with n >= 2.  Raises
+    RangeRestrictionViolation when a head variable stays unbound."""
     atoms = skeleton.atoms()
+    terms = [list(atom.terms) for atom in atoms]
     nodes: list[tuple[int, int]] = []
     for ai, atom in enumerate(atoms):
         for pos, term in enumerate(atom.terms):
             if term is None:
-                raise ValueError(
-                    f"{atom.schema.name}#{pos}: constant slot not assigned"
-                )
+                raise ValueError(f"{atom.schema.name}#{pos}: constant slot not assigned")
             if term.kind == VARIABLE:
                 nodes.append((ai, pos))
-
-    def slot_of(node: tuple[int, int]) -> Slot:
-        atom = atoms[node[0]]
-        return Slot(atom.schema.name, atom.schema.arity, node[1])
-
-    def sort_of(node: tuple[int, int]) -> str:
-        atom = atoms[node[0]]
-        return atom.schema.arg_sorts[node[1]]
-
-    uf = UnionFind(len(nodes))
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            slot_i, slot_j = slot_of(nodes[i]), slot_of(nodes[j])
-            if slot_i == slot_j:
-                continue
-            prob = matrix.prob(slot_i, slot_j)
-            if prob is None or prob < threshold:
-                continue
-            if sort_of(nodes[i]) != sort_of(nodes[j]):
-                continue
-            uf.union(i, j)
-
-    groups = sorted(uf.groups().values(), key=min)
-    used: dict[str, int] = {}
-    name_of_node: dict[tuple[int, int], str] = {}
-    for members in groups:
-        lead = min(members)
-        ai, pos = nodes[lead]
-        base = _hint_for(atoms[ai].schema, pos)
-        used[base] = used.get(base, 0) + 1
-        name = base if used[base] == 1 else f"{base}{used[base]}"
-        for m in members:
-            name_of_node[nodes[m]] = name
-
-    predicates: list[Predicate] = []
-    for ai, atom in enumerate(atoms):
-        args = []
-        for pos, term in enumerate(atom.terms):
-            if (ai, pos) in name_of_node:
-                args.append(Term.variable(name_of_node[(ai, pos)]))
-            else:
-                args.append(term)
-        predicates.append(Predicate(atom.schema.name, tuple(args)))
-
+    schemas = [atoms[ai].schema for ai, _ in nodes]
+    slots = [Slot(s.name, s.arity, pos) for s, (_, pos) in zip(schemas, nodes)]
+    sorts = [s.arg_sorts[pos] for s, (_, pos) in zip(schemas, nodes)]
+    taken: set[str] = set()
+    for group in wire_variables(slots, sorts, matrix, threshold):
+        base = name = _hint_for(schemas[group[0]], nodes[group[0]][1])
+        n = 1
+        while name in taken:
+            n += 1
+            name = f"{base}{n}"
+        taken.add(name)
+        for m in group:
+            ai, pos = nodes[m]
+            terms[ai][pos] = Term.variable(name)
+    predicates = [Predicate(atom.schema.name, tuple(t)) for atom, t in zip(atoms, terms)]
     rule = InteractionRule(
         head=predicates[0],
         body=tuple(predicates[1:]),
         description=skeleton.description,
         trace=dict(skeleton.trace),
     )
-    if enforce_range_restriction:
-        rule.check_range_restriction()
+    rule.check_range_restriction()
     return rule
 
 
-# --- re-wiring parsed rules (cross-validation, self-consistency) -------------
+# --- parsed rules (cross-validation) -------------------------------------------
 
 
 def infer_slot_sorts(
@@ -293,55 +275,6 @@ def infer_slot_sorts(
             own = lexicon.sort_of(s.name, s.arity, s.pos) if lexicon else None
             sorts[s] = own if own is not None else class_sort
     return sorts
-
-
-def schema_for_predicate(
-    pred: Predicate,
-    lexicon: SchemaLexicon | None,
-    sorts: dict[Slot, str] | None = None,
-) -> PredicateSchema:
-    schema = lexicon.get(pred.name, pred.arity) if lexicon else None
-    if schema is not None:
-        return schema
-    slot_sorts = []
-    hints = []
-    for pos in range(pred.arity):
-        slot = Slot(pred.name, pred.arity, pos)
-        sort = (sorts or {}).get(slot, f"slot_{pred.name}_{pred.arity}_{pos}")
-        slot_sorts.append(sort)
-        clean = re.sub(r"\W", "", sort)
-        hints.append((clean[:1].upper() + clean[1:]) if clean else "X")
-    return PredicateSchema(
-        name=pred.name,
-        arity=pred.arity,
-        arg_sorts=tuple(slot_sorts),
-        var_hints=tuple(hints),
-        constant_slots=frozenset(),
-    )
-
-
-def skeleton_from_rule(
-    rule: InteractionRule,
-    lexicon: SchemaLexicon | None = None,
-    sorts: dict[Slot, str] | None = None,
-) -> RuleSkeleton:
-    """Same predicates, fresh variables; constants and wildcards kept."""
-    counter = itertools.count(1)
-
-    def rebuild(pred: Predicate) -> SkeletonAtom:
-        schema = schema_for_predicate(pred, lexicon, sorts)
-        terms: list[Term | None] = [
-            Term.variable(f"V{next(counter)}") if t.kind == VARIABLE else t
-            for t in pred.args
-        ]
-        return SkeletonAtom(schema, terms)
-
-    return RuleSkeleton(
-        head=rebuild(rule.head),
-        body=[rebuild(p) for p in rule.body],
-        labels={},
-        description=rule.description,
-    )
 
 
 def variable_groups(rule: InteractionRule) -> list[frozenset[tuple[int, int]]]:
@@ -460,6 +393,6 @@ def generate(
     )
     assign_constants(skeleton, entity_set, cve_id)
     try:
-        return wire_variables(skeleton, models.wiring, models.threshold)
+        return wire_rule(skeleton, models.wiring, models.threshold)
     except RangeRestrictionViolation as exc:
         return GenerationFailure(FailureKind.RANGE_RESTRICTION, str(exc))

@@ -250,8 +250,10 @@ def wiring_to_csv(matrix: WiringMatrix) -> str:
 
 def wiring_from_csv(text: str) -> WiringMatrix:
     """Inverse of ``wiring_to_csv``; a bad slot label, a cell that is not a
-    float or ``?``, or anything but one row of one cell per slot for each
-    header slot, in header order, raises MalformedRecord."""
+    float or ``?``, anything but one row of one cell per slot for each
+    header slot, in header order, a known cell outside [0, 1], or an (i, j)
+    cell whose value or whose Unknown differs from (j, i), raises
+    MalformedRecord."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise EmptyMatrix("empty CSV")
@@ -270,6 +272,15 @@ def wiring_from_csv(text: str) -> WiringMatrix:
                     probs[i, j] = float(cell)
             if len(cells) != len(slots):
                 raise ValueError(f"row {label!r} has {len(cells)} cells for {len(slots)} slots")
+        outside = np.argwhere((probs < 0.0) | (probs > 1.0))
+        if len(outside):
+            i, j = outside[0]
+            raise ValueError(f"cell ({labels[i]}, {labels[j]}) = {probs[i, j]} is outside [0, 1]")
+        known = ~np.isnan(probs)
+        asymmetric = np.argwhere((probs != probs.T) & (known | known.T))
+        if len(asymmetric):
+            i, j = asymmetric[0]
+            raise ValueError(f"cells ({labels[i]}, {labels[j]}) and ({labels[j]}, {labels[i]}) differ")
     except (ValueError, IndexError) as exc:
         raise MalformedRecord(f"wiring CSV: {exc}") from exc
     return WiringMatrix(slots=slots, probs=probs)

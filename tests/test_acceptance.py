@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import make_embedding
+from helpers import build_vocabulary, synthesize_wiring_corpus
 from vuln2rule.completer import (
     build_feature_vector,
     fit_discretization,
@@ -27,12 +28,11 @@ from vuln2rule.completer import (
     CompletionModel,
     DiscretizationModel,
 )
-from vuln2rule.corpus import build_vocabulary, load_nvd_feed, word_frequency_report
+from vuln2rule.corpus import load_nvd_feed, word_frequency_report
 from vuln2rule.demo import (
     generate_demo_records,
     golden_entity_set,
     golden_rule_text,
-    synthesize_wiring_corpus,
 )
 from vuln2rule.embedding import example_loss_and_grads, nearest_neighbors
 from vuln2rule.pipeline import crossvalidate_wiring, run_pipeline

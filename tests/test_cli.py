@@ -364,28 +364,21 @@ def test_pipeline_with_embedding_of_another_dim_is_error(model_dir, demo_corpus,
     assert not out.exists()
 
 
-def test_pipeline_with_unlabeled_clusters_is_error(
-    model_dir, demo_models, demo_corpus, tmp_path, capsys
-):
+def test_train_completer_without_exemplars_is_error(model_dir, demo_models, tmp_path, capsys):
+    # without exemplars the clusters would keep clusterN labels, which no
+    # mapping table maps
     from vuln2rule.demo import write_demo_entities
 
-    # without --exemplars the clusters keep their clusterN labels, which no
-    # mapping table maps
     models = tmp_path / "models"
-    shutil.copytree(model_dir, models)
+    models.mkdir()
+    shutil.copy(model_dir / ARTIFACTS["embedding"], models)
     entities = tmp_path / "entities.jsonl"
     write_demo_entities(demo_models.records[:40], entities)
-    assert main(["train-completer", "--entities", str(entities), "--model-dir", str(models)]) == 0
-    capsys.readouterr()
-    out = tmp_path / "rules.P"
-    assert main([
-        "pipeline", "--model-dir", str(models), "--input", str(demo_corpus), "--out", str(out),
-    ]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert DISC_TEMPLATE.format("vector") in err and "packaged mapping tables" in err
-    assert "cluster0" in err
-    assert not out.exists()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train-completer", "--entities", str(entities), "--model-dir", str(models)])
+    assert exit_info.value.code == 2
+    assert "--exemplars" in capsys.readouterr().err
+    assert sorted(p.name for p in models.iterdir()) == [ARTIFACTS["embedding"]]
 
 
 @pytest.mark.parametrize("source", ["completion", "mapping"])
@@ -413,7 +406,10 @@ def test_labels_missing_from_mapping_rejected_at_load(model_dir, demo_models, tm
     assert str(path) in str(excinfo.value) and str(tables) in str(excinfo.value)
 
 
-@pytest.mark.parametrize("exemplars", ['{"VECTOR": 5}', "[1]", '{"VECTOR": {"remote": "x"}}'])
+@pytest.mark.parametrize(
+    "exemplars",
+    ['{"VECTOR": 5}', "[1]", '{"VECTOR": {"remote": "x"}}', '{"VECTOR": {"remote": ["x"]}}'],
+)
 def test_train_completer_badly_shaped_exemplars_is_error(
     model_dir, demo_models, tmp_path, capsys, exemplars
 ):

@@ -7,10 +7,10 @@ from collections import Counter
 
 import pytest
 
+from helpers import build_vocabulary
 from vuln2rule.corpus import (
     STOPWORDS,
     RawVulnerability,
-    build_vocabulary,
     load_labeled_dataset,
     load_nvd_feed,
     norms,

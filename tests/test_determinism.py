@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import synthesize_wiring_corpus
 from vuln2rule.completer import (
     fit_discretization,
     save_completion,
@@ -12,7 +13,7 @@ from vuln2rule.completer import (
     train_completion,
 )
 from vuln2rule.corpus import tokenize
-from vuln2rule.demo import generate_demo_records, synthesize_wiring_corpus
+from vuln2rule.demo import generate_demo_records
 from vuln2rule.embedding import EmbeddingConfig, save_embedding, train_embedding
 from vuln2rule.rules.datalog import parse_rule_file
 from vuln2rule.rules.schema import load_default_rule_corpus

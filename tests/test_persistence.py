@@ -375,7 +375,10 @@ class TestReaderErrors:
     @pytest.mark.parametrize(
         "text, match",
         [("slot,a/1#0\na/1#0,x\n", "'x'"), ("slot,a/1#0\na/1#0,?,0.5\n", "out of bounds"),
-         ("slot,a/1\n", "invalid literal")],
+         ("slot,a/1\n", "invalid literal"),
+         ("slot,a/1#0,b/1#0\na/1#0,?,inf\nb/1#0,-3.5,?\n", "outside"),
+         ("slot,a/1#0,b/1#0\na/1#0,?,0.5\nb/1#0,0.25,?\n", "differ"),
+         ("slot,a/1#0,b/1#0\na/1#0,?,0.5\nb/1#0,?,?\n", "differ")],
     )
     def test_bad_wiring_csv(self, tmp_path, text, match):
         with pytest.raises(MalformedRecord, match=match):

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import synthesize_wiring_corpus
 from vuln2rule.corpus import RawVulnerability
 from vuln2rule.embedding import EmbeddingConfig
-from vuln2rule.demo import golden_entity_set, synthesize_wiring_corpus
+from vuln2rule.demo import golden_entity_set
 from vuln2rule.errors import ConfigError, TooFewRules
 from vuln2rule import pipeline
 from vuln2rule.pipeline import (
@@ -160,6 +161,163 @@ class TestCrossvalidateWiring:
         result = crossvalidate_wiring(rules, folds=5, lexicon=load_default_lexicon())
         assert 0.0 <= result.f1 <= 1.0
         assert 0.0 <= result.accuracy <= 1.0
+
+
+#: (corpus, with the lexicon, threshold) -> (fold_f1, fold_accuracy) at k=5;
+#: the packaged and seed-3 corpora run 10 folds, the nine-template one 5
+FOLD_PINS = {
+    ("packaged", True, 0.3): (
+        (
+            1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.6153846153846153, 1.0, 0.25, 0.0
+        ),
+        (
+            1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.9019607843137255, 1.0, 0.7857142857142857,
+            0.7619047619047619
+        ),
+    ),
+    ("packaged", True, 0.5): (
+        (
+            0.9777777777777777, 0.9777777777777777, 0.972972972972973, 0.972972972972973,
+            0.972972972972973, 0.972972972972973, 0.6153846153846153, 1.0, 0.33333333333333337,
+            0.0
+        ),
+        (
+            0.9955555555555555, 0.9955555555555555, 0.9917355371900827, 0.9917355371900827,
+            0.9917355371900827, 0.9917355371900827, 0.9019607843137255, 1.0, 0.8571428571428571,
+            0.7619047619047619
+        ),
+    ),
+    ("packaged", True, 0.8): (
+        (
+            0.9777777777777777, 0.9777777777777777, 0.972972972972973, 0.972972972972973,
+            0.972972972972973, 0.972972972972973, 0.6153846153846153, 0.7499999999999999, 0.0,
+            0.0
+        ),
+        (
+            0.9955555555555555, 0.9955555555555555, 0.9917355371900827, 0.9917355371900827,
+            0.9917355371900827, 0.9917355371900827, 0.9019607843137255, 0.9047619047619048,
+            0.8214285714285714, 0.7619047619047619
+        ),
+    ),
+    ("packaged", False, 0.3): (
+        (
+            1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.6153846153846153, 1.0, 0.33333333333333337, 0.0
+        ),
+        (
+            1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.9019607843137255, 1.0, 0.8571428571428571,
+            0.7619047619047619
+        ),
+    ),
+    ("packaged", False, 0.5): (
+        (
+            0.9777777777777777, 0.9777777777777777, 0.972972972972973, 0.972972972972973,
+            0.972972972972973, 0.972972972972973, 0.6153846153846153, 1.0, 0.33333333333333337,
+            0.0
+        ),
+        (
+            0.9955555555555555, 0.9955555555555555, 0.9917355371900827, 0.9917355371900827,
+            0.9917355371900827, 0.9917355371900827, 0.9019607843137255, 1.0, 0.8571428571428571,
+            0.7619047619047619
+        ),
+    ),
+    ("packaged", False, 0.8): (
+        (
+            0.9777777777777777, 0.9777777777777777, 0.972972972972973, 0.972972972972973,
+            0.972972972972973, 0.972972972972973, 0.6153846153846153, 0.7499999999999999, 0.0,
+            0.0
+        ),
+        (
+            0.9955555555555555, 0.9955555555555555, 0.9917355371900827, 0.9917355371900827,
+            0.9917355371900827, 0.9917355371900827, 0.9019607843137255, 0.9047619047619048,
+            0.8214285714285714, 0.7619047619047619
+        ),
+    ),
+    ("synthetic-3", False, 0.3): (
+        (
+            1.0, 1.0, 0.9411764705882353, 0.9714285714285714, 1.0, 1.0, 0.9411764705882353, 1.0,
+            0.9714285714285714, 1.0
+        ),
+        (
+            1.0, 1.0, 0.9777777777777777, 0.9888888888888889, 1.0, 1.0, 0.9777777777777777, 1.0,
+            0.9888888888888889, 1.0
+        ),
+    ),
+    ("synthetic-3", False, 0.5): (
+        (
+            1.0, 1.0, 0.9411764705882353, 0.9714285714285714, 1.0, 1.0, 0.9411764705882353, 1.0,
+            0.9714285714285714, 1.0
+        ),
+        (
+            1.0, 1.0, 0.9777777777777777, 0.9888888888888889, 1.0, 1.0, 0.9777777777777777, 1.0,
+            0.9888888888888889, 1.0
+        ),
+    ),
+    ("synthetic-3", False, 0.8): (
+        (
+            0.9411764705882353, 0.9411764705882353, 0.9090909090909091, 0.8749999999999999,
+            0.9090909090909091, 0.9411764705882353, 0.9411764705882353, 0.9714285714285714,
+            0.8749999999999999, 0.8750000000000001
+        ),
+        (
+            0.9777777777777777, 0.9777777777777777, 0.9666666666666667, 0.9555555555555556,
+            0.9666666666666667, 0.9777777777777777, 0.9777777777777777, 0.9888888888888889,
+            0.9555555555555556, 0.9555555555555556
+        ),
+    ),
+    ("synthetic-9", True, 0.3): (
+        (
+            0.9514563106796117, 0.9411764705882353, 0.9714285714285714, 0.9306930693069307,
+            0.9411764705882353
+        ),
+        (
+            0.9814814814814815, 0.9777777777777777, 0.9888888888888889, 0.9740740740740741,
+            0.9777777777777777
+        ),
+    ),
+    ("synthetic-9", True, 0.5): (
+        (
+            0.9306930693069307, 0.9199999999999999, 0.9714285714285714, 0.9306930693069307,
+            0.9411764705882353
+        ),
+        (
+            0.9740740740740741, 0.9703703703703703, 0.9888888888888889, 0.9740740740740741,
+            0.9777777777777777
+        ),
+    ),
+    ("synthetic-9", True, 0.8): (
+        (
+            0.8505747126436782, 0.8351648351648352, 0.8181818181818183, 0.8863636363636364,
+            0.8636363636363635
+        ),
+        (
+            0.9518518518518518, 0.9444444444444444, 0.9407407407407408, 0.9629629629629629,
+            0.9555555555555556
+        ),
+    ),
+}
+
+
+PIN_CORPORA = {
+    "packaged": lambda: parse_rule_file(load_default_rule_corpus()),
+    "synthetic-3": lambda: synthesize_wiring_corpus(seed=3),
+    "synthetic-9": lambda: synthesize_wiring_corpus(n_templates=9, noise_rate=0.3, seed=5),
+}
+
+
+@pytest.mark.parametrize("corpus, with_lexicon, threshold", sorted(FOLD_PINS))
+def test_fold_scores_pinned(corpus, with_lexicon, threshold):
+    """Every fold's F1 and accuracy, exactly; the synthetic predicates lie
+    outside the lexicon, so their sorts are the inferred ones."""
+    fold_f1, fold_accuracy = FOLD_PINS[corpus, with_lexicon, threshold]
+    result = crossvalidate_wiring(
+        PIN_CORPORA[corpus](),
+        folds=len(fold_f1),
+        k_neighbors=5,
+        threshold=threshold,
+        lexicon=load_default_lexicon() if with_lexicon else None,
+    )
+    assert result.fold_f1 == fold_f1
+    assert result.fold_accuracy == fold_accuracy
 
 
 @pytest.fixture(scope="module")

@@ -24,9 +24,9 @@ from vuln2rule.rules.synthesis import (
     create_structure,
     generate,
     infer_slot_sorts,
-    skeleton_from_rule,
     to_atom,
     variable_groups,
+    wire_rule,
     wire_variables,
 )
 from vuln2rule.rules.wiring import Slot, WiringMatrix, estimate_wiring_matrix, impute_matrix
@@ -160,7 +160,7 @@ class TestWireVariables:
             mapping, lexicon,
         )
         assign_constants(skeleton, entity_set(platform=["adobe reader"]), "CVE-2010-2212")
-        rule = wire_variables(skeleton, corpus_matrix, 0.5)
+        rule = wire_rule(skeleton, corpus_matrix, 0.5)
         located = next(p for p in rule.body if p.name == "attackerLocated")
         access = next(p for p in rule.body if p.name == "netAccess")
         assert located.args[0] == access.args[0]
@@ -173,7 +173,7 @@ class TestWireVariables:
         )
         assign_constants(skeleton, entity_set(platform=["x"]), "CVE-2010-2212")
         with pytest.raises(RangeRestrictionViolation):
-            wire_variables(skeleton, corpus_matrix, 1.1)
+            wire_rule(skeleton, corpus_matrix, 1.1)
 
     def test_transitive_merge_via_union_find(self):
         lexicon = parse_lexicon(
@@ -192,7 +192,7 @@ class TestWireVariables:
             (Slot("p", 1, 0), Slot("q", 1, 0)): 0.9,
             (Slot("h", 1, 0), Slot("q", 1, 0)): 0.0,
         }
-        rule = wire_variables(skeleton, self.hand_matrix(entries), 0.5)
+        rule = wire_rule(skeleton, self.hand_matrix(entries), 0.5)
         names = {rule.head.args[0].text} | {p.args[0].text for p in rule.body}
         assert len(names) == 1  # all three slots merged transitively
 
@@ -213,23 +213,63 @@ class TestWireVariables:
             (Slot("h", 1, 0), Slot("q", 1, 0)): 1.0,  # statistically high, type-absurd
             (Slot("p", 1, 0), Slot("q", 1, 0)): 0.0,
         }
-        rule = wire_variables(skeleton, self.hand_matrix(entries), 0.5)
+        rule = wire_rule(skeleton, self.hand_matrix(entries), 0.5)
         q_pred = next(p for p in rule.body if p.name == "q")
         assert q_pred.args[0].text != rule.head.args[0].text
+
+    def test_partition_is_ordered_by_lowest_node(self):
+        h0, h1, p0, q0 = Slot("h", 2, 0), Slot("h", 2, 1), Slot("p", 1, 0), Slot("q", 1, 0)
+        matrix = self.hand_matrix({(h0, q0): 0.9, (p0, h1): 0.9, (h0, p0): 0.9})
+        # h0-p0 clears the threshold but their sorts differ
+        groups = wire_variables([q0, p0, h1, h0], ["s", "t", "t", "s"], matrix, 0.5)
+        assert groups == [[0, 3], [1, 2]]
+
+    def test_two_nodes_of_one_slot_never_merge(self):
+        p0 = Slot("p", 1, 0)
+        matrix = WiringMatrix(slots=(p0,), probs=np.ones((1, 1)))
+        assert wire_variables([p0, p0], ["s", "s"], matrix, 0.5) == [[0], [1]]
+
+    def test_hint_taken_by_another_class_is_not_reused(self):
+        lexicon = parse_lexicon(
+            "predicate h(X:a, X2:b)\n"
+            "predicate p(X:a)\n"
+            "predicate r(X:a, W:b)\n"
+        )
+        mapping = parse_mapping(
+            "impact i head=h consequence=c\n"
+            "vector v range=rr support=r\n"
+            "means m body=p\n"
+        )
+        skeleton = create_structure({"impact": "i", "vector": "v", "means": "m"}, mapping, lexicon)
+        h0, h1, p0, r0, r1 = (
+            Slot("h", 2, 0), Slot("h", 2, 1), Slot("p", 1, 0), Slot("r", 2, 0), Slot("r", 2, 1)
+        )
+        matrix = self.hand_matrix({(h0, p0): 1.0, (h1, r1): 1.0})
+        rule = wire_rule(skeleton, matrix, 0.5)
+        # r#0 has hint X like h#0, and X2 is h#1's own hint
+        assert [t.text for t in rule.head.args] == ["X", "X2"]
+        assert [t.text for t in rule.body[1].args] == ["X3", "X2"]
+        nodes = [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)]
+        groups = wire_variables([h0, h1, p0, r0, r1], ["a", "b", "a", "a", "b"], matrix, 0.5)
+        assert set(variable_groups(rule)) == {frozenset(nodes[m] for m in g) for g in groups}
 
 
 class TestSelfConsistency:
     def test_packaged_corpus_rewires_exactly(self, lexicon, corpus_matrix):
-        rules = parse_rule_file(load_default_rule_corpus())
-        reproduced = 0
-        for rule in rules:
-            skeleton = skeleton_from_rule(rule, lexicon)
-            rewired = wire_variables(skeleton, corpus_matrix, 0.5)
-            if {frozenset(g) for g in variable_groups(rule)} == {
-                frozenset(g) for g in variable_groups(rewired)
-            }:
-                reproduced += 1
-        assert reproduced == len(rules)
+        """Each packaged rule's variable slots, partitioned with the matrix
+        learned on the whole corpus, give back the rule's own variables."""
+        for rule in parse_rule_file(load_default_rule_corpus()):
+            preds = rule.predicates()
+            nodes = sorted(n for group in variable_groups(rule) for n in group)
+            slots = [Slot(preds[ai].name, preds[ai].arity, pos) for ai, pos in nodes]
+            sorts = [
+                lexicon.sort_of(s.name, s.arity, s.pos) or f"slot_{s.name}_{s.arity}_{s.pos}"
+                for s in slots
+            ]
+            groups = wire_variables(slots, sorts, corpus_matrix, 0.5)
+            assert {frozenset(nodes[m] for m in g) for g in groups} == set(
+                variable_groups(rule)
+            ), emit_rule(rule)
 
     def test_inferred_sorts_cover_unknown_predicates(self, lexicon):
         rules = parse_rule_file("foo(X, Y) :- bar(X), baz(Y, Z).\n")
