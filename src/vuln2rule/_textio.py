@@ -47,26 +47,18 @@ def write_text(path: str | Path, text: str | bytes) -> None:
 
 
 #: parsers for the field types of the config dataclasses saved in metadata
-_FIELD_PARSERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "float | None": lambda value: None if value == "none" else float(value),
-}
+_FIELD_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def config_meta(config) -> dict[str, str]:
-    """A config dataclass as metadata, in field order: floats by repr(),
-    None as ``none``."""
+    """A config dataclass as metadata, in field order: floats by repr()."""
     values = {f.name: getattr(config, f.name) for f in fields(config)}
-    return {
-        name: "none" if v is None else repr(v) if isinstance(v, float) else str(v)
-        for name, v in values.items()
-    }
+    return {name: repr(v) if isinstance(v, float) else str(v) for name, v in values.items()}
 
 
 def config_from_meta(cls: type[T], meta: dict[str, str]) -> T:
-    """Inverse of ``config_meta``; call it inside a ``read_model`` build."""
+    """Inverse of ``config_meta``; call it inside a ``read_model`` build.
+    Keys that are not fields of ``cls`` are ignored."""
     return cls(**{f.name: _FIELD_PARSERS[f.type](meta[f.name]) for f in fields(cls)})
 
 

@@ -38,6 +38,7 @@ from .pipeline import (
     DISC_TEMPLATE,
     EvalInputs,
     PipelineConfig,
+    apply_config_key,
     crossvalidate_wiring,
     eval_suite,
     load_models,
@@ -66,10 +67,13 @@ def _config_from(args) -> PipelineConfig:
     )
     if getattr(args, "model_dir", None):
         config.model_dir = Path(args.model_dir)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "threshold", None) is not None:
-        config.threshold = args.threshold
+    for key in ("seed", "threshold"):
+        value = getattr(args, key, None)
+        if value is not None:
+            try:
+                apply_config_key(config, key, str(value))
+            except ValueError as exc:
+                raise ConfigError(f"--{key}: {exc}") from exc
     return config
 
 

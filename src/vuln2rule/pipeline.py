@@ -7,6 +7,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -83,7 +84,8 @@ class PipelineConfig:
 
         Keys: model_dir, lexicon_path, mapping_path, seed, threshold,
         wiring_k, completer_l2, completer_iterations, top_ks (comma list),
-        k_clusters.{VECTOR,IMPACT,MEANS}.  Any other key is a ConfigError.
+        k_clusters.{VECTOR,IMPACT,MEANS}.  Any other key, and a value out
+        of range (see ``apply_config_key``), is a ConfigError.
         """
         config = PipelineConfig()
         for lineno, raw in enumerate(_textio.read_text(path).splitlines(), 1):
@@ -94,7 +96,7 @@ class PipelineConfig:
             if not sep:
                 raise ConfigError(f"config line {lineno}: expected 'key = value'")
             try:
-                _apply_config_key(config, key, value)
+                apply_config_key(config, key, value)
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"config line {lineno}: {exc}") from exc
         for name in ("lexicon_path", "mapping_path"):
@@ -110,31 +112,44 @@ def _path(value: str) -> Path:
     return Path(value)
 
 
-def _wiring_k(value: str) -> int:
-    k = int(value)
-    if k < 1:
-        raise ValueError(f"wiring_k must be at least 1, got {k}")
-    return k
+def _int_at_least(name: str, low: int) -> Callable[[str], int]:
+    def parse(value: str) -> int:
+        n = int(value)
+        if n < low:
+            raise ValueError(f"{name} must be at least {low}, got {n}")
+        return n
+
+    return parse
+
+
+def _threshold(value: str) -> float:
+    threshold = float(value)
+    if np.isnan(threshold):
+        raise ValueError("threshold must be a number, not NaN")
+    return threshold
 
 
 _CONFIG_KEYS = {
     "model_dir": _path,
     "lexicon_path": _path,
     "mapping_path": _path,
-    "seed": int,
-    "threshold": float,
-    "wiring_k": _wiring_k,
+    "seed": _int_at_least("seed", 0),
+    "threshold": _threshold,
+    "wiring_k": _int_at_least("wiring_k", 1),
     "completer_l2": float,
     "completer_iterations": int,
-    "top_ks": lambda value: tuple(int(v) for v in value.split(",")),
+    "top_ks": lambda value: tuple(_int_at_least("top_ks", 1)(v) for v in value.split(",")),
 }
 
 
-def _apply_config_key(config: PipelineConfig, key: str, value: str) -> None:
+def apply_config_key(config: PipelineConfig, key: str, value: str) -> None:
+    """Parse, check and set one config value; raises KeyError for an
+    unknown key and ValueError for a value out of range."""
+    prefix, _, entity = key.partition(".")
     if key in _CONFIG_KEYS:
         setattr(config, key, _CONFIG_KEYS[key](value))
-    elif key.startswith("k_clusters."):
-        config.k_clusters[key.split(".", 1)[1]] = int(value)
+    elif prefix == "k_clusters" and entity in COMPLETABLE_ENTITIES:
+        config.k_clusters[entity] = _int_at_least(key, 1)(value)
     else:
         raise KeyError(f"unknown config key {key!r}")
 
@@ -143,7 +158,9 @@ def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorMo
     """Load every artifact from the model directory; raises MissingArtifact
     naming the stage whose file is absent, and MismatchedArtifacts when a
     file was trained for another embedding dimension than the embedding, or
-    holds a cluster label that the mapping tables do not map."""
+    holds a cluster label that the mapping tables do not map; raises
+    ConfigError when the mapping tables name a predicate that the lexicon
+    does not declare, or declares at two arities."""
     model_dir = Path(config.model_dir)
 
     def path_for(stage: str, name: str) -> Path:
@@ -189,6 +206,11 @@ def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorMo
         load_mapping(config.mapping_path) if config.mapping_path else load_default_mapping()
     )
     mapping_source = config.mapping_path or "the packaged mapping tables"
+    for name in sorted(mapping.predicates()):
+        try:
+            lexicon.require(name)
+        except ConfigError as exc:
+            raise ConfigError(f"{mapping_source}: {exc}") from exc
     mapped = mapping.labels()
     for entity, sources in labels_from.items():
         for path, labels in sources:

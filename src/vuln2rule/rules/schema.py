@@ -49,11 +49,16 @@ class PredicateSchema:
 class SchemaLexicon:
     schemas: dict[tuple[str, int], PredicateSchema]
 
+    def __post_init__(self):
+        self._by_name: dict[str, list[PredicateSchema]] = {}
+        for (name, _), schema in self.schemas.items():
+            self._by_name.setdefault(name, []).append(schema)
+
     def get(self, name: str, arity: int) -> PredicateSchema | None:
         return self.schemas.get((name, arity))
 
     def require(self, name: str) -> PredicateSchema:
-        matches = [s for (n, _), s in self.schemas.items() if n == name]
+        matches = self._by_name.get(name)
         if not matches:
             raise ConfigError(f"predicate {name!r} not in the lexicon")
         if len(matches) > 1:
@@ -135,6 +140,14 @@ class MappingTables:
             "VECTOR": sorted(self.vector),
             "MEANS": sorted(self.means),
         }
+
+    def predicates(self) -> set[str]:
+        """Every predicate name the tables use."""
+        return (
+            {m.head for m in self.impact.values()}
+            | {name for m in self.vector.values() for name in m.support}
+            | {name for m in self.means.values() for name in m.body}
+        )
 
 
 def parse_mapping(text: str) -> MappingTables:

@@ -355,6 +355,7 @@ def generate(
 
     labels: dict[str, str] = {}
     trace: dict[str, str] = {}
+    features = None
     for key in CORE_ENTITIES:
         tag_name = _CORE_TO_TAG[key]
         disc = models.discretization.get(tag_name)
@@ -372,7 +373,9 @@ def generate(
                     FailureKind.MISSING_CORE_ENTITY,
                     f"{tag_name} absent and no completion model available",
                 )
-            features = build_feature_vector(entity_set, models.embedding)
+            # predict_missing leaves the features as they are: build them once
+            if features is None:
+                features = build_feature_vector(entity_set, models.embedding)
             ranked = predict_missing(completion, features, top_k=1)
             labels[key] = ranked[0][0]
             trace[key] = f"completed -> {ranked[0][0]} (p={ranked[0][1]:.3f})"

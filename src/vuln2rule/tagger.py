@@ -55,18 +55,14 @@ class BlstmConfig:
     max_len: int = 150
     dim: int = 100
     hidden: int = 100
-    n_classes: int = len(ALL_TAGS)
     epochs: int = 100
     batch_size: int = 32
     learning_rate: float = 0.01
-    clip_norm: float | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.max_len < 1 or self.hidden < 1:
             raise ValueError("max_len and hidden must be >= 1")
-        if self.n_classes != len(ALL_TAGS):
-            raise ValueError(f"n_classes must be {len(ALL_TAGS)}")
 
 
 @dataclass
@@ -89,7 +85,7 @@ PARAM_SHAPES = {
 
 def param_shapes(config: BlstmConfig) -> dict[str, tuple[int, ...]]:
     h = config.hidden
-    sizes = {"dim": config.dim, "h": h, "4h": 4 * h, "2h": 2 * h, "classes": config.n_classes}
+    sizes = {"dim": config.dim, "h": h, "4h": 4 * h, "2h": 2 * h, "classes": len(ALL_TAGS)}
     return {name: tuple(sizes[k] for k in dims) for name, dims in PARAM_SHAPES.items()}
 
 
@@ -257,15 +253,24 @@ def _embed_norms(norms: list[str], emb: EmbeddingModel) -> np.ndarray:
     return np.stack([emb.w_in[emb.vocab.id_for(w)] for w in norms])
 
 
-def _split_long(
-    sentences: list[tuple[list[str], list[int]]], max_len: int
-) -> list[tuple[list[str], list[int]]]:
-    # sentences longer than max_len are split at max_len with no overlap
-    out = []
-    for norms_, ids in sentences:
-        for start in range(0, len(norms_), max_len):
-            out.append((norms_[start : start + max_len], ids[start : start + max_len]))
-    return out
+def _chunks(sentences: list, max_len: int) -> list[tuple[int, int, list]]:
+    """Every sentence cut into chunks of at most ``max_len`` items with no
+    overlap, as (sentence index, start, chunk); an empty sentence has none."""
+    return [
+        (i, start, sentence[start : start + max_len])
+        for i, sentence in enumerate(sentences)
+        for start in range(0, len(sentence), max_len)
+    ]
+
+
+def _pad(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The per-chunk arrays zero-padded along their first axis to the
+    longest one and stacked, plus their lengths."""
+    lengths = np.array([len(a) for a in arrays])
+    out = np.zeros((len(arrays), lengths.max(), *arrays[0].shape[1:]), arrays[0].dtype)
+    for row, a in enumerate(arrays):
+        out[row, : len(a)] = a
+    return out, lengths
 
 
 def train_ner(
@@ -275,8 +280,9 @@ def train_ner(
 ) -> BlstmModel:
     """Train the tagger; deterministic for a fixed seed.
 
-    The gradient step uses the mean of per-sentence gradients over each
-    mini-batch; optional global-norm clipping via ``config.clip_norm``.
+    Sentences are cut and padded as ``tag_batch`` does; mini-batches follow
+    a seeded shuffle of the chunks, and the gradient step uses the mean of
+    per-sentence gradients over each mini-batch.
     """
     if not data:
         raise EmptyDataset("no labeled sentences")
@@ -284,37 +290,24 @@ def train_ner(
         raise DimensionMismatch(
             f"embedding dim {emb.dim} != tagger dim {config.dim}"
         )
-    prepared = _split_long(
-        [(s.norms(), [TAG_INDEX[t] for t in s.tags]) for s in data], config.max_len
-    )
-    embedded = [
-        (_embed_norms(norms_, emb), np.asarray(ids)) for norms_, ids in prepared
+    chunks = _chunks([s.norms() for s in data], config.max_len)
+    xs = [_embed_norms(norms_, emb) for _, _, norms_ in chunks]
+    ys = [
+        np.array([TAG_INDEX[t] for t in data[i].tags[start : start + len(norms_)]])
+        for i, start, norms_ in chunks
     ]
 
     rng = np.random.default_rng(config.seed)
     params = init_params(config, rng)
     lr = config.learning_rate
     for _ in range(config.epochs):
-        order = rng.permutation(len(embedded))
+        order = rng.permutation(len(chunks))
         for start in range(0, len(order), config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            xs = [embedded[i][0] for i in batch_idx]
-            ys = [embedded[i][1] for i in batch_idx]
-            lengths = np.array([len(y) for y in ys])
-            width = int(lengths.max())
-            x = np.zeros((len(xs), width, config.dim))
-            tag_ids = np.zeros((len(xs), width), dtype=np.intp)
-            for b, (xb, yb) in enumerate(zip(xs, ys)):
-                x[b, : len(yb)] = xb
-                tag_ids[b, : len(yb)] = yb
+            x, lengths = _pad([xs[i] for i in batch_idx])
+            tag_ids, _ = _pad([ys[i] for i in batch_idx])
             _, grads, _ = loss_and_grads(params, x, tag_ids, lengths)
-            scale = 1.0 / len(xs)
-            if config.clip_norm is not None:
-                norm = np.sqrt(
-                    sum(float(((g * scale) ** 2).sum()) for g in grads.values())
-                )
-                if norm > config.clip_norm:
-                    scale *= config.clip_norm / norm
+            scale = 1.0 / len(batch_idx)
             for name in params:
                 params[name] -= lr * scale * grads[name]
     return BlstmModel(params=params, config=config)
@@ -354,17 +347,10 @@ def tag_batch(
     config = model.config
     if emb.dim != config.dim:
         raise DimensionMismatch(f"embedding dim {emb.dim} != tagger dim {config.dim}")
-    chunks = [
-        (i, start, [t.norm for t in sentence[start : start + config.max_len]])
-        for i, sentence in enumerate(sentences)
-        for start in range(0, len(sentence), config.max_len)
-    ]
-    probs = [np.empty((len(sentence), config.n_classes)) for sentence in sentences]
+    chunks = _chunks([[t.norm for t in sentence] for sentence in sentences], config.max_len)
+    probs = [np.empty((len(sentence), len(ALL_TAGS))) for sentence in sentences]
     for batch in _length_buckets(chunks):
-        lengths = np.array([len(norms_) for _, _, norms_ in batch])
-        x = np.zeros((len(batch), lengths.max(), config.dim))
-        for row, (_, _, norms_) in enumerate(batch):
-            x[row, : len(norms_)] = _embed_norms(norms_, emb)
+        x, lengths = _pad([_embed_norms(norms_, emb) for _, _, norms_ in batch])
         log_probs, _ = forward(model.params, x, lengths, keep_cache=False)
         for row, (i, start, norms_) in enumerate(batch):
             probs[i][start : start + len(norms_)] = np.exp(log_probs[row, : len(norms_)])
@@ -417,7 +403,8 @@ class EntitySet:
     def from_dict(cls, data) -> EntitySet:
         """Decode one record; keys other than ``cve_id`` and ``entities`` are
         ignored.  Raises MalformedRecord unless ``cve_id`` is a string and
-        ``entities`` maps entity tags to lists of strings."""
+        ``entities`` maps entity tags to lists of strings that each hold a
+        word."""
         if not isinstance(data, dict):
             raise MalformedRecord(f"entity record is a {type(data).__name__}, not an object")
         cve_id, entities = data.get("cve_id"), data.get("entities")
@@ -431,6 +418,8 @@ class EntitySet:
                 raise MalformedRecord(f"{cve_id}: unknown entity tag {key!r}")
             if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
                 raise MalformedRecord(f"{cve_id}: {key} is not a list of strings")
+            if not all(v.split() for v in values):
+                raise MalformedRecord(f"{cve_id}: {key} has a value with no word")
             entity_set.entities[key].extend(values)
         return entity_set
 

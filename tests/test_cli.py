@@ -462,3 +462,62 @@ def test_artifacts_of_another_dim_rejected_at_load(model_dir, demo_models, tmp_p
         load_models(PipelineConfig(model_dir=models))
     assert str(path) in str(excinfo.value)
     assert str(models / ARTIFACTS["embedding"]) in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train-embedding", "--corpus", "unused.tsv", "--seed", "-1"],
+        ["xval-wiring", "--threshold", "nan"],
+    ],
+)
+def test_flag_out_of_range_is_error(tmp_path, capsys, argv):
+    assert main([*argv, "--model-dir", str(tmp_path / "models")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{argv[-2][2:]}: ") and "Traceback" not in err
+    assert not (tmp_path / "models").exists()
+
+
+def test_top_ks_zero_is_error(model_dir, tmp_path, capsys):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("top_ks = 0\n", "utf-8")
+    assert main(["eval", "--demo", "--config", str(cfg), "--model-dir", str(model_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "top_ks" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["mapping", "lexicon"])
+def test_predicate_not_in_lexicon_rejected_at_load(model_dir, demo_corpus, tmp_path, capsys, source):
+    from vuln2rule._textio import read_data
+
+    if source == "mapping":
+        tables = tmp_path / "mapping.txt"
+        tables.write_text(read_data("mapping_tables.txt").replace(
+            "impact dos head=dos ", "impact dos head=noSuchPred "), "utf-8")
+        line, named, want = f"mapping_path = {tables}", "noSuchPred", "not in the lexicon"
+    else:
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text(read_data("predicate_schemas.txt")
+                           + "predicate dos(Host:host, A:x, B:y)\n", "utf-8")
+        line, named, want = f"lexicon_path = {lexicon}", "dos", "declared at arities 1 and 3"
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(line + "\n", "utf-8")
+    out = tmp_path / "rules.P"
+    assert main([
+        "pipeline", "--config", str(cfg), "--model-dir", str(model_dir),
+        "--input", str(demo_corpus), "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"predicate {named!r}" in err and want in err
+    if source == "mapping":
+        assert str(tables) in err
+    assert not out.exists()
+
+
+def test_gold_value_without_a_word_is_error(model_dir, tmp_path, capsys):
+    gold = _gold_fixture(tmp_path, MEANS=["  "])
+    assert main(["genrule", "--model-dir", str(model_dir), "--gold-entities", str(gold)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MEANS has a value with no word" in err
+    assert "Traceback" not in err

@@ -183,11 +183,21 @@ class TestEntitySetCodec:
             {"cve_id": "CVE-1", "entities": {"MEANS": ["buffer overflow", 3]}},
             {"cve_id": "CVE-1", "entities": {"O": ["the"]}},
             {"cve_id": "CVE-1", "entities": {"means": ["buffer overflow"]}},
+            {"cve_id": "CVE-1", "entities": {"MEANS": [""]}},
+            {"cve_id": "CVE-1", "entities": {"PLATFORM": ["reader", " \t "]}},
         ],
     )
     def test_malformed_record_rejected(self, data):
         with pytest.raises(MalformedRecord):
             EntitySet.from_dict(data)
+
+    def test_value_without_a_word_names_record_and_tag(self, tmp_path):
+        path = tmp_path / "entities.jsonl"
+        path.write_text('{"cve_id": "CVE-1", "entities": {}}\n'
+                        '{"cve_id": "CVE-2", "entities": {"IMPACT": [""]}}\n', "utf-8")
+        with pytest.raises(MalformedRecord, match="CVE-2: IMPACT has a value with no word") as e:
+            read_entity_records(path)
+        assert str(path) in str(e.value) and e.value.line == 2
 
     def test_bad_json_rejected(self):
         with pytest.raises(MalformedRecord, match="bad JSON"):

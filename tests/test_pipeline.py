@@ -406,6 +406,24 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match="config line 1: wiring_k must be at least 1"):
             PipelineConfig.from_file(cfg_file)
 
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("top_ks = 0", "top_ks must be at least 1"),
+            ("top_ks = 1,-2", "top_ks must be at least 1"),
+            ("seed = -1", "seed must be at least 0"),
+            ("k_clusters.VECTOR = 0", "k_clusters.VECTOR must be at least 1"),
+            ("k_clusters.FOO = 3", "unknown config key 'k_clusters.FOO'"),
+            ("k_clusters = 3", "unknown config key 'k_clusters'"),
+            ("threshold = nan", "threshold must be a number, not NaN"),
+        ],
+    )
+    def test_value_out_of_range_rejected(self, tmp_path, line, match):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"# range checks\n{line}\n", "utf-8")
+        with pytest.raises(ConfigError, match=f"config line 2: .*{match}"):
+            PipelineConfig.from_file(cfg_file)
+
     def test_bad_line_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("just a line without equals\n", "utf-8")

@@ -317,6 +317,19 @@ class TestGenerate:
         assert isinstance(result, GenerationFailure)
         assert result.kind == FailureKind.UNMAPPABLE_CLUSTER
 
+    def test_feature_vector_built_once_for_two_missing_entities(self, demo_models, monkeypatch):
+        from vuln2rule.rules import synthesis
+
+        calls = []
+        build = synthesis.build_feature_vector
+        monkeypatch.setattr(synthesis, "build_feature_vector",
+                            lambda *args: calls.append(args) or build(*args))
+        gold = entity_set(means=["buffer overflow"], platform=["adobe reader"])
+        rule = generate("", demo_models.generator, gold_entities=gold)
+        assert not isinstance(rule, GenerationFailure)
+        assert "completed" in rule.trace["impact"] and "completed" in rule.trace["vector"]
+        assert len(calls) == 1
+
     def test_generated_rules_satisfy_range_restriction(self, demo_models):
         from vuln2rule.rules.datalog import emit_rule
 

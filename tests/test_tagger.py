@@ -19,11 +19,16 @@ from vuln2rule.tagger import (
     LOSS_WEIGHTS,
     BlstmConfig,
     BlstmModel,
+    _chunks,
+    _embed_norms,
     _length_buckets,
+    _pad,
     _sigmoid,
     evaluate_f1,
     extract_entities,
     extract_spans,
+    forward,
+    init_params,
     load_ner,
     loss_and_grads,
     save_ner,
@@ -182,16 +187,6 @@ class TestTraining:
         data = [sentence_from("buffer", ["MEANS"])]
         with pytest.raises(DimensionMismatch):
             train_ner(data, tiny_embedding, BlstmConfig(dim=7, hidden=4))
-
-    def test_gradient_clipping_flag(self, tiny_embedding):
-        data = [sentence_from("buffer overflow in reader", ["MEANS", "MEANS", "O", "PLATFORM"])]
-        config = BlstmConfig(max_len=10, dim=6, hidden=4, epochs=3, batch_size=2,
-                             learning_rate=0.5, clip_norm=5.0, seed=5)
-        first = train_ner(data, tiny_embedding, config)
-        second = train_ner(data, tiny_embedding, config)
-        for name in first.params:
-            assert np.isfinite(first.params[name]).all()
-            assert np.array_equal(first.params[name], second.params[name])
 
     def test_long_sentences_split_at_max_len(self, tiny_embedding):
         tokens = tokenize(" ".join(["buffer"] * 25))
@@ -355,6 +350,129 @@ class TestLengthBuckets:
         assert [c[0] for b in _length_buckets(chunks) for c in b] == [1, 3, 0, 2]
 
 
+def ragged_corpus(emb) -> list[LabeledSentence]:
+    """12 sentences of 1 to 24 tokens with random tags, an OOV word among
+    them; several are longer than three times a max_len of 7."""
+    rng = np.random.default_rng(40)
+    words = list(emb.vocab.words[1:]) + ["unknownword"]
+    data = []
+    for n in rng.integers(1, 26, size=12):
+        tokens = tokenize(" ".join(rng.choice(words, size=int(n))))
+        data.append(LabeledSentence(tuple(tokens), tuple(rng.choice(ALL_TAGS, size=int(n)))))
+    return data
+
+
+RAGGED_CONFIG = BlstmConfig(max_len=7, dim=6, hidden=4, epochs=3, batch_size=4,
+                            learning_rate=0.1, seed=9)
+
+
+def reference_train_ner(data, emb, config):
+    """The training loop with its own cut and pad code, as it was before
+    training and tagging shared ``_chunks`` and ``_pad``."""
+    prepared = []
+    for s in data:
+        norms, ids = s.norms(), [ALL_TAGS.index(t) for t in s.tags]
+        for start in range(0, len(norms), config.max_len):
+            prepared.append((norms[start : start + config.max_len],
+                             ids[start : start + config.max_len]))
+    embedded = [(_embed_norms(n, emb), np.asarray(ids)) for n, ids in prepared]
+    rng = np.random.default_rng(config.seed)
+    params = init_params(config, rng)
+    for _ in range(config.epochs):
+        order = rng.permutation(len(embedded))
+        for start in range(0, len(order), config.batch_size):
+            batch = [embedded[i] for i in order[start : start + config.batch_size]]
+            lengths = np.array([len(y) for _, y in batch])
+            x = np.zeros((len(batch), int(lengths.max()), config.dim))
+            tag_ids = np.zeros((len(batch), int(lengths.max())), dtype=np.intp)
+            for b, (xb, yb) in enumerate(batch):
+                x[b, : len(yb)] = xb
+                tag_ids[b, : len(yb)] = yb
+            _, grads, _ = loss_and_grads(params, x, tag_ids, lengths)
+            scale = 1.0 / len(batch)
+            for name in params:
+                params[name] -= config.learning_rate * scale * grads[name]
+    return params
+
+
+def reference_tag_batch(model, emb, sentences):
+    """Per sentence, the (tags, probabilities) of the tagging loop with its
+    own cut and pad code."""
+    max_len = model.config.max_len
+    chunks = [
+        (i, start, [t.norm for t in sentence[start : start + max_len]])
+        for i, sentence in enumerate(sentences)
+        for start in range(0, len(sentence), max_len)
+    ]
+    probs = [np.empty((len(sentence), len(ALL_TAGS))) for sentence in sentences]
+    for batch in _length_buckets(chunks):
+        lengths = np.array([len(norms) for _, _, norms in batch])
+        x = np.zeros((len(batch), lengths.max(), model.config.dim))
+        for row, (_, _, norms) in enumerate(batch):
+            x[row, : len(norms)] = _embed_norms(norms, emb)
+        log_probs, _ = forward(model.params, x, lengths, keep_cache=False)
+        for row, (i, start, norms) in enumerate(batch):
+            probs[i][start : start + len(norms)] = np.exp(log_probs[row, : len(norms)])
+    return probs
+
+
+class TestBatchBuilding:
+    """Training and tagging cut sentences with ``_chunks`` and pad them with
+    ``_pad``; both give the bits of the earlier hand-written loops."""
+
+    def test_chunks_cut_without_overlap(self):
+        sentences = [list("abcdefghij"), [], list("xy")]
+        assert _chunks(sentences, 4) == [
+            (0, 0, list("abcd")), (0, 4, list("efgh")), (0, 8, list("ij")), (2, 0, list("xy")),
+        ]
+
+    def test_pad_zero_fills_to_the_longest(self):
+        x, lengths = _pad([np.ones((2, 3)), np.full((4, 3), 2.0), np.ones((1, 3))])
+        assert x.shape == (3, 4, 3) and lengths.tolist() == [2, 4, 1]
+        assert x[0, 2:].sum() == 0 and x[2, 1:].sum() == 0 and (x[1] == 2.0).all()
+        ids, _ = _pad([np.array([3, 1]), np.array([5])])
+        assert ids.dtype == np.array([1]).dtype and ids.tolist() == [[3, 1], [5, 0]]
+
+    def test_training_matches_the_reference_loop(self, tiny_embedding):
+        data = ragged_corpus(tiny_embedding)
+        model = train_ner(data, tiny_embedding, RAGGED_CONFIG)
+        want = reference_train_ner(data, tiny_embedding, RAGGED_CONFIG)
+        for name, value in want.items():
+            assert np.array_equal(model.params[name], value), name
+
+    def test_tagging_matches_the_reference_loop(self, tiny_embedding):
+        data = ragged_corpus(tiny_embedding)
+        model = train_ner(data, tiny_embedding, RAGGED_CONFIG)
+        sentences = [list(s.tokens) for s in data] + [[]]
+        got = tag_batch(model, tiny_embedding, sentences)
+        for tagged, probs in zip(got, reference_tag_batch(model, tiny_embedding, sentences)):
+            assert [t for t, _ in tagged] == [ALL_TAGS[k] for k in probs.argmax(axis=1)]
+            assert np.array_equal(np.array([p for _, p in tagged]).reshape(probs.shape), probs)
+
+    def test_values_recorded_before_the_shared_builder(self, tiny_embedding):
+        # recorded with the hand-written loops; sums are compared to 1e-9
+        # because the last bits follow the machine's BLAS kernels
+        data = ragged_corpus(tiny_embedding)
+        assert [len(s.tokens) for s in data] == [15, 19, 1, 18, 11, 24, 1, 2, 12, 18, 2, 24]
+        model = train_ner(data, tiny_embedding, RAGGED_CONFIG)
+        sums = {
+            "bw_b": 4.079693760271394, "bw_wh": -0.5376840780925127,
+            "bw_wx": 2.276780327568189, "dense_w": -0.14321567988878225,
+            "fw_b": 4.286271564324435, "fw_wh": -0.23934292998905127,
+            "fw_wx": 2.5646684353283344,
+        }
+        for name, total in sums.items():
+            assert model.params[name].sum() == pytest.approx(total, rel=1e-9), name
+        tagged = tag_batch(model, tiny_embedding, [list(s.tokens) for s in data])
+        assert ["".join("0123456789a"[ALL_TAGS.index(t)] for t, _ in s) for s in tagged] == [
+            "833333333333838", "0083333833333388883", "8", "833308883333333833",
+            "33229938888", "338833388888838883883888", "8", "88", "833333333338",
+            "838333333333338888", "88", "333333888888883333833888",
+        ]
+        mean_class = sum(float(p @ np.arange(11.0)) for s in tagged for _, p in s)
+        assert mean_class == pytest.approx(688.0062129735238, rel=1e-9)
+
+
 class TestEntityExtraction:
     def test_golden_fixture_entities(self):
         from vuln2rule.demo import golden_fixture
@@ -447,3 +565,23 @@ class TestPersistence:
         original = tag(model, tiny_embedding, tokens)
         restored = tag(loaded, tiny_embedding, tokens)
         assert [t for t, _ in original] == [t for t, _ in restored]
+
+    def test_file_with_the_dropped_config_lines_loads(self, tiny_embedding, tmp_path):
+        # files written before BlstmConfig lost n_classes and clip_norm
+        # still hold their metadata lines; the loader ignores them
+        data = [sentence_from("buffer overflow", ["MEANS", "MEANS"])]
+        config = BlstmConfig(max_len=10, dim=6, hidden=4, epochs=2,
+                             batch_size=2, learning_rate=0.01, seed=6)
+        model = train_ner(data, tiny_embedding, config)
+        path = tmp_path / "ner.v2.bin"
+        save_ner(model, path)
+        text = path.read_bytes()
+        old = text.replace(b"# hidden 4\n", b"# hidden 4\n# n_classes 11\n").replace(
+            b"# learning_rate 0.01\n", b"# learning_rate 0.01\n# clip_norm none\n"
+        )
+        assert old.count(b"# n_classes 11\n") == old.count(b"# clip_norm none\n") == 1
+        path.write_bytes(old)
+        loaded = load_ner(path)
+        assert loaded.config == model.config
+        for name in model.params:
+            assert np.array_equal(loaded.params[name], model.params[name])
