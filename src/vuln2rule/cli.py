@@ -118,17 +118,20 @@ def cmd_ingest(args) -> int:
 
 def cmd_train_embedding(args) -> int:
     config = _config_from(args)
+    try:
+        emb_config = EmbeddingConfig(
+            variant=args.variant,
+            dim=args.dim,
+            window=args.window,
+            epochs=args.epochs,
+            learning_rate=args.learning_rate,
+            max_vocab=args.max_vocab,
+            seed=config.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"train-embedding: {exc}") from exc
     records = _load_corpus(args.corpus)
     sentences = [s for record in records for s in sentences_of(record)]
-    emb_config = EmbeddingConfig(
-        variant=args.variant,
-        dim=args.dim,
-        window=args.window,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        max_vocab=args.max_vocab,
-        seed=config.seed,
-    )
     model = train_embedding(sentences, emb_config)
     out = _model_dir(config) / ARTIFACTS["embedding"]
     save_embedding(model, out)

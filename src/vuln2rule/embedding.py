@@ -7,8 +7,10 @@ fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +37,13 @@ class EmbeddingConfig:
     def __post_init__(self):
         if self.variant not in (CBOW, SKIP_GRAM):
             raise ValueError(f"variant must be {CBOW} or {SKIP_GRAM}")
-        if self.dim < 1 or self.window < 1 or self.learning_rate <= 0:
-            raise ValueError("dim and window must be >= 1, learning_rate > 0")
+        for name in ("dim", "window", "epochs", "max_vocab"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be a finite number > 0, got {self.learning_rate}"
+            )
 
 
 @dataclass
@@ -113,14 +120,62 @@ def _training_pairs(
     return pairs
 
 
-def _mean_loss(
-    w_in: np.ndarray, w_out: np.ndarray, pairs: list[tuple[tuple[int, ...], int]]
-) -> float:
+class _Inputs(NamedTuple):
+    """Every training pair's distinct input ids and their weights (the
+    share of the pair's inputs each id makes up), flat: pair ``p`` owns
+    ``ids[offsets[p]:offsets[p + 1]]`` and the same slice of ``weights``."""
+
+    offsets: np.ndarray
+    ids: np.ndarray
+    weights: np.ndarray
+    targets: np.ndarray
+
+
+def _gather_inputs(pairs: list[tuple[tuple[int, ...], int]]) -> _Inputs:
+    """``np.unique(inputs, return_counts=True)`` and ``counts / len(inputs)``
+    of every pair, as ``example_loss_and_grads`` computes them, in one pass."""
+    lengths = np.array([len(inputs) for inputs, _ in pairs], dtype=np.intp)
+    flat = np.fromiter(
+        (i for inputs, _ in pairs for i in inputs), dtype=np.intp, count=int(lengths.sum())
+    )
+    owner = np.repeat(np.arange(len(pairs)), lengths)
+    order = np.lexsort((flat, owner))
+    flat, owner = flat[order], owner[order]
+    first = np.ones(len(flat), dtype=bool)
+    first[1:] = (flat[1:] != flat[:-1]) | (owner[1:] != owner[:-1])
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, len(flat)))
+    offsets = np.zeros(len(pairs) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(owner[starts], minlength=len(pairs)), out=offsets[1:])
+    return _Inputs(
+        offsets=offsets,
+        ids=flat[starts],
+        weights=counts / lengths[owner[starts]],
+        targets=np.array([target for _, target in pairs], dtype=np.intp),
+    )
+
+
+#: pairs per block of the batched loss; a block's scores are block x vocab
+_LOSS_BLOCK = 64
+
+
+def _mean_loss(w_in: np.ndarray, w_out: np.ndarray, inputs: _Inputs) -> float:
+    """Mean cross-entropy over all pairs, computed a block of pairs at a
+    time; it equals the mean of ``example_loss_and_grads``'s losses up to
+    rounding."""
+    n = len(inputs.targets)
     total = 0.0
-    for input_ids, target in pairs:
-        loss, _, _ = example_loss_and_grads(w_in, w_out, input_ids, target)
-        total += loss
-    return total / len(pairs)
+    for start in range(0, n, _LOSS_BLOCK):
+        stop = min(start + _LOSS_BLOCK, n)
+        lo, hi = inputs.offsets[start], inputs.offsets[stop]
+        rows = inputs.weights[lo:hi, None] * w_in[inputs.ids[lo:hi]]
+        hidden = np.add.reduceat(rows, inputs.offsets[start:stop] - lo)
+        scores = hidden @ w_out
+        scores -= scores.max(axis=1, keepdims=True)
+        log_norm = np.log(np.exp(scores).sum(axis=1))
+        picked = scores[np.arange(stop - start), inputs.targets[start:stop]]
+        total += float((log_norm - picked).sum())
+    return total / n
 
 
 def train_embedding(
@@ -131,13 +186,18 @@ def train_embedding(
     """Train the embedding network on tokenized, normalized sentences.
 
     One epoch is a pass over all (input, target) pairs in a seeded-shuffle
-    order.  Raises DegenerateCorpus when no trainable pairs exist.
+    order.  Each step is the update of ``example_loss_and_grads``, with the
+    same operations in the same order, so the weights match that per-example
+    trainer bit for bit.  Raises DegenerateCorpus when no trainable pairs
+    exist.
     """
     if vocab is None:
         vocab = vocabulary_from_sentences(sentences, config.max_vocab)
     pairs = _training_pairs(sentences, vocab, config.variant, config.window)
     if not pairs:
         raise DegenerateCorpus("no (context, target) pairs derivable from corpus")
+    inputs = _gather_inputs(pairs)
+    del pairs  # the flat arrays replace the pairs for the rest of training
 
     rng = np.random.default_rng(config.seed)
     size = len(vocab)
@@ -145,17 +205,25 @@ def train_embedding(
     w_in = rng.uniform(-bound, bound, size=(size, config.dim))
     w_out = np.zeros((config.dim, size))
 
-    initial_loss = _mean_loss(w_in, w_out, pairs)
+    initial_loss = _mean_loss(w_in, w_out, inputs)
     lr = config.learning_rate
+    # per-step scalars come from lists: indexing an array costs more
+    offsets, targets = inputs.offsets.tolist(), inputs.targets.tolist()
+    ids, weights = inputs.ids, inputs.weights
+    dw_out = np.empty_like(w_out)
     for _ in range(config.epochs):
-        for idx in rng.permutation(len(pairs)):
-            input_ids, target = pairs[idx]
-            _, (rows, row_grads), dw_out = example_loss_and_grads(
-                w_in, w_out, input_ids, target
-            )
-            w_out -= lr * dw_out
-            w_in[rows] -= lr * row_grads
-    final_loss = _mean_loss(w_in, w_out, pairs)
+        for p in rng.permutation(len(targets)).tolist():
+            lo, hi = offsets[p], offsets[p + 1]
+            rows, row_weights = ids[lo:hi], weights[lo:hi]
+            hidden = row_weights @ w_in[rows]
+            dscores = _softmax(hidden @ w_out)
+            dscores[targets[p]] -= 1.0
+            dhidden = w_out @ dscores
+            np.multiply.outer(hidden, dscores, out=dw_out)
+            dw_out *= lr
+            w_out -= dw_out
+            w_in[rows] -= lr * np.multiply.outer(row_weights, dhidden)
+    final_loss = _mean_loss(w_in, w_out, inputs)
 
     return EmbeddingModel(
         vocab=vocab,

@@ -122,6 +122,16 @@ def _int_at_least(name: str, low: int) -> Callable[[str], int]:
     return parse
 
 
+def _finite_at_least(name: str, low: float) -> Callable[[str], float]:
+    def parse(value: str) -> float:
+        x = float(value)
+        if not (np.isfinite(x) and x >= low):
+            raise ValueError(f"{name} must be a finite number at least {low}, got {x}")
+        return x
+
+    return parse
+
+
 def _threshold(value: str) -> float:
     threshold = float(value)
     if np.isnan(threshold):
@@ -136,8 +146,8 @@ _CONFIG_KEYS = {
     "seed": _int_at_least("seed", 0),
     "threshold": _threshold,
     "wiring_k": _int_at_least("wiring_k", 1),
-    "completer_l2": float,
-    "completer_iterations": int,
+    "completer_l2": _finite_at_least("completer_l2", 0.0),
+    "completer_iterations": _int_at_least("completer_iterations", 1),
     "top_ks": lambda value: tuple(_int_at_least("top_ks", 1)(v) for v in value.split(",")),
 }
 

@@ -23,6 +23,7 @@ from ..completer import (
 from ..corpus import tokenize
 from ..embedding import EmbeddingModel
 from ..errors import (
+    EmptyValue,
     MissingArtifact,
     MissingCoreEntity,
     RangeRestrictionViolation,
@@ -123,17 +124,14 @@ def assign_constants(
     skeleton: RuleSkeleton, entities: EntitySet, cve_id: str
 ) -> RuleSkeleton:
     """Fill the remaining constant slots: vulnerability ids from the CVE id,
-    products/protocols/ports from the entities, wildcards when absent."""
-
-    def first_value(tag: str) -> str | None:
-        values = entities.values_for(tag)
-        return values[0] if values else None
+    products/protocols/ports from the entities' first values, wildcards when
+    an entity is absent or its first value holds no word."""
 
     fillers = {
         "vulnid": lambda: Term.constant(quote(cve_id, "'")),
-        "product": lambda: _entity_constant(first_value("PLATFORM")),
-        "protocol": lambda: _entity_constant(first_value("PROTOCOL")),
-        "port": lambda: _port_constant(first_value("PORT")),
+        "product": lambda: _entity_constant(_first_value(entities, "PLATFORM")),
+        "protocol": lambda: _entity_constant(_first_value(entities, "PROTOCOL")),
+        "port": lambda: _port_constant(_first_value(entities, "PORT")),
     }
     for atom in skeleton.atoms():
         for pos, term in enumerate(atom.terms):
@@ -148,6 +146,13 @@ def assign_constants(
             else:
                 skeleton.trace[f"{atom.schema.name}#{pos}"] = f"{sort} <- {filled.text}"
     return skeleton
+
+
+def _first_value(entities: EntitySet, tag: str) -> str | None:
+    """The entity's first value, or None when the entity is absent or that
+    value holds no word."""
+    values = entities.values_for(tag)
+    return values[0] if values and values[0].split() else None
 
 
 def _entity_constant(value: str | None) -> Term:
@@ -363,7 +368,12 @@ def generate(
             if disc is None:
                 raise MissingArtifact(f"discretization:{tag_name}")
             value = entity_set.values_for(tag_name)[0]
-            _, label = map_to_cluster(disc, value.split(), models.embedding)
+            try:
+                _, label = map_to_cluster(disc, value.split(), models.embedding)
+            except EmptyValue:
+                return GenerationFailure(
+                    FailureKind.MISSING_CORE_ENTITY, f"{tag_name} value {value!r} has no word"
+                )
             labels[key] = label
             trace[key] = f"entity value {value!r} -> {label}"
         else:
@@ -388,10 +398,10 @@ def generate(
         return GenerationFailure(FailureKind.UNMAPPABLE_CLUSTER, str(exc))
 
     skeleton.trace.update(trace)
-    platform = entity_set.values_for("PLATFORM")
+    platform = _first_value(entity_set, "PLATFORM")
     skeleton.description = (
         f"{cve_id}: {labels['means']} in "
-        f"{platform[0] if platform else 'an unspecified product'} "
+        f"{platform or 'an unspecified product'} "
         f"enables {labels['impact']} ({labels['vector']} vector); auto-generated"
     )
     assign_constants(skeleton, entity_set, cve_id)

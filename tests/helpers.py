@@ -1,10 +1,16 @@
-"""Corpus builders that only the tests use."""
+"""Corpus builders and reference trainers that only the tests use."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from vuln2rule.corpus import RawVulnerability, Vocabulary, sentences_of, vocabulary_from_sentences
+from vuln2rule.embedding import (
+    EmbeddingConfig,
+    EmbeddingModel,
+    _training_pairs,
+    example_loss_and_grads,
+)
 from vuln2rule.errors import EmptyCorpus
 from vuln2rule.rules.datalog import InteractionRule, Predicate, Term
 
@@ -55,3 +61,47 @@ def synthesize_wiring_corpus(
             description=rule.description + " (noisy)",
         )
     return rules
+
+
+def reference_mean_loss(w_in, w_out, pairs) -> float:
+    """Mean of ``example_loss_and_grads``'s losses, one pair at a time."""
+    total = 0.0
+    for input_ids, target in pairs:
+        loss, _, _ = example_loss_and_grads(w_in, w_out, input_ids, target)
+        total += loss
+    return total / len(pairs)
+
+
+def reference_train_embedding(
+    sentences: list[list[str]], config: EmbeddingConfig, vocab: Vocabulary | None = None
+) -> EmbeddingModel:
+    """Per-example SGD through ``example_loss_and_grads``: the oracle that
+    ``train_embedding`` must match bit for bit in ``w_in`` and ``w_out``."""
+    if vocab is None:
+        vocab = vocabulary_from_sentences(sentences, config.max_vocab)
+    pairs = _training_pairs(sentences, vocab, config.variant, config.window)
+    rng = np.random.default_rng(config.seed)
+    size = len(vocab)
+    bound = 0.5 / config.dim
+    w_in = rng.uniform(-bound, bound, size=(size, config.dim))
+    w_out = np.zeros((config.dim, size))
+
+    initial_loss = reference_mean_loss(w_in, w_out, pairs)
+    lr = config.learning_rate
+    for _ in range(config.epochs):
+        for idx in rng.permutation(len(pairs)):
+            input_ids, target = pairs[idx]
+            _, (rows, row_grads), dw_out = example_loss_and_grads(
+                w_in, w_out, input_ids, target
+            )
+            w_out -= lr * dw_out
+            w_in[rows] -= lr * row_grads
+    final_loss = reference_mean_loss(w_in, w_out, pairs)
+    return EmbeddingModel(
+        vocab=vocab,
+        w_in=w_in,
+        w_out=w_out,
+        config=config,
+        initial_loss=initial_loss,
+        final_loss=final_loss,
+    )

@@ -478,6 +478,49 @@ def test_flag_out_of_range_is_error(tmp_path, capsys, argv):
     assert not (tmp_path / "models").exists()
 
 
+@pytest.mark.parametrize(
+    "flag,value,named",
+    [
+        ("--learning-rate", "nan", "learning_rate"),
+        ("--learning-rate", "0", "learning_rate"),
+        ("--epochs", "-1", "epochs"),
+        ("--max-vocab", "0", "max_vocab"),
+        ("--dim", "0", "dim"),
+        ("--window", "0", "window"),
+    ],
+)
+def test_train_embedding_flag_out_of_range_is_error(tmp_path, demo_corpus, capsys, flag, value, named):
+    models = tmp_path / "models"
+    argv = ["train-embedding", "--corpus", str(demo_corpus), "--model-dir", str(models),
+            "--dim", "8", "--epochs", "1", flag, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: train-embedding: {named} must be ") and "Traceback" not in err
+    assert not (models / ARTIFACTS["embedding"]).exists()
+
+
+def test_completer_config_out_of_range_is_error(model_dir, tmp_path, capsys):
+    from vuln2rule.demo import demo_exemplars, write_demo_entities
+
+    models = tmp_path / "models"
+    shutil.copytree(model_dir, models)
+    before = {p.name: p.read_bytes() for p in models.iterdir()}
+    entities = tmp_path / "entities.jsonl"
+    write_demo_entities(demo.generate_demo_records(20), entities)
+    exemplars = tmp_path / "exemplars.json"
+    exemplars.write_text(json.dumps(demo_exemplars()), "utf-8")
+    for line in ("completer_l2 = nan", "completer_iterations = 0"):
+        cfg = tmp_path / "completer.cfg"
+        cfg.write_text(line + "\n", "utf-8")
+        assert main([
+            "train-completer", "--entities", str(entities), "--exemplars", str(exemplars),
+            "--model-dir", str(models), "--config", str(cfg),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config line 1: ") and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in models.iterdir()} == before
+
+
 def test_top_ks_zero_is_error(model_dir, tmp_path, capsys):
     cfg = tmp_path / "eval.cfg"
     cfg.write_text("top_ks = 0\n", "utf-8")

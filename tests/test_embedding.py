@@ -6,13 +6,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import reference_mean_loss, reference_train_embedding
 from vuln2rule import _textio
 from vuln2rule.corpus import vocabulary_from_sentences
 from vuln2rule.embedding import (
+    _LOSS_BLOCK,
     CBOW,
     FORMAT_MARKER,
     SKIP_GRAM,
     EmbeddingConfig,
+    _gather_inputs,
+    _mean_loss,
+    _training_pairs,
     example_loss_and_grads,
     load_embedding,
     nearest_neighbors,
@@ -120,11 +125,77 @@ class TestTraining:
         sentences = [["a", "b", "c"], ["b", "a", "d"]]
         vocab = vocabulary_from_sentences(sentences, 10)
         losses = []
-        for epochs in range(0, 6):
+        for epochs in range(1, 6):
             config = EmbeddingConfig(dim=5, epochs=epochs, learning_rate=1e-3, seed=4)
             model = train_embedding(sentences, config, vocab=vocab)
+            if epochs == 1:
+                losses.append(model.initial_loss)  # the untrained network
             losses.append(model.final_loss)
         assert all(later <= earlier + 1e-12 for earlier, later in zip(losses, losses[1:]))
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("field,value", [
+        ("dim", 0), ("window", 0), ("epochs", 0), ("epochs", -1), ("max_vocab", 0),
+        ("learning_rate", 0.0), ("learning_rate", -0.1), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            EmbeddingConfig(**{field: value})
+
+    def test_smallest_values_accepted(self):
+        config = EmbeddingConfig(dim=1, window=1, epochs=1, max_vocab=1, learning_rate=1e-300)
+        assert config.epochs == 1
+
+
+#: three sentences with repeated words, so CBOW contexts repeat ids
+EXACT_CORPUS = [
+    "remote attackers execute arbitrary code via a crafted pdf a crafted pdf".split(),
+    "buffer overflow in the reader allows remote attackers to execute code".split() * 6,
+    "the the the reader reader crafted".split(),
+]
+
+
+class TestExactTraining:
+    """``train_embedding`` against the per-example reference trainer."""
+
+    @pytest.mark.parametrize("variant", [CBOW, SKIP_GRAM])
+    def test_weights_match_reference_bit_for_bit(self, variant):
+        config = EmbeddingConfig(variant=variant, dim=7, window=3, epochs=4,
+                                 learning_rate=0.05, max_vocab=12, seed=5)
+        vocab = vocabulary_from_sentences(EXACT_CORPUS, config.max_vocab)
+        pairs = _training_pairs(EXACT_CORPUS, vocab, variant, config.window)
+        assert len(pairs) > _LOSS_BLOCK
+        assert any(len(set(inputs)) < len(inputs) for inputs, _ in pairs) == (variant == CBOW)
+        got = train_embedding(EXACT_CORPUS, config)
+        want = reference_train_embedding(EXACT_CORPUS, config)
+        assert got.w_in.tobytes() == want.w_in.tobytes()
+        assert got.w_out.tobytes() == want.w_out.tobytes()
+        assert got.initial_loss == pytest.approx(want.initial_loss, rel=1e-12)
+        assert got.final_loss == pytest.approx(want.final_loss, rel=1e-12)
+        assert got.final_loss < got.initial_loss
+
+    @pytest.mark.parametrize("variant", [CBOW, SKIP_GRAM])
+    def test_losses_match_reference_on_random_weights(self, variant):
+        vocab = vocabulary_from_sentences(EXACT_CORPUS, 12)
+        pairs = _training_pairs(EXACT_CORPUS, vocab, variant, 4)
+        rng = np.random.default_rng(3)
+        w_in = rng.normal(size=(len(vocab), 5))
+        w_out = rng.normal(scale=2.0, size=(5, len(vocab)))
+        got = _mean_loss(w_in, w_out, _gather_inputs(pairs))
+        assert got == pytest.approx(reference_mean_loss(w_in, w_out, pairs), rel=1e-12)
+
+    def test_gathered_inputs_are_each_pairs_unique_ids_and_weights(self):
+        pairs = [((4, 2, 4, 4), 1), ((3,), 0), ((1, 1), 2), ((2, 0, 5), 5)]
+        inputs = _gather_inputs(pairs)
+        assert inputs.targets.tolist() == [1, 0, 2, 5]
+        for p, (input_ids, _) in enumerate(pairs):
+            lo, hi = inputs.offsets[p], inputs.offsets[p + 1]
+            uniq, counts = np.unique(np.asarray(input_ids, dtype=np.intp), return_counts=True)
+            assert inputs.ids[lo:hi].tolist() == uniq.tolist()
+            assert inputs.weights[lo:hi].tobytes() == (counts / len(input_ids)).tobytes()
+        assert inputs.offsets[-1] == len(inputs.ids) == len(inputs.weights)
 
 
 class TestEmbedQueries:

@@ -416,6 +416,11 @@ class TestPipelineConfig:
             ("k_clusters.FOO = 3", "unknown config key 'k_clusters.FOO'"),
             ("k_clusters = 3", "unknown config key 'k_clusters'"),
             ("threshold = nan", "threshold must be a number, not NaN"),
+            ("completer_l2 = nan", "completer_l2 must be a finite number at least 0"),
+            ("completer_l2 = -5", "completer_l2 must be a finite number at least 0"),
+            ("completer_l2 = inf", "completer_l2 must be a finite number at least 0"),
+            ("completer_iterations = 0", "completer_iterations must be at least 1"),
+            ("completer_iterations = -3", "completer_iterations must be at least 1"),
         ],
     )
     def test_value_out_of_range_rejected(self, tmp_path, line, match):
@@ -423,6 +428,12 @@ class TestPipelineConfig:
         cfg_file.write_text(f"# range checks\n{line}\n", "utf-8")
         with pytest.raises(ConfigError, match=f"config line 2: .*{match}"):
             PipelineConfig.from_file(cfg_file)
+
+    def test_completer_bounds_accepted(self, tmp_path):
+        cfg_file = tmp_path / "edge.cfg"
+        cfg_file.write_text("completer_l2 = 0\ncompleter_iterations = 1\n", "utf-8")
+        config = PipelineConfig.from_file(cfg_file)
+        assert (config.completer_l2, config.completer_iterations) == (0.0, 1)
 
     def test_bad_line_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"

@@ -138,6 +138,17 @@ class TestAssignConstants:
         assert service.terms[2] == Term.constant("http")
         assert service.terms[3] == Term.constant("8080")
 
+    @pytest.mark.parametrize("blank", ["", "  ", "\t\n"])
+    def test_wordless_values_become_wildcards(self, lexicon, mapping, blank):
+        skeleton = self.build(
+            lexicon, mapping, platform=[blank], protocol=[blank], port=[blank],
+        )
+        absent = self.build(lexicon, mapping)
+        for atom, want in zip(skeleton.atoms(), absent.atoms()):
+            assert atom.terms == want.terms, atom.schema.name
+        service = next(a for a in skeleton.atoms() if a.schema.name == "networkService")
+        assert service.terms[1:4] == [Term.wildcard()] * 3
+
     def test_atom_normalization(self):
         assert to_atom("Mac OS X") == "mac_os_x"
         assert to_atom("adobe reader") == "adobe_reader"
@@ -329,6 +340,45 @@ class TestGenerate:
         assert not isinstance(rule, GenerationFailure)
         assert "completed" in rule.trace["impact"] and "completed" in rule.trace["vector"]
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("tag", ["MEANS", "IMPACT", "VECTOR"])
+    def test_wordless_core_value_is_a_missing_core_entity(self, demo_models, tag):
+        gold = entity_set(
+            means=["buffer overflow"], impact=["execute arbitrary code"],
+            vector=["remote"], platform=["adobe reader"],
+        )
+        gold.entities[tag] = [" "]
+        result = generate("", demo_models.generator, gold_entities=gold)
+        assert result == GenerationFailure(
+            FailureKind.MISSING_CORE_ENTITY, f"{tag} value ' ' has no word"
+        )
+
+    def test_wordless_platform_reads_as_absent(self, demo_models):
+        from vuln2rule.rules.datalog import emit_rule
+
+        core = {"means": ["buffer overflow"], "impact": ["execute arbitrary code"],
+                "vector": ["remote"]}
+        blank = generate("", demo_models.generator, gold_entities=entity_set(**core, platform=[" "]))
+        absent = generate("", demo_models.generator, gold_entities=entity_set(**core))
+        assert "in an unspecified product enables" in blank.description
+        assert emit_rule(blank) == emit_rule(absent)
+
+    def test_wordless_core_value_fails_only_its_record(self, demo_models):
+        from vuln2rule.pipeline import run_pipeline
+        from vuln2rule.rules.datalog import emit_rules
+
+        records = demo_models.records[:6]
+        inputs = [r.vulnerability for r in records]
+        gold = {r.vulnerability.id: r.entities for r in records}
+        want_report, want = run_pipeline(demo_models.generator, inputs, gold_entities=gold)
+        assert [outcome for _, outcome in want_report.outcomes] == ["rule"] * 6
+        blank = entity_set(cve_id=inputs[0].id, means=[""], platform=["adobe reader"])
+        report, rules = run_pipeline(
+            demo_models.generator, inputs, gold_entities={**gold, inputs[0].id: blank}
+        )
+        assert report.outcomes == [(inputs[0].id, "MissingCoreEntity"), *want_report.outcomes[1:]]
+        assert report.failures == {"MissingCoreEntity": 1}
+        assert emit_rules(rules) == emit_rules(want[1:])
 
     def test_generated_rules_satisfy_range_restriction(self, demo_models):
         from vuln2rule.rules.datalog import emit_rule
