@@ -146,16 +146,19 @@ def cmd_train_embedding(args) -> int:
 def cmd_train_ner(args) -> int:
     config = _config_from(args)
     emb = _load_embedding(config)
+    try:
+        ner_config = BlstmConfig(
+            max_len=args.max_len,
+            dim=emb.dim,
+            hidden=emb.dim if args.hidden is None else args.hidden,
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            learning_rate=args.learning_rate,
+            seed=config.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"train-ner: {exc}") from exc
     data = load_labeled_dataset(args.labeled)
-    ner_config = BlstmConfig(
-        max_len=args.max_len,
-        dim=emb.dim,
-        hidden=args.hidden or emb.dim,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        seed=config.seed,
-    )
     model = train_ner(data, emb, ner_config)
     out = _model_dir(config) / ARTIFACTS["ner"]
     save_ner(model, out)

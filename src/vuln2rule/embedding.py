@@ -77,32 +77,6 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum()
 
 
-def example_loss_and_grads(
-    w_in: np.ndarray,
-    w_out: np.ndarray,
-    input_ids: list[int] | np.ndarray,
-    target_id: int,
-) -> tuple[float, tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Cross-entropy loss and gradients for one training example.
-
-    For CBOW ``input_ids`` are the context ids (the hidden vector is the
-    average of their one-hot embeddings); for skip-gram it is the single
-    center id.  Returns ``(loss, (rows, row_grads), dw_out)`` where ``rows``
-    indexes the w_in rows touched by the example.
-    """
-    uniq, counts = np.unique(np.asarray(input_ids, dtype=np.intp), return_counts=True)
-    weights = counts / len(input_ids)
-    hidden = weights @ w_in[uniq]
-    probs = _softmax(hidden @ w_out)
-    loss = -float(np.log(probs[target_id]))
-    dscores = probs
-    dscores[target_id] -= 1.0
-    dw_out = np.outer(hidden, dscores)
-    dhidden = w_out @ dscores
-    row_grads = np.outer(weights, dhidden)
-    return loss, (uniq, row_grads), dw_out
-
-
 def _training_pairs(
     sentences: list[list[str]], vocab: Vocabulary, variant: str, window: int
 ) -> list[tuple[tuple[int, ...], int]]:
@@ -133,7 +107,7 @@ class _Inputs(NamedTuple):
 
 def _gather_inputs(pairs: list[tuple[tuple[int, ...], int]]) -> _Inputs:
     """``np.unique(inputs, return_counts=True)`` and ``counts / len(inputs)``
-    of every pair, as ``example_loss_and_grads`` computes them, in one pass."""
+    of every pair, as the per-example gradient computes them, in one pass."""
     lengths = np.array([len(inputs) for inputs, _ in pairs], dtype=np.intp)
     flat = np.fromiter(
         (i for inputs, _ in pairs for i in inputs), dtype=np.intp, count=int(lengths.sum())
@@ -161,7 +135,7 @@ _LOSS_BLOCK = 64
 
 def _mean_loss(w_in: np.ndarray, w_out: np.ndarray, inputs: _Inputs) -> float:
     """Mean cross-entropy over all pairs, computed a block of pairs at a
-    time; it equals the mean of ``example_loss_and_grads``'s losses up to
+    time; it equals the mean of the per-example losses up to
     rounding."""
     n = len(inputs.targets)
     total = 0.0
@@ -186,8 +160,9 @@ def train_embedding(
     """Train the embedding network on tokenized, normalized sentences.
 
     One epoch is a pass over all (input, target) pairs in a seeded-shuffle
-    order.  Each step is the update of ``example_loss_and_grads``, with the
-    same operations in the same order, so the weights match that per-example
+    order.  Each step is the update of the per-example gradient
+    (``example_loss_and_grads`` in ``tests/helpers.py``), with the same
+    operations in the same order, so the weights match that per-example
     trainer bit for bit.  Raises DegenerateCorpus when no trainable pairs
     exist.
     """

@@ -1,8 +1,8 @@
 """Bidirectional-LSTM tagger: token sequences to 11-way attack-entity tags.
 
 The network embeds tokens (via the trained word embedding), runs a forward
-and a backward LSTM, concatenates the two hidden states per position and
-applies a shared dense+softmax head.  Training is mini-batch SGD over the
+and a backward LSTM (stacked, in one time loop), concatenates the two hidden
+states per position and applies a shared dense+softmax head.  Training is mini-batch SGD over the
 class-weighted cross-entropy, with backpropagation through time; class O
 gets weight 1, the ten entity classes get weight 10.
 """
@@ -10,6 +10,7 @@ gets weight 1, the ten entity classes get weight 10.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,16 +62,25 @@ class BlstmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_len < 1 or self.hidden < 1:
-            raise ValueError("max_len and hidden must be >= 1")
+        for name in ("max_len", "dim", "hidden", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be a finite number > 0, got {self.learning_rate}"
+            )
 
 
 @dataclass
 class BlstmModel:
+    """A tagger; ``params`` has the stacked layout of ``stack_directions``."""
+
     params: dict[str, np.ndarray]
     config: BlstmConfig
 
 
+#: The saved layout: one matrix per LSTM direction (``fw_*`` forward,
+#: ``bw_*`` backward), then the dense head.
 PARAM_SHAPES = {
     "fw_wx": ("dim", "4h"),
     "fw_wh": ("h", "4h"),
@@ -82,6 +92,9 @@ PARAM_SHAPES = {
     "dense_b": ("classes",),
 }
 
+#: The LSTM parameters that ``stack_directions`` stacks over the directions.
+_LSTM_PARAMS = ("wx", "wh", "b")
+
 
 def param_shapes(config: BlstmConfig) -> dict[str, tuple[int, ...]]:
     h = config.hidden
@@ -89,94 +102,160 @@ def param_shapes(config: BlstmConfig) -> dict[str, tuple[int, ...]]:
     return {name: tuple(sizes[k] for k in dims) for name, dims in PARAM_SHAPES.items()}
 
 
-def init_params(config: BlstmConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    h = config.hidden
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(config).items():
-        if name.endswith("_b"):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = rng.uniform(-0.1, 0.1, size=shape)
-    # forget-gate bias starts at 1 to keep early memory open
-    params["fw_b"][h : 2 * h] = 1.0
-    params["bw_b"][h : 2 * h] = 1.0
+def stack_directions(named: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The in-memory parameters from the saved per-direction ones: ``wx``
+    (2, dim, 4h), ``wh`` (2, h, 4h) and ``b`` (2, 4h) hold the forward
+    direction at index 0 and the backward one at index 1; ``dense_w`` and
+    ``dense_b`` are kept as they are."""
+    params = {k: np.stack([named[f"fw_{k}"], named[f"bw_{k}"]]) for k in _LSTM_PARAMS}
+    params["dense_w"], params["dense_b"] = named["dense_w"], named["dense_b"]
     return params
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def split_directions(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Inverse of ``stack_directions``: the ``PARAM_SHAPES`` names, as views."""
+    named = {f"{d}_{k}": params[k][i] for i, d in enumerate(("fw", "bw")) for k in _LSTM_PARAMS}
+    named["dense_w"], named["dense_b"] = params["dense_w"], params["dense_b"]
+    return named
+
+
+def init_params(config: BlstmConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    h = config.hidden
+    # drawn in the saved order, so a seed gives the weights it always gave
+    named = {
+        name: np.zeros(shape) if name.endswith("_b") else rng.uniform(-0.1, 0.1, size=shape)
+        for name, shape in param_shapes(config).items()
+    }
+    params = stack_directions(named)
+    # forget-gate bias starts at 1 to keep early memory open
+    params["b"][:, h : 2 * h] = 1.0
+    return params
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function of ``x``, written to ``out`` when given
+    (which must not share memory with ``x``)."""
     # exp(-|x|) never overflows; min(x, -x) is -|x| but keeps a NaN's sign
     # bit, so every input gives the same bits as evaluating each sign's
     # branch on its own elements
-    ex = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    ex = np.negative(x, out=out)
+    np.exp(np.minimum(x, ex, out=ex), out=ex)
+    den = ex + 1.0
+    # the numerator: 1 where x >= 0, else exp(-|x|), which is at most 1 (a
+    # NaN stays the NaN exp gave)
+    np.maximum(ex, x >= 0, out=ex)
+    return np.divide(ex, den, out=ex)
 
 
 def _lstm_forward(
-    x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray, keep_cache: bool = True
-):
-    """Hidden states (batch, steps, hidden) and, with ``keep_cache``, the
-    per-step backprop cache (else None).  The input product of every step is
-    one GEMM ahead of the time loop."""
-    batch, steps, dim = x.shape
-    h_size = wh.shape[0]
-    xw = (x.reshape(-1, dim) @ wx).reshape(batch, steps, -1)
-    h = np.zeros((batch, h_size))
-    c = np.zeros((batch, h_size))
-    outputs = np.empty((batch, steps, h_size))
-    cache = [] if keep_cache else None
+    xw: np.ndarray, wh: np.ndarray, b: np.ndarray, hs: np.ndarray, cs: np.ndarray, tanh_cs: np.ndarray
+) -> None:
+    """Both LSTM directions in one time loop, from the input products ``xw``
+    (2, steps, batch, 4 * hidden), with each step's products one ``matmul``
+    over the direction axis.
+
+    Fills ``hs`` (steps + 1, 2, batch, hidden) with the states, zero initial
+    state first, and overwrites each step's slice of ``xw`` with its gates.
+    ``cs`` gets the cells, zero initial cell first, and ``tanh_cs`` their
+    tanh: for every step (steps + 1 and steps rows), or in rings of two and
+    one rows when nothing is kept for backpropagation.  States and cells are
+    time-major, so that each step's slice is contiguous."""
+    steps = xw.shape[1]
+    h_size = wh.shape[1]
+    rows, kept = len(cs), len(tanh_cs)
+    b = b[:, None, :]
+    hs[0] = cs[0] = 0.0
+    z = np.empty(xw.shape[:1] + xw.shape[2:])
+    g_block = slice(2 * h_size, 3 * h_size)
     for t in range(steps):
-        z = xw[:, t] + h @ wh + b
+        # z = xw + h @ wh + b, summed in that order
+        gates = xw[:, t]
+        np.matmul(hs[t], wh, out=z)
+        z += gates
+        z += b
         # gate blocks i, f, g, o: one sigmoid call, then tanh over the g block
-        gates = _sigmoid(z)
-        np.tanh(z[:, 2 * h_size : 3 * h_size], out=gates[:, 2 * h_size : 3 * h_size])
-        gi, gf, gg, go = (gates[:, k * h_size : (k + 1) * h_size] for k in range(4))
-        c_new = gf * c + gi * gg
-        tanh_c = np.tanh(c_new)
-        h_new = go * tanh_c
-        if keep_cache:
-            cache.append((x[:, t], h, c, gi, gf, gg, go, tanh_c))
-        h, c = h_new, c_new
-        outputs[:, t] = h
-    return outputs, cache
+        _sigmoid(z, out=gates)
+        np.tanh(z[..., g_block], out=gates[..., g_block])
+        gi, gf, gg, go = (gates[..., k * h_size : (k + 1) * h_size] for k in range(4))
+        c = np.add(gf * cs[t % rows], gi * gg, out=cs[(t + 1) % rows])
+        np.multiply(go, np.tanh(c, out=tanh_cs[t % kept]), out=hs[t + 1])
 
 
-def _lstm_backward(d_out: np.ndarray, cache, wx: np.ndarray, wh: np.ndarray):
-    batch, steps, h_size = d_out.shape
-    dwx = np.zeros_like(wx)
-    dwh = np.zeros_like(wh)
-    db = np.zeros(4 * h_size)
-    dh_next = np.zeros((batch, h_size))
-    dc_next = np.zeros((batch, h_size))
+def _lstm_backward(
+    d_hs: np.ndarray,
+    xs: np.ndarray,
+    hs: np.ndarray,
+    gates_all: np.ndarray,
+    cs: np.ndarray,
+    tanh_cs: np.ndarray,
+    wx: np.ndarray,
+    wh: np.ndarray,
+):
+    """Gradients of ``wx``, ``wh`` and ``b`` from the state gradients
+    ``d_hs`` (steps, 2, batch, hidden), through both directions in one
+    time loop; ``xs`` (2, batch, steps, dim) are the inputs, and the states,
+    gates, cells and their tanh are those ``_lstm_forward`` kept."""
+    steps, _, batch, h_size = d_hs.shape
+    dwx, dwx_t = np.zeros_like(wx), np.empty_like(wx)
+    dwh, dwh_t = np.zeros_like(wh), np.empty_like(wh)
+    db = np.zeros((2, 4 * h_size))
+    wh_t = wh.transpose(0, 2, 1)
+    dh_next = np.zeros((2, batch, h_size))
+    dc_next = np.zeros((2, batch, h_size))
+    dz = np.zeros((2, batch, 4 * h_size))
+    one_minus = np.empty_like(dz)
+    d_gi, d_gf, d_gg, d_go = (dz[..., k * h_size : (k + 1) * h_size] for k in range(4))
     for t in reversed(range(steps)):
-        x_t, h_prev, c_prev, gi, gf, gg, go, tanh_c = cache[t]
-        dh = d_out[:, t] + dh_next
-        d_go = dh * tanh_c
+        gates, tanh_c = gates_all[:, t], tanh_cs[t]
+        gi, gf, gg, go = (gates[..., k * h_size : (k + 1) * h_size] for k in range(4))
+        dh = d_hs[t] + dh_next
         dc = dc_next + dh * go * (1.0 - tanh_c**2)
-        d_gf = dc * c_prev
-        d_gi = dc * gg
-        d_gg = dc * gi
         dc_next = dc * gf
-        dz = np.concatenate(
-            [
-                d_gi * gi * (1.0 - gi),
-                d_gf * gf * (1.0 - gf),
-                d_gg * (1.0 - gg**2),
-                d_go * go * (1.0 - go),
-            ],
-            axis=1,
-        )
-        dwx += x_t.T @ dz
-        dwh += h_prev.T @ dz
-        db += dz.sum(axis=0)
-        dh_next = dz @ wh.T
+        # each gate's gradient through its activation: the i, f and o blocks
+        # as (upstream * gate) * (1 - gate) over the whole row, then the g
+        # block over its own
+        np.multiply(dc, gg, out=d_gi)
+        np.multiply(dc, cs[t], out=d_gf)
+        np.multiply(dh, tanh_c, out=d_go)
+        dz *= gates
+        dz *= np.subtract(1.0, gates, out=one_minus)
+        np.multiply(dc * gi, 1.0 - gg**2, out=d_gg)
+        dwx += np.matmul(xs[:, :, t].transpose(0, 2, 1), dz, out=dwx_t)
+        dwh += np.matmul(hs[t].transpose(0, 2, 1), dz, out=dwh_t)
+        db += dz.sum(axis=1)
+        dh_next = np.matmul(dz, wh_t)
     return dwx, dwh, db
 
 
-def _reverse_within_lengths(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    for b, n in enumerate(lengths):
-        out[b, :n] = x[b, :n][::-1]
-    return out
+def _reversal(lengths: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gather index that reverses each row of a (batch, steps, ...)
+    array within its length, and the mask of real steps; a padded step
+    reads itself."""
+    t = np.arange(steps)
+    mask = t < lengths[:, None]
+    return np.where(mask, lengths[:, None] - 1 - t, t), mask
+
+
+def _reverse_within_lengths(x: np.ndarray, reversal) -> np.ndarray:
+    """``x`` (batch, steps, features) with each row reversed within its
+    length by one gather, and exact zeros at the padded steps."""
+    index, mask = reversal
+    return np.where(mask[:, :, None], x[np.arange(len(x))[:, None], index], 0.0)
+
+
+def _carve(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Uninitialized float arrays of the given shapes, as views into one
+    allocation.
+
+    A forward pass keeps several arrays the size of its batch.  Taken from
+    one allocation, the memory goes back to the allocator as one block that
+    the next batch reuses.  As separate arrays, their pages went back to the
+    system after many training batches, and the next batch faulted them in
+    again: about 1,100 page faults for such a batch at demo shape."""
+    sizes = [math.prod(shape) for shape in shapes]
+    block = np.empty(sum(sizes))
+    parts = np.split(block, np.cumsum(sizes)[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
 def forward(
@@ -188,22 +267,49 @@ def forward(
     """Log-probabilities (batch, steps, classes) plus the backprop cache
     (None without ``keep_cache``).
 
+    Both LSTMs run in one time loop, stacked on a leading axis of size 2.
     The backward LSTM consumes each sentence reversed within its true length,
     so trailing padding never influences real positions.
     """
-    hs_f, cache_f = _lstm_forward(
-        x, params["fw_wx"], params["fw_wh"], params["fw_b"], keep_cache
+    batch, steps, dim = x.shape
+    h_size = params["wh"].shape[1]
+    reversal = _reversal(lengths, steps)
+    x_rev = _reverse_within_lengths(x, reversal)
+    # the input products of every step: one GEMM per direction ahead of the
+    # time loop, over rows in time-major order, so that each step's slice
+    # of the result is contiguous (each row of a GEMM is its own dot
+    # products, so the row order leaves the bits as they are)
+    xs_tm = np.empty((2, steps, batch, dim))
+    xs_tm[0] = x.transpose(1, 0, 2)
+    xs_tm[1] = x_rev.transpose(1, 0, 2)
+    kept = steps if keep_cache else 1
+    hs = np.empty((steps + 1, 2, batch, h_size))
+    xw, cs, tanh_cs, xs = _carve(
+        (2, steps, batch, 4 * h_size),
+        (kept + 1, 2, batch, h_size),
+        (kept, 2, batch, h_size),
+        (2, batch, steps, dim) if keep_cache else (0,),
     )
-    x_rev = _reverse_within_lengths(x, lengths)
-    hs_r, cache_r = _lstm_forward(
-        x_rev, params["bw_wx"], params["bw_wh"], params["bw_b"], keep_cache
-    )
-    hs_b = _reverse_within_lengths(hs_r, lengths)
-    concat = np.concatenate([hs_f, hs_b], axis=2)
+    if keep_cache:
+        # backpropagation reads each step's inputs with the strides of
+        # batch-major rows: with dim 1, contiguous ones take another matmul
+        # path and other bits
+        xs[0], xs[1] = x, x_rev
+    del x_rev
+    np.matmul(xs_tm.reshape(2, -1, dim), params["wx"], out=xw.reshape(2, -1, 4 * h_size))
+    del xs_tm
+    _lstm_forward(xw, params["wh"], params["b"], hs, cs, tanh_cs)
+    if not keep_cache:
+        del xw, cs, tanh_cs, xs
+    concat = np.empty((batch, steps, 2 * h_size))
+    concat[:, :, :h_size] = hs[1:, 0].transpose(1, 0, 2)
+    concat[:, :, h_size:] = _reverse_within_lengths(hs[1:, 1].transpose(1, 0, 2), reversal)
     logits = concat @ params["dense_w"] + params["dense_b"]
     shifted = logits - logits.max(axis=2, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
-    return log_probs, (cache_f, cache_r, concat, lengths) if keep_cache else None
+    if not keep_cache:
+        return log_probs, None
+    return log_probs, (xs, hs, xw, cs, tanh_cs, concat, reversal)
 
 
 def loss_and_grads(
@@ -214,10 +320,11 @@ def loss_and_grads(
     class_weights: np.ndarray = LOSS_WEIGHTS,
 ):
     """Weighted cross-entropy summed over real positions, its parameter
-    gradients, and the per-sentence loss vector."""
+    gradients (under the names of ``params``), and the per-sentence loss
+    vector."""
     batch, steps, _ = x.shape
-    log_probs, (cache_f, cache_r, concat, _) = forward(params, x, lengths)
-    mask = np.arange(steps)[None, :] < lengths[:, None]
+    log_probs, (xs, hs, gates, cs, tanh_cs, concat, reversal) = forward(params, x, lengths)
+    mask = reversal[1]
     safe_ids = np.where(mask, tag_ids, 0)
     token_w = np.where(mask, class_weights[safe_ids], 0.0)
     rows = np.arange(batch)[:, None], np.arange(steps)[None, :], safe_ids
@@ -230,21 +337,22 @@ def loss_and_grads(
     one_hot_sub[rows] = 1.0
     dlogits = (dlogits - one_hot_sub) * token_w[:, :, None]
 
-    h_size = params["fw_wh"].shape[0]
+    h_size = hs.shape[3]
     flat_concat = concat.reshape(-1, 2 * h_size)
     flat_dlogits = dlogits.reshape(-1, dlogits.shape[2])
     grads: dict[str, np.ndarray] = {
         "dense_w": flat_concat.T @ flat_dlogits,
         "dense_b": flat_dlogits.sum(axis=0),
     }
+    # the head's activations and gradient are freed before backpropagation
+    del concat, flat_concat
     dconcat = dlogits @ params["dense_w"].T
-    d_hs_f = dconcat[:, :, :h_size]
-    d_hs_r = _reverse_within_lengths(dconcat[:, :, h_size:], lengths)
-    grads["fw_wx"], grads["fw_wh"], grads["fw_b"] = _lstm_backward(
-        d_hs_f, cache_f, params["fw_wx"], params["fw_wh"]
-    )
-    grads["bw_wx"], grads["bw_wh"], grads["bw_b"] = _lstm_backward(
-        d_hs_r, cache_r, params["bw_wx"], params["bw_wh"]
+    d_hs = np.empty((steps, 2, batch, h_size))
+    d_hs[:, 0] = dconcat[:, :, :h_size].transpose(1, 0, 2)
+    d_hs[:, 1] = _reverse_within_lengths(dconcat[:, :, h_size:], reversal).transpose(1, 0, 2)
+    del dconcat
+    grads["wx"], grads["wh"], grads["b"] = _lstm_backward(
+        d_hs, xs, hs, gates, cs, tanh_cs, params["wx"], params["wh"]
     )
     return total, grads, per_sentence
 
@@ -552,20 +660,21 @@ def evaluate_tagger(
 
 
 def save_ner(model: BlstmModel, path: str | Path) -> None:
-    params = {name: model.params[name] for name in sorted(model.params)}
+    named = split_directions(model.params)
+    params = {name: named[name] for name in sorted(named)}
     _textio.write_model(path, MODEL_MARKER, _textio.config_meta(model.config), params)
 
 
 def load_ner(path: str | Path) -> BlstmModel:
     def build(meta: dict[str, str], matrices: dict[str, np.ndarray]) -> BlstmModel:
         config = _textio.config_from_meta(BlstmConfig, meta)
-        params = {}
+        named = {}
         for name, shape in param_shapes(config).items():
             # biases are saved as one-row matrices
             stored = shape if len(shape) == 2 else (1, *shape)
             if matrices[name].shape != stored:
                 raise ValueError(f"{name} is {matrices[name].shape}, want {stored}")
-            params[name] = matrices[name].reshape(shape)
-        return BlstmModel(params=params, config=config)
+            named[name] = matrices[name].reshape(shape)
+        return BlstmModel(params=stack_directions(named), config=config)
 
     return _textio.read_model(path, MODEL_MARKER, build)

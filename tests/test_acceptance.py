@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import make_embedding
-from helpers import build_vocabulary, synthesize_wiring_corpus
+from helpers import build_vocabulary, example_loss_and_grads, synthesize_wiring_corpus
 from vuln2rule.completer import (
     build_feature_vector,
     fit_discretization,
@@ -34,13 +34,21 @@ from vuln2rule.demo import (
     golden_entity_set,
     golden_rule_text,
 )
-from vuln2rule.embedding import example_loss_and_grads, nearest_neighbors
+from vuln2rule.embedding import nearest_neighbors
 from vuln2rule.pipeline import crossvalidate_wiring, run_pipeline
 from vuln2rule.rules.datalog import emit_rule, parse_rule_file
 from vuln2rule.rules.schema import load_default_lexicon, load_default_rule_corpus
 from vuln2rule.rules.synthesis import generate
 from vuln2rule.rules.wiring import Slot, WiringMatrix, estimate_wiring_matrix, impute_matrix
-from vuln2rule.tagger import BlstmConfig, EntitySet, evaluate_f1, loss_and_grads, tag, train_ner
+from vuln2rule.tagger import (
+    BlstmConfig,
+    EntitySet,
+    evaluate_f1,
+    loss_and_grads,
+    stack_directions,
+    tag,
+    train_ner,
+)
 
 RELATIVE_TOLERANCE = 1e-4
 
@@ -102,7 +110,7 @@ class TestCriterion1Gradients:
         assert fd_check(lr_value, grad, flat) < 1e-5
 
         # full BLSTM via BPTT on a toy model (dim = hidden = 3, len 4, 3 classes)
-        params = {
+        params = stack_directions({
             "fw_wx": rng.normal(scale=0.4, size=(3, 12)),
             "fw_wh": rng.normal(scale=0.4, size=(3, 12)),
             "fw_b": rng.normal(scale=0.2, size=12),
@@ -111,7 +119,7 @@ class TestCriterion1Gradients:
             "bw_b": rng.normal(scale=0.2, size=12),
             "dense_w": rng.normal(scale=0.4, size=(6, 3)),
             "dense_b": rng.normal(scale=0.2, size=3),
-        }
+        })
         xs = rng.normal(size=(2, 4, 3))
         tag_ids = rng.integers(0, 3, size=(2, 4))
         lengths = np.array([4, 3])

@@ -499,6 +499,34 @@ def test_train_embedding_flag_out_of_range_is_error(tmp_path, demo_corpus, capsy
     assert not (models / ARTIFACTS["embedding"]).exists()
 
 
+@pytest.mark.parametrize(
+    "flag,value,named",
+    [
+        ("--learning-rate", "nan", "learning_rate"),
+        ("--epochs", "-1", "epochs"),
+        ("--max-len", "0", "max_len"),
+        ("--batch-size", "0", "batch_size"),
+        ("--hidden", "0", "hidden"),
+    ],
+)
+def test_train_ner_flag_out_of_range_is_error(
+    model_dir, demo_models, tmp_path, capsys, flag, value, named
+):
+    from vuln2rule.demo import write_demo_labeled
+
+    models = tmp_path / "models"
+    models.mkdir()
+    shutil.copy(model_dir / ARTIFACTS["embedding"], models)
+    labeled = tmp_path / "labeled.tsv"
+    write_demo_labeled(demo_models.records[:4], labeled)
+    argv = ["train-ner", "--labeled", str(labeled), "--model-dir", str(models),
+            "--epochs", "1", flag, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: train-ner: {named} must be ") and "Traceback" not in err
+    assert sorted(p.name for p in models.iterdir()) == [ARTIFACTS["embedding"]]
+
+
 def test_completer_config_out_of_range_is_error(model_dir, tmp_path, capsys):
     from vuln2rule.demo import demo_exemplars, write_demo_entities
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import reference_mean_loss, reference_train_embedding
+from helpers import example_loss_and_grads, reference_mean_loss, reference_train_embedding
 from vuln2rule import _textio
 from vuln2rule.corpus import vocabulary_from_sentences
 from vuln2rule.embedding import (
@@ -18,7 +18,6 @@ from vuln2rule.embedding import (
     _gather_inputs,
     _mean_loss,
     _training_pairs,
-    example_loss_and_grads,
     load_embedding,
     nearest_neighbors,
     save_embedding,

@@ -3,10 +3,15 @@ F-score evaluation."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_embedding
+from helpers import blstm_forward, blstm_loss_and_grads, reverse_within_lengths
 from vuln2rule.corpus import LabeledSentence, Token, tokenize
 from vuln2rule.errors import (
     DimensionMismatch,
@@ -23,6 +28,8 @@ from vuln2rule.tagger import (
     _embed_norms,
     _length_buckets,
     _pad,
+    _reversal,
+    _reverse_within_lengths,
     _sigmoid,
     evaluate_f1,
     extract_entities,
@@ -31,7 +38,10 @@ from vuln2rule.tagger import (
     init_params,
     load_ner,
     loss_and_grads,
+    param_shapes,
     save_ner,
+    split_directions,
+    stack_directions,
     tag,
     tag_batch,
     tag_texts,
@@ -39,7 +49,8 @@ from vuln2rule.tagger import (
 )
 
 
-def toy_params(rng, dim, hidden, classes):
+def toy_named(rng, dim, hidden, classes):
+    """Random parameters under the saved per-direction names."""
     return {
         "fw_wx": rng.normal(scale=0.4, size=(dim, 4 * hidden)),
         "fw_wh": rng.normal(scale=0.4, size=(hidden, 4 * hidden)),
@@ -50,6 +61,10 @@ def toy_params(rng, dim, hidden, classes):
         "dense_w": rng.normal(scale=0.4, size=(2 * hidden, classes)),
         "dense_b": rng.normal(scale=0.2, size=classes),
     }
+
+
+def toy_params(rng, dim, hidden, classes):
+    return stack_directions(toy_named(rng, dim, hidden, classes))
 
 
 def tokens_of(text: str) -> list[Token]:
@@ -366,9 +381,24 @@ RAGGED_CONFIG = BlstmConfig(max_len=7, dim=6, hidden=4, epochs=3, batch_size=4,
                             learning_rate=0.1, seed=9)
 
 
+def reference_init(config, rng):
+    """The initial parameters under their saved names, drawn one matrix
+    after the other in the saved order."""
+    params = {
+        name: np.zeros(shape) if name.endswith("_b") else rng.uniform(-0.1, 0.1, size=shape)
+        for name, shape in param_shapes(config).items()
+    }
+    h = config.hidden
+    params["fw_b"][h : 2 * h] = 1.0
+    params["bw_b"][h : 2 * h] = 1.0
+    return params
+
+
 def reference_train_ner(data, emb, config):
     """The training loop with its own cut and pad code, as it was before
-    training and tagging shared ``_chunks`` and ``_pad``."""
+    training and tagging shared ``_chunks`` and ``_pad``, and with the
+    per-direction BLSTM of ``helpers``; returns the parameters under their
+    saved names."""
     prepared = []
     for s in data:
         norms, ids = s.norms(), [ALL_TAGS.index(t) for t in s.tags]
@@ -377,7 +407,7 @@ def reference_train_ner(data, emb, config):
                              ids[start : start + config.max_len]))
     embedded = [(_embed_norms(n, emb), np.asarray(ids)) for n, ids in prepared]
     rng = np.random.default_rng(config.seed)
-    params = init_params(config, rng)
+    params = reference_init(config, rng)
     for _ in range(config.epochs):
         order = rng.permutation(len(embedded))
         for start in range(0, len(order), config.batch_size):
@@ -388,7 +418,7 @@ def reference_train_ner(data, emb, config):
             for b, (xb, yb) in enumerate(batch):
                 x[b, : len(yb)] = xb
                 tag_ids[b, : len(yb)] = yb
-            _, grads, _ = loss_and_grads(params, x, tag_ids, lengths)
+            _, grads, _ = blstm_loss_and_grads(params, x, tag_ids, lengths)
             scale = 1.0 / len(batch)
             for name in params:
                 params[name] -= config.learning_rate * scale * grads[name]
@@ -396,8 +426,8 @@ def reference_train_ner(data, emb, config):
 
 
 def reference_tag_batch(model, emb, sentences):
-    """Per sentence, the (tags, probabilities) of the tagging loop with its
-    own cut and pad code."""
+    """Per sentence, the probabilities of the tagging loop with its own cut
+    and pad code and the per-direction BLSTM of ``helpers``."""
     max_len = model.config.max_len
     chunks = [
         (i, start, [t.norm for t in sentence[start : start + max_len]])
@@ -410,7 +440,7 @@ def reference_tag_batch(model, emb, sentences):
         x = np.zeros((len(batch), lengths.max(), model.config.dim))
         for row, (_, _, norms) in enumerate(batch):
             x[row, : len(norms)] = _embed_norms(norms, emb)
-        log_probs, _ = forward(model.params, x, lengths, keep_cache=False)
+        log_probs, _ = blstm_forward(split_directions(model.params), x, lengths)
         for row, (i, start, norms) in enumerate(batch):
             probs[i][start : start + len(norms)] = np.exp(log_probs[row, : len(norms)])
     return probs
@@ -436,9 +466,9 @@ class TestBatchBuilding:
     def test_training_matches_the_reference_loop(self, tiny_embedding):
         data = ragged_corpus(tiny_embedding)
         model = train_ner(data, tiny_embedding, RAGGED_CONFIG)
-        want = reference_train_ner(data, tiny_embedding, RAGGED_CONFIG)
-        for name, value in want.items():
-            assert np.array_equal(model.params[name], value), name
+        assert_same_bits(
+            split_directions(model.params), reference_train_ner(data, tiny_embedding, RAGGED_CONFIG)
+        )
 
     def test_tagging_matches_the_reference_loop(self, tiny_embedding):
         data = ragged_corpus(tiny_embedding)
@@ -455,6 +485,7 @@ class TestBatchBuilding:
         data = ragged_corpus(tiny_embedding)
         assert [len(s.tokens) for s in data] == [15, 19, 1, 18, 11, 24, 1, 2, 12, 18, 2, 24]
         model = train_ner(data, tiny_embedding, RAGGED_CONFIG)
+        named = split_directions(model.params)
         sums = {
             "bw_b": 4.079693760271394, "bw_wh": -0.5376840780925127,
             "bw_wx": 2.276780327568189, "dense_w": -0.14321567988878225,
@@ -462,7 +493,7 @@ class TestBatchBuilding:
             "fw_wx": 2.5646684353283344,
         }
         for name, total in sums.items():
-            assert model.params[name].sum() == pytest.approx(total, rel=1e-9), name
+            assert named[name].sum() == pytest.approx(total, rel=1e-9), name
         tagged = tag_batch(model, tiny_embedding, [list(s.tokens) for s in data])
         assert ["".join("0123456789a"[ALL_TAGS.index(t)] for t, _ in s) for s in tagged] == [
             "833333333333838", "0083333833333388883", "8", "833308883333333833",
@@ -471,6 +502,128 @@ class TestBatchBuilding:
         ]
         mean_class = sum(float(p @ np.arange(11.0)) for s in tagged for _, p in s)
         assert mean_class == pytest.approx(688.0062129735238, rel=1e-9)
+
+
+def bits(a) -> bytes:
+    a = np.asarray(a)
+    return bytes(str((a.dtype, a.shape)), "ascii") + a.tobytes()
+
+
+def assert_same_bits(got: dict, want: dict):
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert bits(got[name]) == bits(want[name]), name
+
+
+@st.composite
+def blstm_batches(draw):
+    """Random per-direction parameters and a ragged batch: batch 1-9, steps
+    1-12, dim and hidden 1-6, each length 1 to steps."""
+    batch = draw(st.integers(1, 9))
+    steps = draw(st.integers(1, 12))
+    dim, hidden = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    lengths = np.array(draw(st.lists(st.integers(1, steps), min_size=batch, max_size=batch)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    named = toy_named(rng, dim, hidden, len(ALL_TAGS))
+    x = rng.normal(size=(batch, steps, dim))
+    x[np.arange(steps)[None, :] >= lengths[:, None]] = 0.0
+    tag_ids = rng.integers(0, len(ALL_TAGS), size=(batch, steps))
+    return named, x, tag_ids, lengths
+
+
+class TestStackedDirections:
+    """The stacked time loop against the per-direction BLSTM it replaced
+    (``helpers``), bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(blstm_batches())
+    def test_matches_the_per_direction_loops(self, case):
+        named, x, tag_ids, lengths = case
+        params = stack_directions(named)
+        want_log_probs, _ = blstm_forward(named, x, lengths)
+        for keep_cache in (False, True):
+            log_probs, _ = forward(params, x, lengths, keep_cache=keep_cache)
+            assert bits(log_probs) == bits(want_log_probs)
+        total, grads, per_sentence = loss_and_grads(params, x, tag_ids, lengths)
+        want_total, want_grads, want_per_sentence = blstm_loss_and_grads(
+            named, x, tag_ids, lengths
+        )
+        assert bits(total) == bits(want_total)
+        assert bits(per_sentence) == bits(want_per_sentence)
+        assert sorted(grads) == sorted(params)
+        assert_same_bits(split_directions(grads), want_grads)
+
+    def test_layouts_convert_both_ways(self):
+        named = toy_named(np.random.default_rng(41), 3, 2, len(ALL_TAGS))
+        params = stack_directions(named)
+        assert {k: v.shape for k, v in params.items()} == {
+            "wx": (2, 3, 8), "wh": (2, 2, 8), "b": (2, 8), "dense_w": (4, 11), "dense_b": (11,),
+        }
+        assert_same_bits(split_directions(params), named)
+
+    def test_init_draws_the_saved_order(self):
+        config = BlstmConfig(dim=3, hidden=2)
+        got = init_params(config, np.random.default_rng(42))
+        assert_same_bits(split_directions(got), reference_init(config, np.random.default_rng(42)))
+
+    def test_reversal_is_the_row_loop(self):
+        rng = np.random.default_rng(43)
+        lengths = np.array([5, 1, 3, 5, 2])
+        x = rng.normal(size=(5, 5, 4))
+        # padded steps hold values the reversal must not carry over
+        x[np.arange(5)[None, :] >= lengths[:, None]] = [-0.0, np.nan, -1.0, np.inf]
+        got = _reverse_within_lengths(x, _reversal(lengths, 5))
+        assert bits(got) == bits(reverse_within_lengths(x, lengths))
+        assert not np.signbit(got[1, 1:]).any()
+
+    def test_demo_shape_training_and_tagging(self, demo_models):
+        # the demo tagger's shape, batch and learning rate; two epochs
+        from vuln2rule.demo import generate_demo_records
+
+        records = generate_demo_records(160, 7)
+        data = [r.sentence for r in records]
+        emb = demo_models.embedding
+        config = replace(demo_models.tagger.config, epochs=2)
+        assert (config.dim, config.hidden, config.batch_size, config.max_len) == (32, 32, 32, 60)
+        model = train_ner(data, emb, config)
+        assert_same_bits(split_directions(model.params), reference_train_ner(data, emb, config))
+        sentences = [list(s.tokens) for s in data]
+        tagged = tag_batch(demo_models.tagger, emb, sentences)
+        for got, want in zip(tagged, reference_tag_batch(demo_models.tagger, emb, sentences)):
+            assert bits(np.array([p for _, p in got])) == bits(want)
+
+    def test_paper_like_shape_over_max_len(self):
+        # dim and hidden 100 as in the paper; sentences up to 2.5 x max_len
+        rng = np.random.default_rng(44)
+        words = [f"w{i}" for i in range(40)]
+        emb = make_embedding({w: rng.normal(scale=0.3, size=100) for w in words})
+        data = []
+        for n in (75, 31, 30, 12, 64, 5, 47, 1, 29, 60):
+            tokens = tokenize(" ".join(rng.choice(words + ["unknownword"], size=n)))
+            data.append(LabeledSentence(tuple(tokens), tuple(rng.choice(ALL_TAGS, size=n))))
+        config = BlstmConfig(max_len=30, dim=100, hidden=100, epochs=2, batch_size=4,
+                             learning_rate=0.05, seed=45)
+        model = train_ner(data, emb, config)
+        assert_same_bits(split_directions(model.params), reference_train_ner(data, emb, config))
+        sentences = [list(s.tokens) for s in data]
+        tagged = tag_batch(model, emb, sentences)
+        for got, want in zip(tagged, reference_tag_batch(model, emb, sentences)):
+            assert bits(np.array([p for _, p in got])) == bits(want)
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_len", 0), ("dim", 0), ("hidden", -2), ("epochs", -1), ("batch_size", 0)],
+    )
+    def test_count_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            BlstmConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_learning_rate_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="learning_rate must be a finite number > 0"):
+            BlstmConfig(learning_rate=value)
 
 
 class TestEntityExtraction:
