@@ -6,12 +6,14 @@ Every file the package reads or writes goes through ``read_text``,
 An artifact starts with UTF-8 text lines: a format marker, then ``# key
 value`` metadata.  Each matrix follows as a ``matrix <name> <rows> <cols>``
 line and exactly rows*cols*8 bytes of little-endian float64 in row order, so
-load(save(x)) is bit-exact."""
+load(save(x)) is bit-exact.  Config dataclasses declare each setting's default
+and range once, with ``setting``, and check them with ``check_settings``."""
 
 from __future__ import annotations
 
 import io
-from dataclasses import fields
+import math
+from dataclasses import field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -46,8 +48,55 @@ def write_text(path: str | Path, text: str | bytes) -> None:
         raise UnwritableFile(f"{path}: {exc}") from exc
 
 
-#: parsers for the field types of the config dataclasses saved in metadata
-_FIELD_PARSERS = {"int": int, "float": float, "str": str}
+def _path(value: str) -> Path:
+    if "\0" in value:
+        raise ValueError(f"path {value!r} holds a NUL character")
+    return Path(value)
+
+
+#: parsers from text for the field types of the config dataclasses, as
+#: written in their annotations
+FIELD_PARSERS: dict[str, Callable[[str], object]] = {
+    "int": int, "float": float, "str": str, "Path": _path, "Path | None": _path,
+    "tuple[int, ...]": lambda value: tuple(int(v) for v in value.split(",")),
+}
+
+
+#: the ranges a config setting can declare, by the words that its error
+#: message uses: "<name> must be <range>, got <value>"
+RANGES: dict[str, Callable] = {
+    "at least 0": lambda v: v >= 0,
+    "at least 1": lambda v: v >= 1,
+    "a finite number > 0": lambda v: math.isfinite(v) and v > 0,
+    "a finite number at least 0": lambda v: math.isfinite(v) and v >= 0,
+    "a number, not NaN": lambda v: not math.isnan(v),
+    "CBOW or SG": lambda v: v in ("CBOW", "SG"),
+}
+
+
+def setting(default, within: str):
+    """A config dataclass field with its default and its range, a key of
+    ``RANGES``; a dict default is copied per instance."""
+    if isinstance(default, dict):
+        return field(default_factory=lambda: dict(default), metadata={"range": within})
+    return field(default=default, metadata={"range": within})
+
+
+def check_settings(config) -> None:
+    """Raise ValueError naming the first setting of ``config`` outside its
+    declared range; each item of a tuple is checked, and each value of a
+    dict under the name ``<field>.<key>``."""
+    for f in fields(config):
+        if "range" not in f.metadata:
+            continue
+        value = getattr(config, f.name)
+        if isinstance(value, dict):
+            items = [(f"{f.name}.{key}", v) for key, v in value.items()]
+        else:
+            items = [(f.name, v) for v in (value if isinstance(value, tuple) else (value,))]
+        for name, v in items:
+            if not RANGES[f.metadata["range"]](v):
+                raise ValueError(f"{name} must be {f.metadata['range']}, got {v}")
 
 
 def config_meta(config) -> dict[str, str]:
@@ -59,7 +108,7 @@ def config_meta(config) -> dict[str, str]:
 def config_from_meta(cls: type[T], meta: dict[str, str]) -> T:
     """Inverse of ``config_meta``; call it inside a ``read_model`` build.
     Keys that are not fields of ``cls`` are ignored."""
-    return cls(**{f.name: _FIELD_PARSERS[f.type](meta[f.name]) for f in fields(cls)})
+    return cls(**{f.name: FIELD_PARSERS[f.type](meta[f.name]) for f in fields(cls)})
 
 
 def write_model(

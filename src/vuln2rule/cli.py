@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import demo as demo_mod
-from ._textio import read_text, write_text
+from ._textio import FIELD_PARSERS, read_text, write_text
 from .completer import (
     COMPLETABLE_ENTITIES,
     build_feature_vector,
@@ -38,7 +39,6 @@ from .pipeline import (
     DISC_TEMPLATE,
     EvalInputs,
     PipelineConfig,
-    apply_config_key,
     crossvalidate_wiring,
     eval_suite,
     load_models,
@@ -60,21 +60,37 @@ from .tagger import (
 
 
 def _config_from(args) -> PipelineConfig:
-    config = (
-        PipelineConfig.from_file(args.config)
-        if getattr(args, "config", None)
-        else PipelineConfig()
-    )
-    if getattr(args, "model_dir", None):
+    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+    if args.model_dir:
         config.model_dir = Path(args.model_dir)
     for key in ("seed", "threshold"):
         value = getattr(args, key, None)
         if value is not None:
             try:
-                apply_config_key(config, key, str(value))
+                config = replace(config, **{key: value})
             except ValueError as exc:
                 raise ConfigError(f"--{key}: {exc}") from exc
     return config
+
+
+def _add_setting_flags(p: argparse.ArgumentParser, cls, *given: str) -> None:
+    """One flag per field of the config class ``cls`` except ``given``,
+    with the field's name, type and default."""
+    for f in fields(cls):
+        if f.name not in given:
+            p.add_argument(
+                "--" + f.name.replace("_", "-"), type=FIELD_PARSERS[f.type], default=f.default
+            )
+
+
+def _trainer_config(command: str, cls, args, **given):
+    """``cls`` from its flags in ``args`` and the ``given`` fields; a value
+    out of range is a ConfigError naming the command."""
+    flags = {f.name: getattr(args, f.name) for f in fields(cls) if f.name not in given}
+    try:
+        return cls(**flags, **given)
+    except ValueError as exc:
+        raise ConfigError(f"{command}: {exc}") from exc
 
 
 def _load_corpus(path: str) -> list[RawVulnerability]:
@@ -118,18 +134,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_train_embedding(args) -> int:
     config = _config_from(args)
-    try:
-        emb_config = EmbeddingConfig(
-            variant=args.variant,
-            dim=args.dim,
-            window=args.window,
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-            max_vocab=args.max_vocab,
-            seed=config.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"train-embedding: {exc}") from exc
+    emb_config = _trainer_config("train-embedding", EmbeddingConfig, args, seed=config.seed)
     records = _load_corpus(args.corpus)
     sentences = [s for record in records for s in sentences_of(record)]
     model = train_embedding(sentences, emb_config)
@@ -146,18 +151,10 @@ def cmd_train_embedding(args) -> int:
 def cmd_train_ner(args) -> int:
     config = _config_from(args)
     emb = _load_embedding(config)
-    try:
-        ner_config = BlstmConfig(
-            max_len=args.max_len,
-            dim=emb.dim,
-            hidden=emb.dim if args.hidden is None else args.hidden,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            learning_rate=args.learning_rate,
-            seed=config.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"train-ner: {exc}") from exc
+    hidden = emb.dim if args.hidden is None else args.hidden
+    ner_config = _trainer_config(
+        "train-ner", BlstmConfig, args, dim=emb.dim, hidden=hidden, seed=config.seed
+    )
     data = load_labeled_dataset(args.labeled)
     model = train_ner(data, emb, ner_config)
     out = _model_dir(config) / ARTIFACTS["ner"]
@@ -211,7 +208,7 @@ def cmd_train_completer(args) -> int:
     exemplars = check_exemplars(parse_json(read_text(args.exemplars)), args.exemplars)
     for entity in COMPLETABLE_ENTITIES:
         values = [v for es in entity_sets for v in es.values_for(entity)]
-        k = config.k_clusters.get(entity, 4)
+        k = config.k_clusters[entity]
         disc = fit_discretization(values, emb, k, config.seed, entity)
         disc = label_clusters_by_exemplars(disc, exemplars[entity], emb)
         completion = train_completion(
@@ -230,6 +227,8 @@ def cmd_train_completer(args) -> int:
 
 def cmd_complete(args) -> int:
     config = _config_from(args)
+    if args.top_k < 1:
+        raise ConfigError(f"--top-k must be at least 1, got {args.top_k}")
     models = load_models(config, need_tagger=False)
     entity = args.entity.upper()
     if entity not in models.completion:
@@ -386,20 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("train-embedding", cmd_train_embedding, "train the word embedding")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--variant", default="CBOW", choices=["CBOW", "SG"])
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--learning-rate", type=float, default=0.0001)
-    p.add_argument("--max-vocab", type=int, default=10000)
+    _add_setting_flags(p, EmbeddingConfig, "seed")
 
     p = add("train-ner", cmd_train_ner, "train the sequence tagger")
     p.add_argument("--labeled", required=True)
-    p.add_argument("--max-len", type=int, default=150)
     p.add_argument("--hidden", type=int)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=0.01)
+    _add_setting_flags(p, BlstmConfig, "dim", "hidden", "seed")
 
     p = add("tag", cmd_tag, "tag descriptions and emit entities as JSON lines")
     p.add_argument("--input", help="TSV/JSON feed of descriptions")

@@ -23,7 +23,7 @@ from .completer import (
     train_completion,
 )
 from .corpus import LabeledSentence, RawVulnerability, Token, tokenize
-from .embedding import CBOW, EmbeddingConfig, EmbeddingModel, train_embedding
+from .embedding import EmbeddingConfig, EmbeddingModel, train_embedding
 from .errors import MalformedRecord
 from .rules.schema import (
     load_default_lexicon,
@@ -208,15 +208,7 @@ def build_demo_models(
     sentences.append([t.norm for t in tokenize(golden_fixture()["description"])])
     emb = train_embedding(
         sentences,
-        EmbeddingConfig(
-            variant=CBOW,
-            dim=dim,
-            window=5,
-            epochs=embedding_epochs,
-            learning_rate=0.05,
-            max_vocab=10000,
-            seed=seed,
-        ),
+        EmbeddingConfig(dim=dim, epochs=embedding_epochs, learning_rate=0.05, seed=seed),
     )
 
     discretization: dict[str, DiscretizationModel] = {}
@@ -245,7 +237,6 @@ def build_demo_models(
             dim=dim,
             hidden=dim,
             epochs=ner_epochs,
-            batch_size=32,
             learning_rate=0.1,
             seed=seed,
         ),
@@ -261,7 +252,6 @@ def build_demo_models(
         lexicon=load_default_lexicon(),
         mapping=load_default_mapping(),
         tagger=ner,
-        threshold=0.5,
     )
     return DemoModels(
         embedding=emb,

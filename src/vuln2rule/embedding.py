@@ -7,7 +7,6 @@ fixed seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -15,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _textio
+from ._textio import check_settings, setting
 from .corpus import OOV_WORD, Vocabulary, vocabulary_from_sentences
 from .errors import DegenerateCorpus
 
@@ -26,24 +26,16 @@ SKIP_GRAM = "SG"
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    variant: str = CBOW
-    dim: int = 100
-    window: int = 5
-    epochs: int = 300
-    learning_rate: float = 0.0001
-    max_vocab: int = 10000
-    seed: int = 0
+    variant: str = setting(CBOW, "CBOW or SG")
+    dim: int = setting(100, "at least 1")
+    window: int = setting(5, "at least 1")
+    epochs: int = setting(300, "at least 1")
+    learning_rate: float = setting(0.0001, "a finite number > 0")
+    max_vocab: int = setting(10000, "at least 1")
+    seed: int = setting(0, "at least 0")
 
     def __post_init__(self):
-        if self.variant not in (CBOW, SKIP_GRAM):
-            raise ValueError(f"variant must be {CBOW} or {SKIP_GRAM}")
-        for name in ("dim", "window", "epochs", "max_vocab"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(
-                f"learning_rate must be a finite number > 0, got {self.learning_rate}"
-            )
+        check_settings(self)
 
 
 @dataclass

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from . import _textio
+from ._textio import FIELD_PARSERS, check_settings, setting
 from .completer import (
     COMPLETABLE_ENTITIES,
     build_feature_vector,
@@ -68,26 +68,28 @@ class PipelineConfig:
     model_dir: Path = Path("models")
     lexicon_path: Path | None = None
     mapping_path: Path | None = None
-    k_clusters: dict[str, int] = field(
-        default_factory=lambda: {"VECTOR": 4, "IMPACT": 6, "MEANS": 8}
-    )
-    completer_l2: float = 0.01
-    completer_iterations: int = 70
-    wiring_k: int = 5
-    threshold: float = 0.5
-    top_ks: tuple[int, ...] = (1, 2, 3)
-    seed: int = 0
+    k_clusters: dict[str, int] = setting({"VECTOR": 4, "IMPACT": 6, "MEANS": 8}, "at least 1")
+    completer_l2: float = setting(0.01, "a finite number at least 0")
+    completer_iterations: int = setting(70, "at least 1")
+    wiring_k: int = setting(5, "at least 1")
+    threshold: float = setting(0.5, "a number, not NaN")
+    top_ks: tuple[int, ...] = setting((1, 2, 3), "at least 1")
+    seed: int = setting(0, "at least 0")
+
+    def __post_init__(self):
+        check_settings(self)
 
     @staticmethod
     def from_file(path: str | Path) -> PipelineConfig:
         """Key-value config: one ``key = value`` per line, '#' comments.
 
-        Keys: model_dir, lexicon_path, mapping_path, seed, threshold,
-        wiring_k, completer_l2, completer_iterations, top_ks (comma list),
-        k_clusters.{VECTOR,IMPACT,MEANS}.  Any other key, and a value out
-        of range (see ``apply_config_key``), is a ConfigError.
+        Keys: every field, parsed by its type (top_ks as a comma list),
+        with k_clusters set per entity as k_clusters.{VECTOR,IMPACT,MEANS}.
+        Any other key, and a value outside the field's declared range, is a
+        ConfigError.
         """
         config = PipelineConfig()
+        types = {f.name: f.type for f in fields(config)}
         for lineno, raw in enumerate(_textio.read_text(path).splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -95,73 +97,22 @@ class PipelineConfig:
             key, sep, value = (p.strip() for p in line.partition("="))
             if not sep:
                 raise ConfigError(f"config line {lineno}: expected 'key = value'")
+            name, _, entity = key.partition(".")
             try:
-                apply_config_key(config, key, value)
-            except (KeyError, ValueError) as exc:
+                if name == "k_clusters" and entity in COMPLETABLE_ENTITIES:
+                    parsed = {**config.k_clusters, entity: int(value)}
+                elif types.get(key) in FIELD_PARSERS:
+                    parsed = FIELD_PARSERS[types[key]](value)
+                else:
+                    raise ConfigError(f"config line {lineno}: unknown config key {key!r}")
+                config = replace(config, **{name: parsed})
+            except ValueError as exc:
                 raise ConfigError(f"config line {lineno}: {exc}") from exc
         for name in ("lexicon_path", "mapping_path"):
             value = getattr(config, name)
             if value is not None and not Path(value).exists():
                 raise ConfigError(f"{name} does not exist: {value}")
         return config
-
-
-def _path(value: str) -> Path:
-    if "\0" in value:
-        raise ValueError(f"path {value!r} holds a NUL character")
-    return Path(value)
-
-
-def _int_at_least(name: str, low: int) -> Callable[[str], int]:
-    def parse(value: str) -> int:
-        n = int(value)
-        if n < low:
-            raise ValueError(f"{name} must be at least {low}, got {n}")
-        return n
-
-    return parse
-
-
-def _finite_at_least(name: str, low: float) -> Callable[[str], float]:
-    def parse(value: str) -> float:
-        x = float(value)
-        if not (np.isfinite(x) and x >= low):
-            raise ValueError(f"{name} must be a finite number at least {low}, got {x}")
-        return x
-
-    return parse
-
-
-def _threshold(value: str) -> float:
-    threshold = float(value)
-    if np.isnan(threshold):
-        raise ValueError("threshold must be a number, not NaN")
-    return threshold
-
-
-_CONFIG_KEYS = {
-    "model_dir": _path,
-    "lexicon_path": _path,
-    "mapping_path": _path,
-    "seed": _int_at_least("seed", 0),
-    "threshold": _threshold,
-    "wiring_k": _int_at_least("wiring_k", 1),
-    "completer_l2": _finite_at_least("completer_l2", 0.0),
-    "completer_iterations": _int_at_least("completer_iterations", 1),
-    "top_ks": lambda value: tuple(_int_at_least("top_ks", 1)(v) for v in value.split(",")),
-}
-
-
-def apply_config_key(config: PipelineConfig, key: str, value: str) -> None:
-    """Parse, check and set one config value; raises KeyError for an
-    unknown key and ValueError for a value out of range."""
-    prefix, _, entity = key.partition(".")
-    if key in _CONFIG_KEYS:
-        setattr(config, key, _CONFIG_KEYS[key](value))
-    elif prefix == "k_clusters" and entity in COMPLETABLE_ENTITIES:
-        config.k_clusters[entity] = _int_at_least(key, 1)(value)
-    else:
-        raise KeyError(f"unknown config key {key!r}")
 
 
 def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorModels:
@@ -374,7 +325,10 @@ def crossvalidate_wiring(
     variable slots as wired/not-wired against the rule's own variables.
 
     A slot's sort is the lexicon's when its predicate is declared, else the
-    training fold's inferred sort, else one of its own."""
+    training fold's inferred sort, else one of its own.  ``folds < 1``
+    raises ConfigError."""
+    if folds < 1:
+        raise ConfigError(f"folds must be at least 1, got {folds}")
     if len(rules) < folds:
         raise TooFewRules(f"{len(rules)} rules for {folds} folds")
     chunks = np.array_split(np.arange(len(rules)), folds)

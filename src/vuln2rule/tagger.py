@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _textio
+from ._textio import check_settings, setting
 from .corpus import LabeledSentence, Token, tokenize
 from .embedding import EmbeddingModel
 from .errors import (
@@ -53,22 +54,16 @@ MODEL_MARKER = "# vuln2rule-blstm 2"
 
 @dataclass(frozen=True)
 class BlstmConfig:
-    max_len: int = 150
-    dim: int = 100
-    hidden: int = 100
-    epochs: int = 100
-    batch_size: int = 32
-    learning_rate: float = 0.01
-    seed: int = 0
+    max_len: int = setting(150, "at least 1")
+    dim: int = setting(100, "at least 1")
+    hidden: int = setting(100, "at least 1")
+    epochs: int = setting(100, "at least 1")
+    batch_size: int = setting(32, "at least 1")
+    learning_rate: float = setting(0.01, "a finite number > 0")
+    seed: int = setting(0, "at least 0")
 
     def __post_init__(self):
-        for name in ("max_len", "dim", "hidden", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(
-                f"learning_rate must be a finite number > 0, got {self.learning_rate}"
-            )
+        check_settings(self)
 
 
 @dataclass

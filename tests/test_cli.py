@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vuln2rule import demo
-from vuln2rule.cli import main
+from vuln2rule.cli import build_parser, main
 from vuln2rule.completer import COMPLETABLE_ENTITIES, save_completion, save_discretization
 from vuln2rule.corpus import load_nvd_feed
 from vuln2rule.embedding import save_embedding
@@ -201,6 +201,18 @@ def test_complete_bad_entities_is_error(model_dir, argument, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("top_k", ["0", "-1"])
+def test_complete_top_k_below_one_is_error(model_dir, capsys, top_k):
+    assert main([
+        "complete", "--entity", "means", "--entities", "{}", "--model-dir", str(model_dir),
+        "--top-k", top_k,
+    ]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: --top-k must be at least 1, got {top_k}")
+    assert "Traceback" not in err
+
+
 def test_learn_wiring_default_corpus(tmp_path, capsys):
     model_dir = tmp_path / "models"
     assert main(["learn-wiring", "--model-dir", str(model_dir)]) == 0
@@ -326,6 +338,15 @@ def test_xval_wiring_default(capsys):
     assert main(["xval-wiring", "--folds", "5"]) == 0
     out = capsys.readouterr().out
     assert "mean F1" in out
+
+
+@pytest.mark.parametrize("folds", ["0", "-1"])
+def test_xval_wiring_folds_below_one_is_error(capsys, folds):
+    assert main(["xval-wiring", "--folds", folds]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: folds must be at least 1, got {folds}")
+    assert "Traceback" not in err
 
 
 def test_eval_demo(model_dir, tmp_path, capsys):
@@ -525,6 +546,37 @@ def test_train_ner_flag_out_of_range_is_error(
     err = capsys.readouterr().err
     assert err.startswith(f"error: train-ner: {named} must be ") and "Traceback" not in err
     assert sorted(p.name for p in models.iterdir()) == [ARTIFACTS["embedding"]]
+
+
+@pytest.mark.parametrize(
+    "command,input_flag,defaults",
+    [
+        ("train-embedding", "--corpus", {"variant": "CBOW", "dim": 100, "window": 5,
+                                         "epochs": 300, "learning_rate": 0.0001,
+                                         "max_vocab": 10000}),
+        ("train-ner", "--labeled", {"max_len": 150, "hidden": None, "epochs": 100,
+                                    "batch_size": 32, "learning_rate": 0.01}),
+    ],
+)
+def test_trainer_flags_and_defaults_pinned(command, input_flag, defaults):
+    argv = [command, input_flag, "in.tsv"]
+    args = vars(build_parser().parse_args(argv))
+    common = {"config", "model_dir", "seed", "func", "command", input_flag[2:]}
+    assert {k: v for k, v in args.items() if k not in common} == defaults
+    for name, default in defaults.items():
+        value = "SG" if name == "variant" else "7"
+        got = getattr(build_parser().parse_args([*argv, "--" + name.replace("_", "-"), value]), name)
+        assert got == (value if name == "variant" else 7)
+        assert default is None or type(got) is type(default)
+
+
+def test_train_embedding_unknown_variant_is_error(tmp_path, demo_corpus, capsys):
+    models = tmp_path / "models"
+    assert main(["train-embedding", "--corpus", str(demo_corpus), "--model-dir", str(models),
+                 "--variant", "XX"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: train-embedding: variant must be CBOW or SG, got XX")
+    assert "Traceback" not in err and not models.exists()
 
 
 def test_completer_config_out_of_range_is_error(model_dir, tmp_path, capsys):

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import re
+from dataclasses import fields
+
 import pytest
 
 from helpers import synthesize_wiring_corpus
+from vuln2rule._textio import RANGES, config_meta
 from vuln2rule.corpus import RawVulnerability
 from vuln2rule.embedding import EmbeddingConfig
 from vuln2rule.demo import golden_entity_set
@@ -155,6 +160,12 @@ class TestCrossvalidateWiring:
     def test_too_few_rules_rejected(self):
         with pytest.raises(TooFewRules):
             crossvalidate_wiring([template_rule(True)] * 3, folds=10)
+
+    @pytest.mark.parametrize("folds", [0, -1])
+    def test_folds_below_one_rejected(self, folds):
+        rules = [template_rule(wired=True) for _ in range(20)]
+        with pytest.raises(ConfigError, match=f"folds must be at least 1, got {folds}"):
+            crossvalidate_wiring(rules, folds=folds)
 
     def test_packaged_corpus_reported(self):
         rules = parse_rule_file(load_default_rule_corpus())
@@ -440,3 +451,65 @@ class TestPipelineConfig:
         cfg_file.write_text("just a line without equals\n", "utf-8")
         with pytest.raises(ConfigError):
             PipelineConfig.from_file(cfg_file)
+
+
+#: per declared range: a value on its boundary, and one just outside it
+RANGE_EDGES = {
+    "at least 0": (0, -1),
+    "at least 1": (1, 0),
+    "a finite number > 0": (5e-324, 0.0),
+    "a finite number at least 0": (0.0, -5e-324),
+    "a number, not NaN": (-math.inf, math.nan),
+    "CBOW or SG": ("SG", "XX"),
+}
+
+DECLARED_SETTINGS = [
+    pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+    for cls in (EmbeddingConfig, BlstmConfig, PipelineConfig)
+    for f in fields(cls)
+    if "range" in f.metadata
+]
+
+
+class TestDeclaredSettings:
+    def test_every_range_has_edges(self):
+        assert set(RANGE_EDGES) == set(RANGES)
+        assert len(DECLARED_SETTINGS) == 21
+
+    @pytest.mark.parametrize("cls,f", DECLARED_SETTINGS)
+    def test_boundary_accepted_and_just_outside_rejected(self, cls, f):
+        inside, outside = RANGE_EDGES[f.metadata["range"]]
+        # a dict is checked per value, a tuple per item
+        wrap = {
+            "k_clusters": lambda v: {"VECTOR": 4, "MEANS": v},
+            "top_ks": lambda v: (2, v),
+        }.get(f.name, lambda v: v)
+        name = "k_clusters.MEANS" if f.name == "k_clusters" else f.name
+        assert getattr(cls(**{f.name: wrap(inside)}), f.name) == wrap(inside)
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+            cls(**{f.name: wrap(outside)})
+
+    def test_pipeline_config_built_in_code_is_checked(self):
+        with pytest.raises(ValueError, match="^wiring_k must be at least 1, got 0"):
+            PipelineConfig(wiring_k=0)
+
+    def test_k_clusters_default_not_shared(self):
+        first = PipelineConfig()
+        first.k_clusters["VECTOR"] = 9
+        assert PipelineConfig().k_clusters == {"VECTOR": 4, "IMPACT": 6, "MEANS": 8}
+
+    def test_field_order_and_defaults_pinned(self):
+        assert list(config_meta(EmbeddingConfig()).items()) == list({
+            "variant": "CBOW", "dim": "100", "window": "5", "epochs": "300",
+            "learning_rate": "0.0001", "max_vocab": "10000", "seed": "0",
+        }.items())
+        assert list(config_meta(BlstmConfig()).items()) == list({
+            "max_len": "150", "dim": "100", "hidden": "100", "epochs": "100",
+            "batch_size": "32", "learning_rate": "0.01", "seed": "0",
+        }.items())
+        assert [f.name for f in fields(PipelineConfig)] == [
+            "model_dir", "lexicon_path", "mapping_path", "k_clusters", "completer_l2",
+            "completer_iterations", "wiring_k", "threshold", "top_ks", "seed",
+        ]
+        # perfbench reads these two as class attributes
+        assert (PipelineConfig.wiring_k, PipelineConfig.threshold) == (5, 0.5)
