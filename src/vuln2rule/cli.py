@@ -31,7 +31,7 @@ from .corpus import (
     load_nvd_feed,
     sentences_of,
 )
-from .embedding import EmbeddingConfig, load_embedding, save_embedding, train_embedding
+from .embedding import EmbeddingConfig, save_embedding, train_embedding
 from .errors import ConfigError, MissingArtifact, UnwritableFile, Vuln2RuleError
 from .pipeline import (
     ARTIFACTS,
@@ -39,13 +39,15 @@ from .pipeline import (
     DISC_TEMPLATE,
     EvalInputs,
     PipelineConfig,
+    configured_lexicon,
     crossvalidate_wiring,
     eval_suite,
+    load_embedding_and_tagger,
     load_models,
     run_pipeline,
 )
 from .rules.datalog import emit_rule, parse_rule_file
-from .rules.schema import load_default_lexicon, load_default_rule_corpus
+from .rules.schema import load_default_rule_corpus
 from .rules.synthesis import PLACEHOLDER_CVE_ID, GenerationFailure, generate
 from .rules.wiring import estimate_wiring_matrix, impute_matrix, save_wiring
 from .tagger import (
@@ -97,13 +99,6 @@ def _load_corpus(path: str) -> list[RawVulnerability]:
     return list(load_nvd_feed(path).records)
 
 
-def _load_embedding(config: PipelineConfig):
-    path = config.model_dir / ARTIFACTS["embedding"]
-    if not path.exists():
-        raise MissingArtifact("train-embedding", str(path))
-    return load_embedding(path)
-
-
 def _model_dir(config: PipelineConfig) -> Path:
     try:
         config.model_dir.mkdir(parents=True, exist_ok=True)
@@ -150,7 +145,7 @@ def cmd_train_embedding(args) -> int:
 
 def cmd_train_ner(args) -> int:
     config = _config_from(args)
-    emb = _load_embedding(config)
+    emb, _ = load_embedding_and_tagger(config, need_tagger=False)
     hidden = emb.dim if args.hidden is None else args.hidden
     ner_config = _trainer_config(
         "train-ner", BlstmConfig, args, dim=emb.dim, hidden=hidden, seed=config.seed
@@ -167,14 +162,12 @@ def cmd_tag(args) -> int:
     config = _config_from(args)
     if not args.text and not args.input:
         raise ConfigError("tag needs --input or --text")
-    models = load_models(config, need_tagger=True)
+    emb, tagger = load_embedding_and_tagger(config)
     if args.text:
         records = [RawVulnerability(args.cve_id, args.text)]
     else:
         records = _load_corpus(args.input)
-    tagged = tag_texts(
-        models.tagger, models.embedding, [(r.id, r.description) for r in records]
-    )
+    tagged = tag_texts(tagger, emb, [(r.id, r.description) for r in records])
     lines = [json.dumps({**t.entities.to_dict(), "tags": t.tags}, sort_keys=True) for t in tagged]
     output = "\n".join(lines) + "\n"
     if args.out:
@@ -186,9 +179,9 @@ def cmd_tag(args) -> int:
 
 def cmd_eval_ner(args) -> int:
     config = _config_from(args)
-    models = load_models(config, need_tagger=True)
+    emb, tagger = load_embedding_and_tagger(config)
     data = load_labeled_dataset(args.labeled)
-    result = evaluate_tagger(models.tagger, models.embedding, data)
+    result = evaluate_tagger(tagger, emb, data)
     print(f"{'class':<12} {'precision':>9} {'recall':>9} {'f1':>9} {'support':>8}")
     for cls, score in result.per_class.items():
         print(
@@ -203,7 +196,7 @@ def cmd_eval_ner(args) -> int:
 
 def cmd_train_completer(args) -> int:
     config = _config_from(args)
-    emb = _load_embedding(config)
+    emb, _ = load_embedding_and_tagger(config, need_tagger=False)
     entity_sets = demo_mod.read_entity_records(args.entities)
     exemplars = check_exemplars(parse_json(read_text(args.exemplars)), args.exemplars)
     for entity in COMPLETABLE_ENTITIES:
@@ -313,7 +306,7 @@ def cmd_eval(args) -> int:
             ),
             pipeline_inputs=corpus,
         )
-    report = eval_suite(models, data, top_ks=config.top_ks)
+    report = eval_suite(models, data, top_ks=config.top_ks, k_neighbors=config.wiring_k)
     if args.report:
         write_text(args.report, report.to_json() + "\n")
     sys.stdout.write(report.render_text())
@@ -331,7 +324,7 @@ def cmd_xval_wiring(args) -> int:
         folds=args.folds,
         k_neighbors=config.wiring_k,
         threshold=config.threshold,
-        lexicon=load_default_lexicon(),
+        lexicon=configured_lexicon(config),
     )
     print(f"folds: {args.folds}  mean F1: {result.f1:.4f}  mean accuracy: {result.accuracy:.4f}")
     return 0

@@ -22,9 +22,9 @@ from .completer import (
     predict_missing,
 )
 from .corpus import LabeledSentence, RawVulnerability, word_frequency_report
-from .embedding import load_embedding, nearest_neighbors
+from .embedding import EmbeddingModel, load_embedding, nearest_neighbors
 from .errors import ConfigError, MismatchedArtifacts, MissingArtifact, TooFewRules
-from .rules.datalog import InteractionRule, emit_rules
+from .rules.datalog import InteractionRule, emit_rules, variable_groups
 from .rules.schema import (
     SchemaLexicon,
     load_default_lexicon,
@@ -38,11 +38,10 @@ from .rules.synthesis import (
     GeneratorModels,
     generate,
     infer_slot_sorts,
-    variable_groups,
     wire_variables,
 )
 from .rules.wiring import Slot, estimate_wiring_matrix, impute_matrix, load_wiring
-from .tagger import EntitySet, evaluate_tagger, load_ner, tag_texts
+from .tagger import BlstmModel, EntitySet, evaluate_tagger, load_ner, tag_texts
 
 
 # --- configuration ----------------------------------------------------------
@@ -115,6 +114,43 @@ class PipelineConfig:
         return config
 
 
+def _artifact(config: PipelineConfig, stage: str, name: str) -> Path:
+    """The artifact ``name`` in the model directory; raises MissingArtifact
+    naming the stage that writes it when the file is absent."""
+    path = Path(config.model_dir) / name
+    if not path.exists():
+        raise MissingArtifact(stage, str(path))
+    return path
+
+
+def _check_dim(config: PipelineConfig, dim: int, path: Path, fits: bool, found: str) -> None:
+    if not fits:
+        emb_path = Path(config.model_dir) / ARTIFACTS["embedding"]
+        raise MismatchedArtifacts(f"{path} has {found}, but {emb_path} has dim {dim}")
+
+
+def load_embedding_and_tagger(
+    config: PipelineConfig, need_tagger: bool = True
+) -> tuple[EmbeddingModel, BlstmModel | None]:
+    """The embedding and, with ``need_tagger``, the tagger, from the model
+    directory; raises MissingArtifact naming the stage whose file is absent,
+    and MismatchedArtifacts when the tagger was trained for another
+    embedding dimension."""
+    emb = load_embedding(_artifact(config, "train-embedding", ARTIFACTS["embedding"]))
+    if not need_tagger:
+        return emb, None
+    ner_path = _artifact(config, "train-ner", ARTIFACTS["ner"])
+    tagger_model = load_ner(ner_path)
+    got = tagger_model.config.dim
+    _check_dim(config, emb.dim, ner_path, got == emb.dim, f"dim {got}")
+    return emb, tagger_model
+
+
+def configured_lexicon(config: PipelineConfig) -> SchemaLexicon:
+    """The lexicon at ``lexicon_path``, else the packaged one."""
+    return load_lexicon(config.lexicon_path) if config.lexicon_path else load_default_lexicon()
+
+
 def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorModels:
     """Load every artifact from the model directory; raises MissingArtifact
     naming the stage whose file is absent, and MismatchedArtifacts when a
@@ -122,47 +158,26 @@ def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorMo
     holds a cluster label that the mapping tables do not map; raises
     ConfigError when the mapping tables name a predicate that the lexicon
     does not declare, or declares at two arities."""
-    model_dir = Path(config.model_dir)
-
-    def path_for(stage: str, name: str) -> Path:
-        p = model_dir / name
-        if not p.exists():
-            raise MissingArtifact(stage, str(p))
-        return p
-
-    emb_path = path_for("train-embedding", ARTIFACTS["embedding"])
-    emb = load_embedding(emb_path)
-    dim = emb.config.dim
-
-    def check(path: Path, fits: bool, found: str) -> None:
-        if not fits:
-            raise MismatchedArtifacts(f"{path} has {found}, but {emb_path} has dim {dim}")
-
-    tagger_model = None
-    if need_tagger:
-        ner_path = path_for("train-ner", ARTIFACTS["ner"])
-        tagger_model = load_ner(ner_path)
-        check(ner_path, tagger_model.config.dim == dim, f"dim {tagger_model.config.dim}")
+    emb, tagger_model = load_embedding_and_tagger(config, need_tagger)
+    dim = emb.dim
     discretization = {}
     completion = {}
     labels_from: dict[str, list[tuple[Path, list[str]]]] = {}
     for entity in COMPLETABLE_ENTITIES:
-        disc_path = path_for("train-completer", DISC_TEMPLATE.format(entity.lower()))
+        disc_path = _artifact(config, "train-completer", DISC_TEMPLATE.format(entity.lower()))
         disc = discretization[entity] = load_discretization(disc_path)
         cols = disc.centroids.shape[1]
-        check(disc_path, cols == dim, f"{cols}-column centroids")
-        comp_path = path_for("train-completer", COMPLETION_TEMPLATE.format(entity.lower()))
+        _check_dim(config, dim, disc_path, cols == dim, f"{cols}-column centroids")
+        comp_path = _artifact(config, "train-completer", COMPLETION_TEMPLATE.format(entity.lower()))
         comp = completion[entity] = load_completion(comp_path)
         # load_completion has checked weights against block_dim
-        check(comp_path, comp.block_dim == dim, f"block_dim {comp.block_dim}")
+        _check_dim(config, dim, comp_path, comp.block_dim == dim, f"block_dim {comp.block_dim}")
         labels_from[entity] = [
             (disc_path, list(disc.labels.values())),
             (comp_path, [label for _, label in comp.classes]),
         ]
-    wiring = load_wiring(path_for("learn-wiring", ARTIFACTS["wiring"]))
-    lexicon = (
-        load_lexicon(config.lexicon_path) if config.lexicon_path else load_default_lexicon()
-    )
+    wiring = load_wiring(_artifact(config, "learn-wiring", ARTIFACTS["wiring"]))
+    lexicon = configured_lexicon(config)
     mapping = (
         load_mapping(config.mapping_path) if config.mapping_path else load_default_mapping()
     )
@@ -325,10 +340,10 @@ def crossvalidate_wiring(
     variable slots as wired/not-wired against the rule's own variables.
 
     A slot's sort is the lexicon's when its predicate is declared, else the
-    training fold's inferred sort, else one of its own.  ``folds < 1``
-    raises ConfigError."""
-    if folds < 1:
-        raise ConfigError(f"folds must be at least 1, got {folds}")
+    training fold's inferred sort, else one of its own.  ``folds < 2``
+    raises ConfigError: one fold leaves no training rules."""
+    if folds < 2:
+        raise ConfigError(f"folds must be at least 2, got {folds}")
     if len(rules) < folds:
         raise TooFewRules(f"{len(rules)} rules for {folds} folds")
     chunks = np.array_split(np.arange(len(rules)), folds)
@@ -399,11 +414,13 @@ def eval_suite(
     data: EvalInputs,
     top_ks: tuple[int, ...] = (1, 2, 3),
     folds: int = 10,
+    k_neighbors: int = 5,
     probe_words: tuple[str, ...] = ("buffer", "remote", "windows", "code"),
 ) -> RunReport:
     """Frequency report, neighbor probes, tagger F1, completion ranking
-    metrics, wiring cross-validation and the end-to-end success ratio, all
-    in one machine-readable report."""
+    metrics, wiring cross-validation (``folds`` folds, ``k_neighbors``
+    imputation neighbours) and the end-to-end success ratio, all in one
+    machine-readable report."""
     report = RunReport()
     t0 = time.perf_counter()
 
@@ -453,7 +470,7 @@ def eval_suite(
 
     if len(data.rules) >= folds:
         cv = crossvalidate_wiring(
-            data.rules, folds, lexicon=models.lexicon, threshold=models.threshold
+            data.rules, folds, k_neighbors, lexicon=models.lexicon, threshold=models.threshold
         )
         report.metrics["wiring_cv"] = {"f1": cv.f1, "accuracy": cv.accuracy}
 

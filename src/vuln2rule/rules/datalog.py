@@ -98,6 +98,18 @@ class InteractionRule:
         return [self.head, *self.body]
 
 
+def variable_groups(rule: InteractionRule) -> list[frozenset[tuple[int, int]]]:
+    """The rule's variable partition: per variable, in order of first
+    occurrence, the (atom index, position) nodes that hold it; the head is
+    atom 0."""
+    by_var: dict[str, set[tuple[int, int]]] = {}
+    for ai, pred in enumerate(rule.predicates()):
+        for pos, term in enumerate(pred.args):
+            if term.kind == VARIABLE:
+                by_var.setdefault(term.text, set()).add((ai, pos))
+    return [frozenset(nodes) for nodes in by_var.values()]
+
+
 # --- lexer -----------------------------------------------------------------
 
 

@@ -8,9 +8,8 @@ threshold and their sorts agree).
 
 from __future__ import annotations
 
-import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..completer import (
@@ -31,7 +30,7 @@ from ..errors import (
 )
 from ..tagger import BlstmModel, EntitySet, extract_entities
 from ..tagger import tag as tag_tokens
-from .datalog import VARIABLE, WILDCARD, InteractionRule, Predicate, Term, quote
+from .datalog import WILDCARD, InteractionRule, Predicate, Term, quote, variable_groups
 from .schema import MappingTables, PredicateSchema, SchemaLexicon
 from .wiring import Slot, UnionFind, WiringMatrix
 
@@ -46,35 +45,20 @@ class UnmappableClusterError(Vuln2RuleError):
     pass
 
 
-@dataclass
-class SkeletonAtom:
-    schema: PredicateSchema
-    terms: list[Term | None]
-
-    @property
-    def slot(self) -> tuple[str, int]:
-        return self.schema.name, self.schema.arity
-
-
-@dataclass
-class RuleSkeleton:
-    head: SkeletonAtom
-    body: list[SkeletonAtom]
-    description: str = ""
-    trace: dict[str, str] = field(default_factory=dict)
-
-    def atoms(self) -> list[SkeletonAtom]:
-        return [self.head, *self.body]
+#: one rule atom during synthesis: its schema and its terms, None where a
+#: slot is still open (a constant not yet assigned, or a variable)
+Atom = tuple[PredicateSchema, list[Term | None]]
 
 
 def create_structure(
     clusters: dict[str, str],
     mapping: MappingTables,
     lexicon: SchemaLexicon,
-) -> RuleSkeleton:
-    """Head from the impact label; body from the means predicates plus the
-    vector's support predicates; every variable slot gets a fresh name and
-    the range/consequence constants are filled from the mapping tables."""
+) -> list[Atom]:
+    """The rule's atoms, head first: the head from the impact label, then
+    the means predicates and the vector's support predicates.  The range
+    and consequence constants come from the mapping tables; every other
+    slot is None."""
     for key in CORE_ENTITIES:
         if not clusters.get(key):
             raise MissingCoreEntity(key)
@@ -88,27 +72,19 @@ def create_structure(
     if means is None:
         raise UnmappableClusterError(f"means label {clusters['means']!r} has no mapping")
 
-    counter = itertools.count(1)
-
-    def instantiate(name: str) -> SkeletonAtom:
+    fixed = {
+        "range": Term.constant(vector.range_constant),
+        "consequence": Term.constant(impact.consequence),
+    }
+    atoms: list[Atom] = []
+    for name in [impact.head, *means.body, *vector.support]:
         schema = lexicon.require(name)
-        terms: list[Term | None] = []
-        for pos in range(schema.arity):
-            if pos in schema.constant_slots:
-                sort = schema.arg_sorts[pos]
-                if sort == "range":
-                    terms.append(Term.constant(vector.range_constant))
-                elif sort == "consequence":
-                    terms.append(Term.constant(impact.consequence))
-                else:
-                    terms.append(None)
-            else:
-                terms.append(Term.variable(f"V{next(counter)}"))
-        return SkeletonAtom(schema, terms)
-
-    head = instantiate(impact.head)
-    body = [instantiate(name) for name in means.body + vector.support]
-    return RuleSkeleton(head=head, body=body)
+        terms = [
+            fixed.get(sort) if pos in schema.constant_slots else None
+            for pos, sort in enumerate(schema.arg_sorts)
+        ]
+        atoms.append((schema, terms))
+    return atoms
 
 
 def to_atom(text: str) -> str:
@@ -120,12 +96,11 @@ def to_atom(text: str) -> str:
     return quote(text, "'")
 
 
-def assign_constants(
-    skeleton: RuleSkeleton, entities: EntitySet, cve_id: str
-) -> RuleSkeleton:
-    """Fill the remaining constant slots: vulnerability ids from the CVE id,
-    products/protocols/ports from the entities' first values, wildcards when
-    an entity is absent or its first value holds no word."""
+def assign_constants(atoms: list[Atom], entities: EntitySet, cve_id: str) -> dict[str, str]:
+    """Fill the constant slots still open: vulnerability ids from the CVE
+    id, products/protocols/ports from the entities' first values, wildcards
+    when an entity is absent or its first value holds no word.  Returns one
+    ``"<pred>#<pos>"`` trace entry per filled slot."""
 
     fillers = {
         "vulnid": lambda: Term.constant(quote(cve_id, "'")),
@@ -133,19 +108,19 @@ def assign_constants(
         "protocol": lambda: _entity_constant(_first_value(entities, "PROTOCOL")),
         "port": lambda: _port_constant(_first_value(entities, "PORT")),
     }
-    for atom in skeleton.atoms():
-        for pos, term in enumerate(atom.terms):
-            if term is not None:
+    trace: dict[str, str] = {}
+    for schema, terms in atoms:
+        for pos in sorted(schema.constant_slots):
+            if terms[pos] is not None:
                 continue
-            sort = atom.schema.arg_sorts[pos]
+            sort = schema.arg_sorts[pos]
             filler = fillers.get(sort)
-            filled = filler() if filler else Term.wildcard()
-            atom.terms[pos] = filled
+            filled = terms[pos] = filler() if filler else Term.wildcard()
             if filled.kind == WILDCARD:
-                skeleton.trace[f"{atom.schema.name}#{pos}"] = f"no entity for sort {sort!r}"
+                trace[f"{schema.name}#{pos}"] = f"no entity for sort {sort!r}"
             else:
-                skeleton.trace[f"{atom.schema.name}#{pos}"] = f"{sort} <- {filled.text}"
-    return skeleton
+                trace[f"{schema.name}#{pos}"] = f"{sort} <- {filled.text}"
+    return trace
 
 
 def _first_value(entities: EntitySet, tag: str) -> str | None:
@@ -193,22 +168,28 @@ def wire_variables(
     return sorted(uf.groups().values(), key=min)
 
 
-def wire_rule(skeleton: RuleSkeleton, matrix: WiringMatrix, threshold: float) -> InteractionRule:
-    """The rule whose variables are the classes ``wire_variables`` returns.
+def wire_rule(
+    atoms: list[Atom],
+    matrix: WiringMatrix,
+    threshold: float,
+    description: str,
+    trace: dict[str, str],
+) -> InteractionRule:
+    """The rule whose variables are the classes ``wire_variables`` returns
+    for every slot outside its schema's constant slots.
 
     A class is named from its first slot's hint: the hint itself, or else
     the first free ``<hint><n>`` with n >= 2.  Raises
     RangeRestrictionViolation when a head variable stays unbound."""
-    atoms = skeleton.atoms()
-    terms = [list(atom.terms) for atom in atoms]
+    terms = [list(atom_terms) for _, atom_terms in atoms]
     nodes: list[tuple[int, int]] = []
-    for ai, atom in enumerate(atoms):
-        for pos, term in enumerate(atom.terms):
-            if term is None:
-                raise ValueError(f"{atom.schema.name}#{pos}: constant slot not assigned")
-            if term.kind == VARIABLE:
+    for ai, (schema, atom_terms) in enumerate(atoms):
+        for pos, term in enumerate(atom_terms):
+            if pos not in schema.constant_slots:
                 nodes.append((ai, pos))
-    schemas = [atoms[ai].schema for ai, _ in nodes]
+            elif term is None:
+                raise ValueError(f"{schema.name}#{pos}: constant slot not assigned")
+    schemas = [atoms[ai][0] for ai, _ in nodes]
     slots = [Slot(s.name, s.arity, pos) for s, (_, pos) in zip(schemas, nodes)]
     sorts = [s.arg_sorts[pos] for s, (_, pos) in zip(schemas, nodes)]
     taken: set[str] = set()
@@ -222,12 +203,9 @@ def wire_rule(skeleton: RuleSkeleton, matrix: WiringMatrix, threshold: float) ->
         for m in group:
             ai, pos = nodes[m]
             terms[ai][pos] = Term.variable(name)
-    predicates = [Predicate(atom.schema.name, tuple(t)) for atom, t in zip(atoms, terms)]
+    predicates = [Predicate(schema.name, tuple(t)) for (schema, _), t in zip(atoms, terms)]
     rule = InteractionRule(
-        head=predicates[0],
-        body=tuple(predicates[1:]),
-        description=skeleton.description,
-        trace=dict(skeleton.trace),
+        head=predicates[0], body=tuple(predicates[1:]), description=description, trace=dict(trace)
     )
     rule.check_range_restriction()
     return rule
@@ -249,17 +227,14 @@ def infer_slot_sorts(
             for pos in range(p.arity)
         }
     )
-    index = {s: i for i, s in enumerate(slot_list)}
+    index = {(s.name, s.arity, s.pos): i for i, s in enumerate(slot_list)}
     uf = UnionFind(len(slot_list))
     for rule in rules:
-        by_var: dict[str, list[Slot]] = {}
-        for pred in rule.predicates():
-            for pos, term in enumerate(pred.args):
-                if term.kind == VARIABLE:
-                    by_var.setdefault(term.text, []).append(Slot(pred.name, pred.arity, pos))
-        for slots in by_var.values():
-            for a, b in zip(slots, slots[1:]):
-                uf.union(index[a], index[b])
+        preds = rule.predicates()
+        for group in variable_groups(rule):
+            members = [index[preds[ai].name, preds[ai].arity, pos] for ai, pos in group]
+            for a, b in zip(members, members[1:]):
+                uf.union(a, b)
 
     sorts: dict[Slot, str] = {}
     for root, members in uf.groups().items():
@@ -280,16 +255,6 @@ def infer_slot_sorts(
             own = lexicon.sort_of(s.name, s.arity, s.pos) if lexicon else None
             sorts[s] = own if own is not None else class_sort
     return sorts
-
-
-def variable_groups(rule: InteractionRule) -> list[frozenset[tuple[int, int]]]:
-    """Partition of (atom index, position) nodes by shared variable name."""
-    by_var: dict[str, set[tuple[int, int]]] = {}
-    for ai, pred in enumerate(rule.predicates()):
-        for pos, term in enumerate(pred.args):
-            if term.kind == VARIABLE:
-                by_var.setdefault(term.text, set()).add((ai, pos))
-    return [frozenset(nodes) for nodes in by_var.values()]
 
 
 # --- end-to-end generation ------------------------------------------------------
@@ -391,21 +356,20 @@ def generate(
             trace[key] = f"completed -> {ranked[0][0]} (p={ranked[0][1]:.3f})"
 
     try:
-        skeleton = create_structure(labels, models.mapping, models.lexicon)
+        atoms = create_structure(labels, models.mapping, models.lexicon)
     except MissingCoreEntity as exc:
         return GenerationFailure(FailureKind.MISSING_CORE_ENTITY, str(exc))
     except UnmappableClusterError as exc:
         return GenerationFailure(FailureKind.UNMAPPABLE_CLUSTER, str(exc))
 
-    skeleton.trace.update(trace)
+    trace.update(assign_constants(atoms, entity_set, cve_id))
     platform = _first_value(entity_set, "PLATFORM")
-    skeleton.description = (
+    description = (
         f"{cve_id}: {labels['means']} in "
         f"{platform or 'an unspecified product'} "
         f"enables {labels['impact']} ({labels['vector']} vector); auto-generated"
     )
-    assign_constants(skeleton, entity_set, cve_id)
     try:
-        return wire_rule(skeleton, models.wiring, models.threshold)
+        return wire_rule(atoms, models.wiring, models.threshold, description, trace)
     except RangeRestrictionViolation as exc:
         return GenerationFailure(FailureKind.RANGE_RESTRICTION, str(exc))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .._textio import read_text, write_text
 from ..errors import ConfigError, EmptyMatrix, MalformedRecord
-from .datalog import VARIABLE, InteractionRule
+from .datalog import InteractionRule, variable_groups
 
 
 @dataclass(frozen=True, order=True)
@@ -98,18 +98,6 @@ class WiringMatrix:
         return not np.isnan(self.probs[off_diag]).any()
 
 
-def _slot_occurrences(rule: InteractionRule) -> dict[Slot, list[str | None]]:
-    """Per slot, the variable name at each occurrence (None for non-variables)."""
-    occurrences: dict[Slot, list[str | None]] = {}
-    for pred in rule.predicates():
-        for pos, term in enumerate(pred.args):
-            slot = Slot(pred.name, pred.arity, pos)
-            occurrences.setdefault(slot, []).append(
-                term.text if term.kind == VARIABLE else None
-            )
-    return occurrences
-
-
 def estimate_wiring_matrix(rules: list[InteractionRule]) -> WiringMatrix:
     """Exact co-wiring ratios over the corpus.
 
@@ -119,22 +107,21 @@ def estimate_wiring_matrix(rules: list[InteractionRule]) -> WiringMatrix:
     product, and each rule adds 1 to every slot pair that one of its
     variables links, so every ratio is one exact division.
     """
-    per_rule = [_slot_occurrences(rule) for rule in rules]
-    slots = tuple(sorted({s for occurrences in per_rule for s in occurrences}))
-    index = {s: i for i, s in enumerate(slots)}
-    n = len(slots)
+    # slots as (name, arity, pos) tuples, which sort as Slot does
+    per_rule = [[(p.name, p.arity) for p in rule.predicates()] for rule in rules]
+    keys = sorted({(*atom, pos) for atoms in per_rule for atom in atoms for pos in range(atom[1])})
+    index = {key: i for i, key in enumerate(keys)}
+    n = len(keys)
     presence = np.zeros((len(rules), n))
     pair_codes: list[int] = []
-    for r, occurrences in enumerate(per_rule):
-        holders: dict[str, set[int]] = {}  # variable -> the slots holding it
-        for slot, names in occurrences.items():
-            col = index[slot]
-            presence[r, col] = 1.0
-            for name in names:
-                if name is not None:
-                    holders.setdefault(name, set()).add(col)
+    for r, (rule, atoms) in enumerate(zip(rules, per_rule)):
+        # per atom, the column of each position
+        cols = [[index[name, arity, pos] for pos in range(arity)] for name, arity in atoms]
+        presence[r, [c for atom_cols in cols for c in atom_cols]] = 1.0
+        # the slots holding each variable
+        held = [{cols[ai][pos] for ai, pos in group} for group in variable_groups(rule)]
         # a set: a pair linked by two variables still counts once per rule
-        pair_codes += {a * n + b for held in holders.values() for a in held for b in held if a != b}
+        pair_codes += {a * n + b for group in held for a in group for b in group if a != b}
     wired = np.bincount(np.array(pair_codes, dtype=np.int64), minlength=n * n).reshape(n, n)
     # float products of 0/1 entries are exact integers far below 2**53
     cooccur = (presence.T @ presence).astype(np.int64)
@@ -142,6 +129,7 @@ def estimate_wiring_matrix(rules: list[InteractionRule]) -> WiringMatrix:
     probs = np.full((n, n), np.nan)
     known = cooccur > 0
     probs[known] = wired[known] / cooccur[known]
+    slots = tuple(Slot(*key) for key in keys)
     return WiringMatrix(slots=slots, probs=probs, wired_counts=wired, cooccur_counts=cooccur)
 
 

@@ -2,13 +2,28 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from vuln2rule.corpus import RawVulnerability, Vocabulary, sentences_of, vocabulary_from_sentences
 from vuln2rule.embedding import EmbeddingConfig, EmbeddingModel, _softmax, _training_pairs
 from vuln2rule.errors import EmptyCorpus
-from vuln2rule.rules.datalog import InteractionRule, Predicate, Term
-from vuln2rule.tagger import LOSS_WEIGHTS
+from vuln2rule.errors import MissingCoreEntity
+from vuln2rule.rules.datalog import VARIABLE, WILDCARD, InteractionRule, Predicate, Term, quote
+from vuln2rule.rules.schema import MappingTables, PredicateSchema, SchemaLexicon
+from vuln2rule.rules.synthesis import (
+    CORE_ENTITIES,
+    UnmappableClusterError,
+    _entity_constant,
+    _first_value,
+    _hint_for,
+    _port_constant,
+    wire_variables,
+)
+from vuln2rule.rules.wiring import Slot, WiringMatrix
+from vuln2rule.tagger import LOSS_WEIGHTS, EntitySet
 
 
 def build_vocabulary(corpus: list[RawVulnerability], max_size: int) -> Vocabulary:
@@ -267,3 +282,128 @@ def blstm_loss_and_grads(
         d_hs_r, cache_r, named["bw_wx"], named["bw_wh"]
     )
     return total, grads, per_sentence
+
+
+# --- rule synthesis over skeleton objects ----------------------------------------
+#
+# The reference for ``rules.synthesis``: structure creation names every
+# variable slot ``V<n>``, and the three steps hand each other a skeleton
+# object.  The module's plain-atom-list steps must give the same rules and
+# traces.
+
+
+@dataclass
+class SkeletonAtom:
+    schema: PredicateSchema
+    terms: list[Term | None]
+
+
+@dataclass
+class RuleSkeleton:
+    head: SkeletonAtom
+    body: list[SkeletonAtom]
+    description: str = ""
+    trace: dict[str, str] = field(default_factory=dict)
+
+    def atoms(self) -> list[SkeletonAtom]:
+        return [self.head, *self.body]
+
+
+def reference_create_structure(
+    clusters: dict[str, str], mapping: MappingTables, lexicon: SchemaLexicon
+) -> RuleSkeleton:
+    for key in CORE_ENTITIES:
+        if not clusters.get(key):
+            raise MissingCoreEntity(key)
+    impact = mapping.impact.get(clusters["impact"])
+    if impact is None:
+        raise UnmappableClusterError(f"impact label {clusters['impact']!r} has no mapping")
+    vector = mapping.vector.get(clusters["vector"])
+    if vector is None:
+        raise UnmappableClusterError(f"vector label {clusters['vector']!r} has no mapping")
+    means = mapping.means.get(clusters["means"])
+    if means is None:
+        raise UnmappableClusterError(f"means label {clusters['means']!r} has no mapping")
+
+    counter = itertools.count(1)
+
+    def instantiate(name: str) -> SkeletonAtom:
+        schema = lexicon.require(name)
+        terms: list[Term | None] = []
+        for pos in range(schema.arity):
+            if pos in schema.constant_slots:
+                sort = schema.arg_sorts[pos]
+                if sort == "range":
+                    terms.append(Term.constant(vector.range_constant))
+                elif sort == "consequence":
+                    terms.append(Term.constant(impact.consequence))
+                else:
+                    terms.append(None)
+            else:
+                terms.append(Term.variable(f"V{next(counter)}"))
+        return SkeletonAtom(schema, terms)
+
+    head = instantiate(impact.head)
+    body = [instantiate(name) for name in means.body + vector.support]
+    return RuleSkeleton(head=head, body=body)
+
+
+def reference_assign_constants(
+    skeleton: RuleSkeleton, entities: EntitySet, cve_id: str
+) -> RuleSkeleton:
+    fillers = {
+        "vulnid": lambda: Term.constant(quote(cve_id, "'")),
+        "product": lambda: _entity_constant(_first_value(entities, "PLATFORM")),
+        "protocol": lambda: _entity_constant(_first_value(entities, "PROTOCOL")),
+        "port": lambda: _port_constant(_first_value(entities, "PORT")),
+    }
+    for atom in skeleton.atoms():
+        for pos, term in enumerate(atom.terms):
+            if term is not None:
+                continue
+            sort = atom.schema.arg_sorts[pos]
+            filler = fillers.get(sort)
+            filled = filler() if filler else Term.wildcard()
+            atom.terms[pos] = filled
+            if filled.kind == WILDCARD:
+                skeleton.trace[f"{atom.schema.name}#{pos}"] = f"no entity for sort {sort!r}"
+            else:
+                skeleton.trace[f"{atom.schema.name}#{pos}"] = f"{sort} <- {filled.text}"
+    return skeleton
+
+
+def reference_wire_rule(
+    skeleton: RuleSkeleton, matrix: WiringMatrix, threshold: float
+) -> InteractionRule:
+    atoms = skeleton.atoms()
+    terms = [list(atom.terms) for atom in atoms]
+    nodes: list[tuple[int, int]] = []
+    for ai, atom in enumerate(atoms):
+        for pos, term in enumerate(atom.terms):
+            if term is None:
+                raise ValueError(f"{atom.schema.name}#{pos}: constant slot not assigned")
+            if term.kind == VARIABLE:
+                nodes.append((ai, pos))
+    schemas = [atoms[ai].schema for ai, _ in nodes]
+    slots = [Slot(s.name, s.arity, pos) for s, (_, pos) in zip(schemas, nodes)]
+    sorts = [s.arg_sorts[pos] for s, (_, pos) in zip(schemas, nodes)]
+    taken: set[str] = set()
+    for group in wire_variables(slots, sorts, matrix, threshold):
+        base = name = _hint_for(schemas[group[0]], nodes[group[0]][1])
+        n = 1
+        while name in taken:
+            n += 1
+            name = f"{base}{n}"
+        taken.add(name)
+        for m in group:
+            ai, pos = nodes[m]
+            terms[ai][pos] = Term.variable(name)
+    predicates = [Predicate(atom.schema.name, tuple(t)) for atom, t in zip(atoms, terms)]
+    rule = InteractionRule(
+        head=predicates[0],
+        body=tuple(predicates[1:]),
+        description=skeleton.description,
+        trace=dict(skeleton.trace),
+    )
+    rule.check_range_restriction()
+    return rule

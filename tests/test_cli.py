@@ -20,10 +20,12 @@ from vuln2rule.pipeline import (
     COMPLETION_TEMPLATE,
     DISC_TEMPLATE,
     PipelineConfig,
+    crossvalidate_wiring,
     load_models,
     run_pipeline,
 )
 from vuln2rule.rules.datalog import Term, emit_rules, parse_rule_file
+from vuln2rule.rules.schema import load_default_lexicon, load_default_rule_corpus, load_lexicon
 from vuln2rule.rules.wiring import save_wiring
 from vuln2rule.tagger import BlstmModel, init_params, save_ner
 
@@ -153,6 +155,33 @@ def test_tag_input_keeps_records_without_words(model_dir, tmp_path, capsys):
     assert text["cve_id"] == "CVE-2020-0002"
     assert len(text["tags"]) == 12
     assert "MEANS" in text["tags"]
+
+
+def test_tag_and_eval_ner_need_only_the_embedding_and_tagger(
+    model_dir, demo_models, tmp_path, capsys
+):
+    """The own-data training order runs `tag` before `train-completer`:
+    both tagger commands read the embedding and the tagger, nothing else."""
+    from vuln2rule.demo import write_demo_corpus, write_demo_labeled
+
+    models = tmp_path / "models"
+    models.mkdir()
+    for key in ("embedding", "ner"):
+        shutil.copy(model_dir / ARTIFACTS[key], models)
+    records = demo_models.records[:12]
+    corpus, labeled = tmp_path / "corpus.tsv", tmp_path / "labeled.tsv"
+    write_demo_corpus(records, corpus)
+    write_demo_labeled(records, labeled)
+    assert main(["tag", "--model-dir", str(models), "--input", str(corpus)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["cve_id"] for line in lines] == [
+        r.vulnerability.id for r in records
+    ]
+    assert main(["eval-ner", "--model-dir", str(models), "--labeled", str(labeled)]) == 0
+    assert "macro-f1" in capsys.readouterr().out
+    (models / ARTIFACTS["ner"]).unlink()
+    assert main(["tag", "--model-dir", str(models), "--input", str(corpus)]) == 2
+    assert "missing artifact for stage 'train-ner'" in capsys.readouterr().err
 
 
 def test_complete_ranks_labels(model_dir, tmp_path, capsys):
@@ -340,12 +369,13 @@ def test_xval_wiring_default(capsys):
     assert "mean F1" in out
 
 
-@pytest.mark.parametrize("folds", ["0", "-1"])
+# one fold would leave no training rules
+@pytest.mark.parametrize("folds", ["0", "-1", "1"])
 def test_xval_wiring_folds_below_one_is_error(capsys, folds):
     assert main(["xval-wiring", "--folds", folds]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: folds must be at least 1, got {folds}")
+    assert err.startswith(f"error: folds must be at least 2, got {folds}")
     assert "Traceback" not in err
 
 
@@ -357,6 +387,49 @@ def test_eval_demo(model_dir, tmp_path, capsys):
     payload = json.loads(report_path.read_text("utf-8"))
     for key in ("frequency_top10", "ner_f1", "completion", "wiring_cv"):
         assert key in payload["metrics"]
+
+
+def _xval_line(capsys, *argv) -> str:
+    assert main(["xval-wiring", "--folds", "10", *argv]) == 0
+    return capsys.readouterr().out.strip()
+
+
+def test_eval_wiring_cv_reads_wiring_k(model_dir, tmp_path, capsys):
+    """`eval` cross-validates the wiring with the configured `wiring_k`,
+    as `xval-wiring` does."""
+    config = tmp_path / "k1.cfg"
+    config.write_text("wiring_k = 1\n", "utf-8")
+    report_path = tmp_path / "eval.json"
+    assert main([
+        "eval", "--demo", "--config", str(config), "--model-dir", str(model_dir),
+        "--report", str(report_path),
+    ]) == 0
+    capsys.readouterr()
+    cv = json.loads(report_path.read_text("utf-8"))["metrics"]["wiring_cv"]
+    xval = _xval_line(capsys, "--config", str(config))
+    assert xval == f"folds: 10  mean F1: {cv['f1']:.4f}  mean accuracy: {cv['accuracy']:.4f}"
+    assert xval != _xval_line(capsys)
+
+
+def test_xval_wiring_reads_lexicon_path(tmp_path, capsys):
+    """A lexicon whose every sort belongs to one predicate slot forbids
+    every merge across predicates; `xval-wiring` scores with it."""
+    declarations = []
+    for (name, _), schema in load_default_lexicon().schemas.items():
+        args = [
+            f"{hint}:{name.lower()}{pos}{'!' if pos in schema.constant_slots else ''}"
+            for pos, hint in enumerate(schema.var_hints)
+        ]
+        declarations.append(f"predicate {name}({', '.join(args)})")
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("\n".join(declarations) + "\n", "utf-8")
+    config = tmp_path / "lexicon.cfg"
+    config.write_text(f"lexicon_path = {lexicon}\n", "utf-8")
+    rules = parse_rule_file(load_default_rule_corpus())
+    cv = crossvalidate_wiring(rules, folds=10, lexicon=load_lexicon(lexicon))
+    xval = _xval_line(capsys, "--config", str(config))
+    assert xval == f"folds: 10  mean F1: {cv.f1:.4f}  mean accuracy: {cv.accuracy:.4f}"
+    assert xval != _xval_line(capsys)
 
 
 def test_missing_artifact_is_fatal(tmp_path, capsys):

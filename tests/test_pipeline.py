@@ -161,10 +161,11 @@ class TestCrossvalidateWiring:
         with pytest.raises(TooFewRules):
             crossvalidate_wiring([template_rule(True)] * 3, folds=10)
 
-    @pytest.mark.parametrize("folds", [0, -1])
+    # one fold would leave no training rules
+    @pytest.mark.parametrize("folds", [0, -1, 1])
     def test_folds_below_one_rejected(self, folds):
         rules = [template_rule(wired=True) for _ in range(20)]
-        with pytest.raises(ConfigError, match=f"folds must be at least 1, got {folds}"):
+        with pytest.raises(ConfigError, match=f"folds must be at least 2, got {folds}"):
             crossvalidate_wiring(rules, folds=folds)
 
     def test_packaged_corpus_reported(self):

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import reference_assign_constants, reference_create_structure, reference_wire_rule
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vuln2rule.errors import ConfigError, MissingCoreEntity, RangeRestrictionViolation
+from vuln2rule.errors import (
+    ConfigError,
+    MissingCoreEntity,
+    RangeRestrictionViolation,
+    Vuln2RuleError,
+)
 from vuln2rule.rules.datalog import Term, emit_rule, parse_rule_file
 from vuln2rule.rules.schema import (
     load_default_lexicon,
@@ -56,35 +62,37 @@ def entity_set(cve_id="CVE-2020-0200", **values) -> EntitySet:
     return es
 
 
+def terms_of(atoms, name):
+    return next(terms for schema, terms in atoms if schema.name == name)
+
+
 class TestCreateStructure:
     def test_remote_exec_structure(self, lexicon, mapping):
-        skeleton = create_structure(
+        atoms = create_structure(
             {"impact": "execCode", "vector": "remote", "means": "bufferOverflow"},
             mapping, lexicon,
         )
-        assert skeleton.head.schema.name == "execCode"
-        body_names = [a.schema.name for a in skeleton.body]
+        assert atoms[0][0].name == "execCode"
+        body_names = [schema.name for schema, _ in atoms[1:]]
         assert set(body_names) >= {"vulExists", "networkService", "attackerLocated", "netAccess"}
-        # every variable slot carries a fresh unique name
-        seen = set()
-        for atom in skeleton.atoms():
-            for term in atom.terms:
-                if term is not None and term.kind == "Variable":
-                    assert term.text not in seen
-                    seen.add(term.text)
+        # every slot outside the constant slots is left open
+        for schema, terms in atoms:
+            for pos, term in enumerate(terms):
+                if pos not in schema.constant_slots:
+                    assert term is None
 
     def test_local_vector_swaps_support_predicates(self, lexicon, mapping):
-        skeleton = create_structure(
+        atoms = create_structure(
             {"impact": "dos", "vector": "local", "means": "raceCondition"},
             mapping, lexicon,
         )
-        body_names = [a.schema.name for a in skeleton.body]
+        body_names = [schema.name for schema, _ in atoms[1:]]
         assert "netAccess" not in body_names
         assert "localAccess" in body_names
         # range constant comes from the vector mapping
-        vul_property = next(a for a in skeleton.body if a.schema.name == "vulProperty")
-        assert vul_property.terms[1] == Term.constant("localExploit")
-        assert vul_property.terms[2] == Term.constant("dosAttack")
+        vul_property = terms_of(atoms, "vulProperty")
+        assert vul_property[1] == Term.constant("localExploit")
+        assert vul_property[2] == Term.constant("dosAttack")
 
     def test_missing_means_rejected(self, lexicon, mapping):
         with pytest.raises(MissingCoreEntity) as err:
@@ -110,44 +118,45 @@ def test_lexicon_require_rejects_a_name_at_two_arities():
 
 class TestAssignConstants:
     def build(self, lexicon, mapping, **entities):
-        skeleton = create_structure(
+        atoms = create_structure(
             {"impact": "execCode", "vector": "remote", "means": "bufferOverflow"},
             mapping, lexicon,
         )
-        return assign_constants(
-            skeleton, entity_set(**entities), "CVE-2010-2212"
-        )
+        trace = assign_constants(atoms, entity_set(**entities), "CVE-2010-2212")
+        return atoms, trace
 
     def test_vulnerability_id_and_product(self, lexicon, mapping):
-        skeleton = self.build(lexicon, mapping, platform=["adobe reader"])
-        vul = next(a for a in skeleton.atoms() if a.schema.name == "vulExists")
-        assert vul.terms[1] == Term.constant("'CVE-2010-2212'")
-        assert vul.terms[2] == Term.constant("adobe_reader")
+        atoms, trace = self.build(lexicon, mapping, platform=["adobe reader"])
+        vul = terms_of(atoms, "vulExists")
+        assert vul[1] == Term.constant("'CVE-2010-2212'")
+        assert vul[2] == Term.constant("adobe_reader")
+        assert trace["vulExists#1"] == "vulnid <- 'CVE-2010-2212'"
+        assert trace["vulExists#2"] == "product <- adobe_reader"
 
     def test_absent_protocol_port_become_wildcards(self, lexicon, mapping):
-        skeleton = self.build(lexicon, mapping, platform=["adobe reader"])
-        service = next(a for a in skeleton.atoms() if a.schema.name == "networkService")
-        assert service.terms[2] == Term.wildcard()
-        assert service.terms[3] == Term.wildcard()
+        atoms, trace = self.build(lexicon, mapping, platform=["adobe reader"])
+        service = terms_of(atoms, "networkService")
+        assert service[2] == Term.wildcard()
+        assert service[3] == Term.wildcard()
+        assert trace["networkService#3"] == "no entity for sort 'port'"
 
     def test_present_protocol_port_fill_slots(self, lexicon, mapping):
-        skeleton = self.build(
+        atoms, _ = self.build(
             lexicon, mapping, platform=["apache tomcat"], protocol=["http"], port=["8080"],
         )
-        service = next(a for a in skeleton.atoms() if a.schema.name == "networkService")
-        assert service.terms[2] == Term.constant("http")
-        assert service.terms[3] == Term.constant("8080")
+        service = terms_of(atoms, "networkService")
+        assert service[2] == Term.constant("http")
+        assert service[3] == Term.constant("8080")
 
     @pytest.mark.parametrize("blank", ["", "  ", "\t\n"])
     def test_wordless_values_become_wildcards(self, lexicon, mapping, blank):
-        skeleton = self.build(
+        atoms, trace = self.build(
             lexicon, mapping, platform=[blank], protocol=[blank], port=[blank],
         )
-        absent = self.build(lexicon, mapping)
-        for atom, want in zip(skeleton.atoms(), absent.atoms()):
-            assert atom.terms == want.terms, atom.schema.name
-        service = next(a for a in skeleton.atoms() if a.schema.name == "networkService")
-        assert service.terms[1:4] == [Term.wildcard()] * 3
+        absent, absent_trace = self.build(lexicon, mapping)
+        assert atoms == absent
+        assert trace == absent_trace
+        assert terms_of(atoms, "networkService")[1:4] == [Term.wildcard()] * 3
 
     def test_atom_normalization(self):
         assert to_atom("Mac OS X") == "mac_os_x"
@@ -166,25 +175,25 @@ class TestWireVariables:
         return WiringMatrix(slots=tuple(slots), probs=probs)
 
     def test_attacker_slot_shares_variable(self, lexicon, mapping, corpus_matrix):
-        skeleton = create_structure(
+        atoms = create_structure(
             {"impact": "execCode", "vector": "remote", "means": "bufferOverflow"},
             mapping, lexicon,
         )
-        assign_constants(skeleton, entity_set(platform=["adobe reader"]), "CVE-2010-2212")
-        rule = wire_rule(skeleton, corpus_matrix, 0.5)
+        assign_constants(atoms, entity_set(platform=["adobe reader"]), "CVE-2010-2212")
+        rule = wire_rule(atoms, corpus_matrix, 0.5, "", {})
         located = next(p for p in rule.body if p.name == "attackerLocated")
         access = next(p for p in rule.body if p.name == "netAccess")
         assert located.args[0] == access.args[0]
         assert located.args[0].text == "AttackerHost"
 
     def test_threshold_above_one_fails_range_restriction(self, lexicon, mapping, corpus_matrix):
-        skeleton = create_structure(
+        atoms = create_structure(
             {"impact": "execCode", "vector": "remote", "means": "bufferOverflow"},
             mapping, lexicon,
         )
-        assign_constants(skeleton, entity_set(platform=["x"]), "CVE-2010-2212")
+        assign_constants(atoms, entity_set(platform=["x"]), "CVE-2010-2212")
         with pytest.raises(RangeRestrictionViolation):
-            wire_rule(skeleton, corpus_matrix, 1.1)
+            wire_rule(atoms, corpus_matrix, 1.1, "", {})
 
     def test_transitive_merge_via_union_find(self):
         lexicon = parse_lexicon(
@@ -197,13 +206,13 @@ class TestWireVariables:
             "vector v range=r support=q\n"
             "means m body=p\n"
         )
-        skeleton = create_structure({"impact": "i", "vector": "v", "means": "m"}, mapping, lexicon)
+        atoms = create_structure({"impact": "i", "vector": "v", "means": "m"}, mapping, lexicon)
         entries = {
             (Slot("h", 1, 0), Slot("p", 1, 0)): 0.9,
             (Slot("p", 1, 0), Slot("q", 1, 0)): 0.9,
             (Slot("h", 1, 0), Slot("q", 1, 0)): 0.0,
         }
-        rule = wire_rule(skeleton, self.hand_matrix(entries), 0.5)
+        rule = wire_rule(atoms, self.hand_matrix(entries), 0.5, "", {})
         names = {rule.head.args[0].text} | {p.args[0].text for p in rule.body}
         assert len(names) == 1  # all three slots merged transitively
 
@@ -218,13 +227,13 @@ class TestWireVariables:
             "vector v range=r support=q\n"
             "means m body=p\n"
         )
-        skeleton = create_structure({"impact": "i", "vector": "v", "means": "m"}, mapping, lexicon)
+        atoms = create_structure({"impact": "i", "vector": "v", "means": "m"}, mapping, lexicon)
         entries = {
             (Slot("h", 1, 0), Slot("p", 1, 0)): 1.0,
             (Slot("h", 1, 0), Slot("q", 1, 0)): 1.0,  # statistically high, type-absurd
             (Slot("p", 1, 0), Slot("q", 1, 0)): 0.0,
         }
-        rule = wire_rule(skeleton, self.hand_matrix(entries), 0.5)
+        rule = wire_rule(atoms, self.hand_matrix(entries), 0.5, "", {})
         q_pred = next(p for p in rule.body if p.name == "q")
         assert q_pred.args[0].text != rule.head.args[0].text
 
@@ -251,12 +260,12 @@ class TestWireVariables:
             "vector v range=rr support=r\n"
             "means m body=p\n"
         )
-        skeleton = create_structure({"impact": "i", "vector": "v", "means": "m"}, mapping, lexicon)
+        atoms = create_structure({"impact": "i", "vector": "v", "means": "m"}, mapping, lexicon)
         h0, h1, p0, r0, r1 = (
             Slot("h", 2, 0), Slot("h", 2, 1), Slot("p", 1, 0), Slot("r", 2, 0), Slot("r", 2, 1)
         )
         matrix = self.hand_matrix({(h0, p0): 1.0, (h1, r1): 1.0})
-        rule = wire_rule(skeleton, matrix, 0.5)
+        rule = wire_rule(atoms, matrix, 0.5, "", {})
         # r#0 has hint X like h#0, and X2 is h#1's own hint
         assert [t.text for t in rule.head.args] == ["X", "X2"]
         assert [t.text for t in rule.body[1].args] == ["X3", "X2"]
@@ -288,6 +297,102 @@ class TestSelfConsistency:
         assert sorts[Slot("foo", 2, 0)] == sorts[Slot("bar", 1, 0)]
         assert sorts[Slot("foo", 2, 1)] == sorts[Slot("baz", 2, 0)]
         assert sorts[Slot("foo", 2, 0)] != sorts[Slot("foo", 2, 1)]
+
+
+def _packaged_triples(mapping) -> list[dict[str, str]]:
+    """Every (impact, vector, means) label triple of the mapping tables,
+    then triples that fail: an unmapped label and a missing one."""
+    triples = [
+        {"impact": i, "vector": v, "means": m}
+        for i in mapping.impact for v in mapping.vector for m in mapping.means
+    ]
+    return triples + [
+        {"impact": "teleport", "vector": "remote", "means": "bufferOverflow"},
+        {"impact": "execCode", "vector": "remote", "means": ""},
+    ]
+
+
+def _synthesized(steps, clusters, entities, cve_id, threshold):
+    """A rule's emitted bytes and trace items, or its failure kind and
+    message; ``steps`` runs structure, constants and wiring."""
+    try:
+        rule = steps(clusters, entities, cve_id, threshold)
+    except Vuln2RuleError as exc:
+        return type(exc).__name__, str(exc)
+    return emit_rule(rule), list(rule.trace.items())
+
+
+def _core_trace(clusters):
+    return {key: f"entity value {label!r} -> {label}" for key, label in clusters.items()}
+
+
+def _description(clusters, entities, cve_id):
+    return f"{cve_id}: {clusters['means']} in {entities.values_for('PLATFORM')}; auto-generated"
+
+
+def _random_matrix(slots, seed) -> WiringMatrix:
+    """Symmetric uniform probabilities over ``slots``, a fifth of them
+    Unknown: partitions that the packaged matrix never gives, such as two
+    classes with one hint."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((len(slots), len(slots))), 1)
+    upper[rng.random(upper.shape) < 0.2] = np.nan
+    return WiringMatrix(slots=slots, probs=np.maximum(upper, upper.T))
+
+
+#: an entity value: absent (None), blank, quoted, unicode, or plain
+_ENTITY_VALUE = st.one_of(
+    st.none(),
+    st.sampled_from(["", " ", "\t\n", "adobe reader", "3com's router", 'say "hi"',
+                     "back\\slash", "line\nbreak", "8080", "\u0663", "1\u00b2", "Ünïcödé"]),
+    st.text(max_size=8),
+)
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    platform=_ENTITY_VALUE,
+    protocol=_ENTITY_VALUE,
+    port=_ENTITY_VALUE,
+    cve_id=st.text(alphabet=st.sampled_from("CVE-2010'\"\\\n xé"), min_size=1, max_size=12),
+    threshold=st.sampled_from([0.3, 0.5, 0.8, 1.1]),
+    matrix_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+def test_synthesis_matches_the_skeleton_reference(
+    lexicon, mapping, corpus_matrix, platform, protocol, port, cve_id, threshold, matrix_seed
+):
+    """Over every label triple of the packaged tables, the atom-list steps
+    give the rule bytes and trace (keys, values and order) of the
+    skeleton-object steps, or the same failure.  The matrix is the packaged
+    one or a random one over its slots."""
+    matrix = corpus_matrix
+    if matrix_seed is not None:
+        matrix = _random_matrix(corpus_matrix.slots, matrix_seed)
+    entities = EntitySet(cve_id=cve_id)
+    for tag, value in (("PLATFORM", platform), ("PROTOCOL", protocol), ("PORT", port)):
+        if value is not None:
+            entities.entities[tag].append(value)
+
+    def atom_lists(clusters, entities, cve_id, threshold):
+        atoms = create_structure(clusters, mapping, lexicon)
+        trace = _core_trace(clusters)
+        trace.update(assign_constants(atoms, entities, cve_id))
+        description = _description(clusters, entities, cve_id)
+        return wire_rule(atoms, matrix, threshold, description, trace)
+
+    def skeletons(clusters, entities, cve_id, threshold):
+        skeleton = reference_create_structure(clusters, mapping, lexicon)
+        skeleton.trace.update(_core_trace(clusters))
+        skeleton.description = _description(clusters, entities, cve_id)
+        reference_assign_constants(skeleton, entities, cve_id)
+        return reference_wire_rule(skeleton, matrix, threshold)
+
+    for clusters in _packaged_triples(mapping):
+        want = _synthesized(skeletons, clusters, entities, cve_id, threshold)
+        got = _synthesized(atom_lists, clusters, entities, cve_id, threshold)
+        assert got == want, clusters
 
 
 class TestGenerate:
