@@ -42,6 +42,7 @@ from .pipeline import (
     configured_lexicon,
     crossvalidate_wiring,
     eval_suite,
+    load_completer,
     load_embedding_and_tagger,
     load_models,
     run_pipeline,
@@ -222,15 +223,16 @@ def cmd_complete(args) -> int:
     config = _config_from(args)
     if args.top_k < 1:
         raise ConfigError(f"--top-k must be at least 1, got {args.top_k}")
-    models = load_models(config, need_tagger=False)
+    emb, _ = load_embedding_and_tagger(config, need_tagger=False)
+    _, completion = load_completer(config, emb.dim)
     entity = args.entity.upper()
-    if entity not in models.completion:
+    if entity not in completion:
         raise MissingArtifact("train-completer", entity)
     # a JSON object literal, or else a path to a file holding one
     text = args.entities if args.entities.startswith("{") else read_text(args.entities)
     entity_set = EntitySet.from_dict({"cve_id": args.cve_id, "entities": parse_json(text)})
-    features = build_feature_vector(entity_set, models.embedding)
-    for label, prob in predict_missing(models.completion[entity], features, args.top_k):
+    features = build_feature_vector(entity_set, emb)
+    for label, prob in predict_missing(completion[entity], features, args.top_k):
         print(f"{label}\t{prob:.6f}")
     return 0
 

@@ -14,6 +14,8 @@ from . import _textio
 from ._textio import FIELD_PARSERS, check_settings, setting
 from .completer import (
     COMPLETABLE_ENTITIES,
+    CompletionModel,
+    DiscretizationModel,
     build_feature_vector,
     load_completion,
     load_discretization,
@@ -151,18 +153,15 @@ def configured_lexicon(config: PipelineConfig) -> SchemaLexicon:
     return load_lexicon(config.lexicon_path) if config.lexicon_path else load_default_lexicon()
 
 
-def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorModels:
-    """Load every artifact from the model directory; raises MissingArtifact
-    naming the stage whose file is absent, and MismatchedArtifacts when a
-    file was trained for another embedding dimension than the embedding, or
-    holds a cluster label that the mapping tables do not map; raises
-    ConfigError when the mapping tables name a predicate that the lexicon
-    does not declare, or declares at two arities."""
-    emb, tagger_model = load_embedding_and_tagger(config, need_tagger)
-    dim = emb.dim
+def load_completer(
+    config: PipelineConfig, dim: int
+) -> tuple[dict[str, DiscretizationModel], dict[str, CompletionModel]]:
+    """The discretization and the completion model of every completable
+    entity, from the model directory; raises MissingArtifact naming the
+    stage whose file is absent, and MismatchedArtifacts when a file was
+    trained for another embedding dimension than ``dim``."""
     discretization = {}
     completion = {}
-    labels_from: dict[str, list[tuple[Path, list[str]]]] = {}
     for entity in COMPLETABLE_ENTITIES:
         disc_path = _artifact(config, "train-completer", DISC_TEMPLATE.format(entity.lower()))
         disc = discretization[entity] = load_discretization(disc_path)
@@ -172,10 +171,18 @@ def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorMo
         comp = completion[entity] = load_completion(comp_path)
         # load_completion has checked weights against block_dim
         _check_dim(config, dim, comp_path, comp.block_dim == dim, f"block_dim {comp.block_dim}")
-        labels_from[entity] = [
-            (disc_path, list(disc.labels.values())),
-            (comp_path, [label for _, label in comp.classes]),
-        ]
+    return discretization, completion
+
+
+def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorModels:
+    """Load every artifact from the model directory; raises MissingArtifact
+    naming the stage whose file is absent, and MismatchedArtifacts when a
+    file was trained for another embedding dimension than the embedding, or
+    holds a cluster label that the mapping tables do not map; raises
+    ConfigError when the mapping tables name a predicate that the lexicon
+    does not declare, or declares at two arities."""
+    emb, tagger_model = load_embedding_and_tagger(config, need_tagger)
+    discretization, completion = load_completer(config, emb.dim)
     wiring = load_wiring(_artifact(config, "learn-wiring", ARTIFACTS["wiring"]))
     lexicon = configured_lexicon(config)
     mapping = (
@@ -188,10 +195,15 @@ def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorMo
         except ConfigError as exc:
             raise ConfigError(f"{mapping_source}: {exc}") from exc
     mapped = mapping.labels()
-    for entity, sources in labels_from.items():
-        for path, labels in sources:
+    for entity in COMPLETABLE_ENTITIES:
+        sources = [
+            (DISC_TEMPLATE, discretization[entity].labels.values()),
+            (COMPLETION_TEMPLATE, [label for _, label in completion[entity].classes]),
+        ]
+        for template, labels in sources:
             unmapped = sorted(set(labels) - set(mapped[entity]))
             if unmapped:
+                path = Path(config.model_dir) / template.format(entity.lower())
                 raise MismatchedArtifacts(
                     f"{path} has {entity} labels {unmapped} that {mapping_source} do not map"
                 )

@@ -5,6 +5,14 @@ and a backward LSTM (stacked, in one time loop), concatenates the two hidden
 states per position and applies a shared dense+softmax head.  Training is mini-batch SGD over the
 class-weighted cross-entropy, with backpropagation through time; class O
 gets weight 1, the ten entity classes get weight 10.
+
+The time loop runs on the rows of a batch sorted longest first, and each
+step only on the rows still inside their sentence (at least two).  Real
+positions get the bits of running the directions one after the other over
+the whole padded batch, and a row's states have the same bits in any batch
+of two rows or more; padded positions get finite log-probabilities.
+Gradients differ from the full-batch loop's by rounding only (each step's
+``dz @ wh^T`` covers fewer rows), and not at all when no row is padded.
 """
 
 from __future__ import annotations
@@ -142,38 +150,71 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(ex, den, out=ex)
 
 
+def _live_runs(lengths: list[int], steps: int) -> list[tuple[int, int, int]]:
+    """The time steps cut into runs that share a live row count, as
+    (first step, end step, rows), for ``lengths`` sorted longest first.
+
+    A step's rows are those still inside their sentence, but at least two
+    when the batch has as many: one row takes numpy's matrix-vector path
+    for ``h @ wh``, whose bits differ from those of every product of 2 to
+    64 rows, so that a row keeps its bits whatever batch it is in."""
+    floor = min(2, len(lengths))
+    runs, start = [], 0
+    # all n first rows are live until the n-th longest row ends
+    for n in range(len(lengths), floor, -1):
+        stop = min(lengths[n - 1], steps)
+        if stop > start:
+            runs.append((start, stop, n))
+            start = stop
+    if steps > start:
+        runs.append((start, steps, floor))
+    return runs
+
+
 def _lstm_forward(
-    xw: np.ndarray, wh: np.ndarray, b: np.ndarray, hs: np.ndarray, cs: np.ndarray, tanh_cs: np.ndarray
+    xw: np.ndarray,
+    wh: np.ndarray,
+    b: np.ndarray,
+    hs: np.ndarray,
+    cs: np.ndarray,
+    tanh_cs: np.ndarray,
+    runs: list[tuple[int, int, int]],
 ) -> None:
     """Both LSTM directions in one time loop, from the input products ``xw``
     (2, steps, batch, 4 * hidden), with each step's products one ``matmul``
-    over the direction axis.
+    over the direction axis.  Rows are sorted longest first, and each step
+    of a run of ``_live_runs`` computes its first ``rows`` rows only.
 
     Fills ``hs`` (steps + 1, 2, batch, hidden) with the states, zero initial
-    state first, and overwrites each step's slice of ``xw`` with its gates.
-    ``cs`` gets the cells, zero initial cell first, and ``tanh_cs`` their
-    tanh: for every step (steps + 1 and steps rows), or in rings of two and
-    one rows when nothing is kept for backpropagation.  States and cells are
-    time-major, so that each step's slice is contiguous."""
-    steps = xw.shape[1]
+    state first and zeros for the rows a step skips, and overwrites each
+    step's live slice of ``xw`` with its gates.  ``cs`` gets the cells, zero
+    initial cell first, and ``tanh_cs`` their tanh: for every step (steps +
+    1 and steps rows), or in rings of two and one rows when nothing is kept
+    for backpropagation; the rows a step skips are left as they are.  States
+    and cells are time-major, so that each step's slice of a row range is
+    contiguous."""
     h_size = wh.shape[1]
     rows, kept = len(cs), len(tanh_cs)
     b = b[:, None, :]
     hs[0] = cs[0] = 0.0
-    z = np.empty(xw.shape[:1] + xw.shape[2:])
+    z_all = np.empty(xw.shape[:1] + xw.shape[2:])
     g_block = slice(2 * h_size, 3 * h_size)
-    for t in range(steps):
-        # z = xw + h @ wh + b, summed in that order
-        gates = xw[:, t]
-        np.matmul(hs[t], wh, out=z)
-        z += gates
-        z += b
-        # gate blocks i, f, g, o: one sigmoid call, then tanh over the g block
-        _sigmoid(z, out=gates)
-        np.tanh(z[..., g_block], out=gates[..., g_block])
-        gi, gf, gg, go = (gates[..., k * h_size : (k + 1) * h_size] for k in range(4))
-        c = np.add(gf * cs[t % rows], gi * gg, out=cs[(t + 1) % rows])
-        np.multiply(go, np.tanh(c, out=tanh_cs[t % kept]), out=hs[t + 1])
+    for start, stop, n in runs:
+        hs[start + 1 : stop + 1, :, n:] = 0.0
+        z, xw_n = z_all[:, :n], xw[:, :, :n]
+        hs_n, cs_n, tanh_n = hs[:, :, :n], cs[:, :, :n], tanh_cs[:, :, :n]
+        for t in range(start, stop):
+            # z = xw + h @ wh + b, summed in that order
+            gates = xw_n[:, t]
+            np.matmul(hs_n[t], wh, out=z)
+            z += gates
+            z += b
+            # gate blocks i, f, g, o: one sigmoid call, then tanh over the g block
+            _sigmoid(z, out=gates)
+            np.tanh(z[..., g_block], out=gates[..., g_block])
+            gi, gf, gg, go = (gates[..., k * h_size : (k + 1) * h_size] for k in range(4))
+            c = np.add(gf * cs_n[t % rows], gi * gg, out=cs_n[(t + 1) % rows])
+            np.multiply(go, np.tanh(c, out=tanh_n[t % kept]), out=hs_n[t + 1])
 
 
 def _lstm_backward(
@@ -185,40 +226,50 @@ def _lstm_backward(
     tanh_cs: np.ndarray,
     wx: np.ndarray,
     wh: np.ndarray,
+    runs: list[tuple[int, int, int]],
 ):
     """Gradients of ``wx``, ``wh`` and ``b`` from the state gradients
     ``d_hs`` (steps, 2, batch, hidden), through both directions in one
-    time loop; ``xs`` (2, batch, steps, dim) are the inputs, and the states,
-    gates, cells and their tanh are those ``_lstm_forward`` kept."""
-    steps, _, batch, h_size = d_hs.shape
+    time loop over the runs of ``_live_runs``; ``xs`` (2, batch, steps, dim)
+    are the inputs, and the states, gates, cells and their tanh are those
+    ``_lstm_forward`` kept.  A skipped row's gradients are zero, so each
+    step works on its live rows alone."""
+    batch, h_size = d_hs.shape[2:]
     dwx, dwx_t = np.zeros_like(wx), np.empty_like(wx)
     dwh, dwh_t = np.zeros_like(wh), np.empty_like(wh)
     db = np.zeros((2, 4 * h_size))
     wh_t = wh.transpose(0, 2, 1)
-    dh_next = np.zeros((2, batch, h_size))
-    dc_next = np.zeros((2, batch, h_size))
-    dz = np.zeros((2, batch, 4 * h_size))
-    one_minus = np.empty_like(dz)
-    d_gi, d_gf, d_gg, d_go = (dz[..., k * h_size : (k + 1) * h_size] for k in range(4))
-    for t in reversed(range(steps)):
-        gates, tanh_c = gates_all[:, t], tanh_cs[t]
-        gi, gf, gg, go = (gates[..., k * h_size : (k + 1) * h_size] for k in range(4))
-        dh = d_hs[t] + dh_next
-        dc = dc_next + dh * go * (1.0 - tanh_c**2)
-        dc_next = dc * gf
-        # each gate's gradient through its activation: the i, f and o blocks
-        # as (upstream * gate) * (1 - gate) over the whole row, then the g
-        # block over its own
-        np.multiply(dc, gg, out=d_gi)
-        np.multiply(dc, cs[t], out=d_gf)
-        np.multiply(dh, tanh_c, out=d_go)
-        dz *= gates
-        dz *= np.subtract(1.0, gates, out=one_minus)
-        np.multiply(dc * gi, 1.0 - gg**2, out=d_gg)
-        dwx += np.matmul(xs[:, :, t].transpose(0, 2, 1), dz, out=dwx_t)
-        dwh += np.matmul(hs[t].transpose(0, 2, 1), dz, out=dwh_t)
-        db += dz.sum(axis=1)
-        dh_next = np.matmul(dz, wh_t)
+    # rows join as the loop walks back in time, with the zero gradients
+    # these buffers hold until then
+    dh_all = np.zeros((2, batch, h_size))
+    dc_all = np.zeros((2, batch, h_size))
+    dz_all = np.zeros((2, batch, 4 * h_size))
+    one_minus_all = np.empty_like(dz_all)
+    for start, stop, n in reversed(runs):
+        dh_next, dc_next = dh_all[:, :n], dc_all[:, :n]
+        dz, one_minus = dz_all[:, :n], one_minus_all[:, :n]
+        d_gi, d_gf, d_gg, d_go = (dz[..., k * h_size : (k + 1) * h_size] for k in range(4))
+        xs_n, hs_n, gates_n = xs[:, :n], hs[:, :, :n], gates_all[:, :, :n]
+        cs_n, tanh_n, d_hs_n = cs[:, :, :n], tanh_cs[:, :, :n], d_hs[:, :, :n]
+        for t in reversed(range(start, stop)):
+            gates, tanh_c = gates_n[:, t], tanh_n[t]
+            gi, gf, gg, go = (gates[..., k * h_size : (k + 1) * h_size] for k in range(4))
+            dh = d_hs_n[t] + dh_next
+            dc = dc_next + dh * go * (1.0 - tanh_c**2)
+            np.multiply(dc, gf, out=dc_next)
+            # each gate's gradient through its activation: the i, f and o blocks
+            # as (upstream * gate) * (1 - gate) over the whole row, then the g
+            # block over its own
+            np.multiply(dc, gg, out=d_gi)
+            np.multiply(dc, cs_n[t], out=d_gf)
+            np.multiply(dh, tanh_c, out=d_go)
+            dz *= gates
+            dz *= np.subtract(1.0, gates, out=one_minus)
+            np.multiply(dc * gi, 1.0 - gg**2, out=d_gg)
+            dwx += np.matmul(xs_n[:, :, t].transpose(0, 2, 1), dz, out=dwx_t)
+            dwh += np.matmul(hs_n[t].transpose(0, 2, 1), dz, out=dwh_t)
+            db += dz.sum(axis=1)
+            np.matmul(dz, wh_t, out=dh_next)
     return dwx, dwh, db
 
 
@@ -264,12 +315,22 @@ def forward(
 
     Both LSTMs run in one time loop, stacked on a leading axis of size 2.
     The backward LSTM consumes each sentence reversed within its true length,
-    so trailing padding never influences real positions.
+    so trailing padding never influences real positions.  The loop runs on
+    the rows sorted longest first, and each step only on the rows still
+    inside their sentence (``_live_runs``); the head gets the rows back in
+    the caller's order.  A row's states have the bits they have in any
+    other batch of two rows or more (the head's product over a row's
+    positions may round otherwise at another padded length); a padded
+    position's log-probabilities are finite.
     """
     batch, steps, dim = x.shape
     h_size = params["wh"].shape[1]
+    order = np.argsort(-lengths, kind="stable")
     reversal = _reversal(lengths, steps)
-    x_rev = _reverse_within_lengths(x, reversal)
+    packed_reversal = reversal[0][order], reversal[1][order]
+    runs = _live_runs(lengths[order].tolist(), steps)
+    x = x[order]
+    x_rev = _reverse_within_lengths(x, packed_reversal)
     # the input products of every step: one GEMM per direction ahead of the
     # time loop, over rows in time-major order, so that each step's slice
     # of the result is contiguous (each row of a GEMM is its own dot
@@ -290,21 +351,24 @@ def forward(
         # batch-major rows: with dim 1, contiguous ones take another matmul
         # path and other bits
         xs[0], xs[1] = x, x_rev
-    del x_rev
+    del x, x_rev
     np.matmul(xs_tm.reshape(2, -1, dim), params["wx"], out=xw.reshape(2, -1, 4 * h_size))
     del xs_tm
-    _lstm_forward(xw, params["wh"], params["b"], hs, cs, tanh_cs)
+    _lstm_forward(xw, params["wh"], params["b"], hs, cs, tanh_cs, runs)
     if not keep_cache:
         del xw, cs, tanh_cs, xs
     concat = np.empty((batch, steps, 2 * h_size))
-    concat[:, :, :h_size] = hs[1:, 0].transpose(1, 0, 2)
-    concat[:, :, h_size:] = _reverse_within_lengths(hs[1:, 1].transpose(1, 0, 2), reversal)
+    concat[order, :, :h_size] = hs[1:, 0].transpose(1, 0, 2)
+    concat[order, :, h_size:] = _reverse_within_lengths(
+        hs[1:, 1].transpose(1, 0, 2), packed_reversal
+    )
     logits = concat @ params["dense_w"] + params["dense_b"]
     shifted = logits - logits.max(axis=2, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
     if not keep_cache:
         return log_probs, None
-    return log_probs, (xs, hs, xw, cs, tanh_cs, concat, reversal)
+    packing = order, packed_reversal, runs
+    return log_probs, (xs, hs, xw, cs, tanh_cs, concat, reversal[1], packing)
 
 
 def loss_and_grads(
@@ -318,8 +382,8 @@ def loss_and_grads(
     gradients (under the names of ``params``), and the per-sentence loss
     vector."""
     batch, steps, _ = x.shape
-    log_probs, (xs, hs, gates, cs, tanh_cs, concat, reversal) = forward(params, x, lengths)
-    mask = reversal[1]
+    log_probs, (xs, hs, gates, cs, tanh_cs, concat, mask, packing) = forward(params, x, lengths)
+    order, packed_reversal, runs = packing
     safe_ids = np.where(mask, tag_ids, 0)
     token_w = np.where(mask, class_weights[safe_ids], 0.0)
     rows = np.arange(batch)[:, None], np.arange(steps)[None, :], safe_ids
@@ -341,13 +405,14 @@ def loss_and_grads(
     }
     # the head's activations and gradient are freed before backpropagation
     del concat, flat_concat
-    dconcat = dlogits @ params["dense_w"].T
+    # the state gradients in the loop's row order
+    dconcat = dlogits[order] @ params["dense_w"].T
     d_hs = np.empty((steps, 2, batch, h_size))
     d_hs[:, 0] = dconcat[:, :, :h_size].transpose(1, 0, 2)
-    d_hs[:, 1] = _reverse_within_lengths(dconcat[:, :, h_size:], reversal).transpose(1, 0, 2)
+    d_hs[:, 1] = _reverse_within_lengths(dconcat[:, :, h_size:], packed_reversal).transpose(1, 0, 2)
     del dconcat
     grads["wx"], grads["wh"], grads["b"] = _lstm_backward(
-        d_hs, xs, hs, gates, cs, tanh_cs, params["wx"], params["wh"]
+        d_hs, xs, hs, gates, cs, tanh_cs, params["wx"], params["wh"], runs
     )
     return total, grads, per_sentence
 
@@ -387,13 +452,13 @@ def train_ner(
     a seeded shuffle of the chunks, and the gradient step uses the mean of
     per-sentence gradients over each mini-batch.
     """
-    if not data:
-        raise EmptyDataset("no labeled sentences")
+    chunks = _chunks([s.norms() for s in data], config.max_len)
+    if not chunks:
+        raise EmptyDataset("no labeled sentence has a token")
     if emb.dim != config.dim:
         raise DimensionMismatch(
             f"embedding dim {emb.dim} != tagger dim {config.dim}"
         )
-    chunks = _chunks([s.norms() for s in data], config.max_len)
     xs = [_embed_norms(norms_, emb) for _, _, norms_ in chunks]
     ys = [
         np.array([TAG_INDEX[t] for t in data[i].tags[start : start + len(norms_)]])

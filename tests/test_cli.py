@@ -220,6 +220,25 @@ def test_complete_long_literal(model_dir, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_complete_reads_the_embedding_and_completer_alone(model_dir, tmp_path, capsys):
+    names = [ARTIFACTS["embedding"]] + [
+        template.format(entity.lower())
+        for entity in COMPLETABLE_ENTITIES
+        for template in (DISC_TEMPLATE, COMPLETION_TEMPLATE)
+    ]
+    for name in names:
+        shutil.copy(model_dir / name, tmp_path / name)
+    query = ["complete", "--entity", "means", "--entities",
+             '{"IMPACT": ["execute arbitrary code"]}']
+    assert main([*query, "--model-dir", str(model_dir)]) == 0
+    want = capsys.readouterr().out
+    assert main([*query, "--model-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == want
+    (tmp_path / names[-1]).unlink()
+    assert main([*query, "--model-dir", str(tmp_path)]) == 2
+    assert "train-completer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argument", ["{bad", "absent-entities.json"])
 def test_complete_bad_entities_is_error(model_dir, argument, capsys):
     assert main([
