@@ -14,17 +14,7 @@ from pathlib import Path
 
 from . import demo as demo_mod
 from ._textio import FIELD_PARSERS, read_text, write_text
-from .completer import (
-    COMPLETABLE_ENTITIES,
-    build_feature_vector,
-    check_exemplars,
-    fit_discretization,
-    label_clusters_by_exemplars,
-    predict_missing,
-    save_completion,
-    save_discretization,
-    train_completion,
-)
+from .completer import COMPLETABLE_ENTITIES, build_feature_vector, check_exemplars, predict_missing
 from .corpus import (
     RawVulnerability,
     load_labeled_dataset,
@@ -35,8 +25,7 @@ from .embedding import EmbeddingConfig, save_embedding, train_embedding
 from .errors import ConfigError, MissingArtifact, UnwritableFile, Vuln2RuleError
 from .pipeline import (
     ARTIFACTS,
-    COMPLETION_TEMPLATE,
-    DISC_TEMPLATE,
+    WIRING_CV_FOLDS,
     EvalInputs,
     PipelineConfig,
     configured_lexicon,
@@ -46,6 +35,8 @@ from .pipeline import (
     load_embedding_and_tagger,
     load_models,
     run_pipeline,
+    save_completer,
+    train_completer,
 )
 from .rules.datalog import emit_rule, parse_rule_file
 from .rules.schema import load_default_rule_corpus
@@ -200,21 +191,13 @@ def cmd_train_completer(args) -> int:
     emb, _ = load_embedding_and_tagger(config, need_tagger=False)
     entity_sets = demo_mod.read_entity_records(args.entities)
     exemplars = check_exemplars(parse_json(read_text(args.exemplars)), args.exemplars)
+    discretization, completion = train_completer(entity_sets, emb, exemplars, config)
+    save_completer(_model_dir(config), discretization, completion)
     for entity in COMPLETABLE_ENTITIES:
-        values = [v for es in entity_sets for v in es.values_for(entity)]
-        k = config.k_clusters[entity]
-        disc = fit_discretization(values, emb, k, config.seed, entity)
-        disc = label_clusters_by_exemplars(disc, exemplars[entity], emb)
-        completion = train_completion(
-            entity_sets, emb, disc, entity,
-            l2=config.completer_l2, iterations=config.completer_iterations,
-        )
-        out_dir = _model_dir(config)
-        save_discretization(disc, out_dir / DISC_TEMPLATE.format(entity.lower()))
-        save_completion(completion, out_dir / COMPLETION_TEMPLATE.format(entity.lower()))
+        model = completion[entity]
         print(
-            f"{entity}: k={k} clusters, {completion.n_classes} classes, "
-            f"loss {completion.initial_loss:.4f} -> {completion.final_loss:.4f}"
+            f"{entity}: k={discretization[entity].k_clusters} clusters, {model.n_classes} "
+            f"classes, loss {model.initial_loss:.4f} -> {model.final_loss:.4f}"
         )
     return 0
 
@@ -287,6 +270,8 @@ def cmd_pipeline(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _config_from(args)
+    if not args.demo and not args.corpus:
+        raise ConfigError("eval needs --demo or --corpus")
     models = load_models(config, need_tagger=True)
     if args.demo:
         records = demo_mod.generate_demo_records(seed=config.seed)
@@ -295,20 +280,17 @@ def cmd_eval(args) -> int:
             labeled=[r.sentence for r in records],
             entity_sets=[r.entities for r in records],
             rules=parse_rule_file(load_default_rule_corpus()),
-            pipeline_inputs=[r.vulnerability for r in records],
         )
     else:
-        corpus = _load_corpus(args.corpus)
         data = EvalInputs(
-            corpus=corpus,
+            corpus=_load_corpus(args.corpus),
             labeled=load_labeled_dataset(args.labeled) if args.labeled else [],
             entity_sets=demo_mod.read_entity_records(args.entities) if args.entities else [],
             rules=parse_rule_file(
                 read_text(args.rules) if args.rules else load_default_rule_corpus()
             ),
-            pipeline_inputs=corpus,
         )
-    report = eval_suite(models, data, top_ks=config.top_ks, k_neighbors=config.wiring_k)
+    report = eval_suite(models, data, config)
     if args.report:
         write_text(args.report, report.to_json() + "\n")
     sys.stdout.write(report.render_text())
@@ -338,13 +320,7 @@ def cmd_make_demo(args) -> int:
     out_dir = _model_dir(config)
     save_embedding(demo.embedding, out_dir / ARTIFACTS["embedding"])
     save_ner(demo.tagger, out_dir / ARTIFACTS["ner"])
-    for entity in COMPLETABLE_ENTITIES:
-        save_discretization(
-            demo.discretization[entity], out_dir / DISC_TEMPLATE.format(entity.lower())
-        )
-        save_completion(
-            demo.completion[entity], out_dir / COMPLETION_TEMPLATE.format(entity.lower())
-        )
+    save_completer(out_dir, demo.discretization, demo.completion)
     raw = estimate_wiring_matrix(parse_rule_file(load_default_rule_corpus()))
     save_wiring(raw, out_dir / ARTIFACTS["wiring_raw"])
     save_wiring(demo.generator.wiring, out_dir / ARTIFACTS["wiring"])
@@ -390,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tag", cmd_tag, "tag descriptions and emit entities as JSON lines")
     p.add_argument("--input", help="TSV/JSON feed of descriptions")
     p.add_argument("--text", help="tag a single description")
-    p.add_argument("--cve-id", default="CVE-0000-0000")
+    p.add_argument("--cve-id", default=PLACEHOLDER_CVE_ID)
     p.add_argument("--out")
 
     p = add("eval-ner", cmd_eval_ner, "score the tagger on a labeled TSV")
@@ -405,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("complete", cmd_complete, "predict a missing entity from an entity record")
     p.add_argument("--entity", required=True, choices=["vector", "impact", "means"])
     p.add_argument("--entities", required=True, help="JSON file or literal with the entity map")
-    p.add_argument("--cve-id", default="CVE-0000-0000")
+    p.add_argument("--cve-id", default=PLACEHOLDER_CVE_ID)
     p.add_argument("--top-k", type=int, default=3)
 
     p = add("learn-wiring", cmd_learn_wiring, "estimate + impute the wiring matrix")
@@ -435,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("xval-wiring", cmd_xval_wiring, "cross-validate the wiring model")
     p.add_argument("--rules", help="rule corpus (default: packaged)")
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=int, default=WIRING_CV_FOLDS)
     p.add_argument("--threshold", type=float)
 
     add("make-demo", cmd_make_demo, "train demo models on the synthetic corpus")

@@ -35,6 +35,11 @@ BLOCK_INDEX: dict[str, int] = {t: i for i, t in enumerate(FEATURE_ENTITIES)}
 #: Entities the completion stage predicts.
 COMPLETABLE_ENTITIES: tuple[str, ...] = ("VECTOR", "IMPACT", "MEANS")
 
+#: ``train_completion``'s L2 weight and L-BFGS iteration cap, which are also
+#: the defaults of ``PipelineConfig.completer_l2``/``completer_iterations``
+COMPLETION_L2 = 0.01
+COMPLETION_ITERATIONS = 70
+
 DISC_MARKER = "# vuln2rule-discretization 2"
 COMPLETION_MARKER = "# vuln2rule-completion 2"
 
@@ -297,8 +302,8 @@ def train_completion(
     emb: EmbeddingModel,
     disc: DiscretizationModel,
     entity_type: str,
-    l2: float = 0.01,
-    iterations: int = 70,
+    l2: float = COMPLETION_L2,
+    iterations: int = COMPLETION_ITERATIONS,
 ) -> CompletionModel:
     """Fit the masked-entity predictor.
 

@@ -44,7 +44,6 @@ class RawVulnerability:
 
     id: str
     description: str
-    published_year: int | None = None
 
     def __post_init__(self):
         if not CVE_ID_RE.fullmatch(self.id):
@@ -157,9 +156,7 @@ def _load_tsv_feed(text: str) -> FeedLoadResult:
         if not description.strip():
             result.skipped_empty += 1
             continue
-        result.records.append(
-            RawVulnerability(cve_id.strip(), description.strip(), _year_of(cve_id))
-        )
+        result.records.append(RawVulnerability(cve_id.strip(), description.strip()))
     _raise_if_all_malformed(result, total)
     return result
 
@@ -197,16 +194,9 @@ def _load_json_feed(text: str) -> FeedLoadResult:
         if not CVE_ID_RE.fullmatch(cve_id):
             result.malformed.append(f"item {idx}: bad CVE id {cve_id!r}")
             continue
-        result.records.append(
-            RawVulnerability(cve_id, value.strip(), _year_of(cve_id))
-        )
+        result.records.append(RawVulnerability(cve_id, value.strip()))
     _raise_if_all_malformed(result, len(items))
     return result
-
-
-def _year_of(cve_id: str) -> int | None:
-    m = CVE_ID_RE.fullmatch(cve_id.strip())
-    return int(cve_id.strip().split("-")[1]) if m else None
 
 
 def _raise_if_all_malformed(result: FeedLoadResult, total: int) -> None:

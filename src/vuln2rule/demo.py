@@ -15,16 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from ._textio import read_data, read_text, write_text
-from .completer import (
-    CompletionModel,
-    DiscretizationModel,
-    fit_discretization,
-    label_clusters_by_exemplars,
-    train_completion,
-)
+from .completer import CompletionModel, DiscretizationModel
 from .corpus import LabeledSentence, RawVulnerability, Token, tokenize
 from .embedding import EmbeddingConfig, EmbeddingModel, train_embedding
 from .errors import MalformedRecord
+from .pipeline import PipelineConfig, train_completer
 from .rules.schema import (
     load_default_lexicon,
     load_default_mapping,
@@ -177,9 +172,6 @@ def demo_exemplars() -> dict[str, dict[str, list[str]]]:
     }
 
 
-_ENTITY_VALUE_SETS = {"VECTOR": VECTOR_VALUES, "MEANS": MEANS_VALUES, "IMPACT": IMPACT_VALUES}
-
-
 @dataclass
 class DemoModels:
     embedding: EmbeddingModel
@@ -199,9 +191,12 @@ def build_demo_models(
 ) -> DemoModels:
     """Train the full artifact set on the synthetic corpus.
 
-    Hyperparameters here are desk-scale overrides; library defaults stay at
-    their documented full-scale values.
+    Embedding and tagger hyperparameters here are desk-scale overrides;
+    library defaults stay at their documented full-scale values.  The
+    completers, the wiring and the threshold use the ``PipelineConfig``
+    defaults, with one cluster per demo class.
     """
+    config = PipelineConfig(seed=seed, k_clusters=demo_cluster_counts())
     records = generate_demo_records(n_records, seed)
     sentences = [[t.norm for t in tokenize(r.vulnerability.description)] for r in records]
     # the golden fixture is part of the demo corpus so its words are in-vocab
@@ -211,23 +206,9 @@ def build_demo_models(
         EmbeddingConfig(dim=dim, epochs=embedding_epochs, learning_rate=0.05, seed=seed),
     )
 
-    discretization: dict[str, DiscretizationModel] = {}
-    completion: dict[str, CompletionModel] = {}
-    exemplars = demo_exemplars()
-    counts = demo_cluster_counts()
-    training_entities = [r.entities for r in records]
-    for entity_type, value_sets in _ENTITY_VALUE_SETS.items():
-        training_values = [
-            v for r in records for v in r.entities.values_for(entity_type)
-        ]
-        disc = fit_discretization(
-            training_values, emb, counts[entity_type], seed, entity_type
-        )
-        disc = label_clusters_by_exemplars(disc, exemplars[entity_type], emb)
-        discretization[entity_type] = disc
-        completion[entity_type] = train_completion(
-            training_entities, emb, disc, entity_type
-        )
+    discretization, completion = train_completer(
+        [r.entities for r in records], emb, demo_exemplars(), config
+    )
 
     ner = train_ner(
         [r.sentence for r in records],
@@ -243,7 +224,7 @@ def build_demo_models(
     )
 
     rules = parse_rule_file(load_default_rule_corpus())
-    wiring = impute_matrix(estimate_wiring_matrix(rules))
+    wiring = impute_matrix(estimate_wiring_matrix(rules), config.wiring_k)
     generator = GeneratorModels(
         embedding=emb,
         discretization=discretization,
@@ -251,6 +232,7 @@ def build_demo_models(
         wiring=wiring,
         lexicon=load_default_lexicon(),
         mapping=load_default_mapping(),
+        threshold=config.threshold,
         tagger=ner,
     )
     return DemoModels(

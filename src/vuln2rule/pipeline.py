@@ -14,14 +14,21 @@ from . import _textio
 from ._textio import FIELD_PARSERS, check_settings, setting
 from .completer import (
     COMPLETABLE_ENTITIES,
+    COMPLETION_ITERATIONS,
+    COMPLETION_L2,
     CompletionModel,
     DiscretizationModel,
     build_feature_vector,
+    fit_discretization,
+    label_clusters_by_exemplars,
     load_completion,
     load_discretization,
     map_to_cluster,
     mean_precision_recall_at_k,
     predict_missing,
+    save_completion,
+    save_discretization,
+    train_completion,
 )
 from .corpus import LabeledSentence, RawVulnerability, word_frequency_report
 from .embedding import EmbeddingModel, load_embedding, nearest_neighbors
@@ -63,15 +70,17 @@ COMPLETION_TEMPLATE = "completion_{}.v2.bin"
 class PipelineConfig:
     """What the commands read besides their own flags: the model directory,
     optional lexicon and mapping files, completer, wiring and evaluation
-    settings, and the seed.  The embedding and tagger trainers take their
-    inputs and hyperparameters from their flags only."""
+    settings, and the seed.  Each field is the one place its setting's
+    default lives; the library functions that read a setting take it as a
+    required argument.  The embedding and tagger trainers take their inputs
+    and hyperparameters from their flags only."""
 
     model_dir: Path = Path("models")
     lexicon_path: Path | None = None
     mapping_path: Path | None = None
     k_clusters: dict[str, int] = setting({"VECTOR": 4, "IMPACT": 6, "MEANS": 8}, "at least 1")
-    completer_l2: float = setting(0.01, "a finite number at least 0")
-    completer_iterations: int = setting(70, "at least 1")
+    completer_l2: float = setting(COMPLETION_L2, "a finite number at least 0")
+    completer_iterations: int = setting(COMPLETION_ITERATIONS, "at least 1")
     wiring_k: int = setting(5, "at least 1")
     threshold: float = setting(0.5, "a number, not NaN")
     top_ks: tuple[int, ...] = setting((1, 2, 3), "at least 1")
@@ -172,6 +181,40 @@ def load_completer(
         # load_completion has checked weights against block_dim
         _check_dim(config, dim, comp_path, comp.block_dim == dim, f"block_dim {comp.block_dim}")
     return discretization, completion
+
+
+def train_completer(
+    entity_sets: list[EntitySet],
+    emb: EmbeddingModel,
+    exemplars: dict[str, dict[str, list[str]]],
+    config: PipelineConfig,
+) -> tuple[dict[str, DiscretizationModel], dict[str, CompletionModel]]:
+    """Per completable entity: cluster its values into the configured number
+    of clusters, label each cluster by its nearest exemplar phrase, and train
+    the completion model with the configured L2 weight and iteration cap."""
+    discretization = {}
+    completion = {}
+    for entity in COMPLETABLE_ENTITIES:
+        values = [v for es in entity_sets for v in es.values_for(entity)]
+        disc = fit_discretization(values, emb, config.k_clusters[entity], config.seed, entity)
+        disc = discretization[entity] = label_clusters_by_exemplars(disc, exemplars[entity], emb)
+        completion[entity] = train_completion(
+            entity_sets, emb, disc, entity,
+            l2=config.completer_l2, iterations=config.completer_iterations,
+        )
+    return discretization, completion
+
+
+def save_completer(
+    model_dir: Path,
+    discretization: dict[str, DiscretizationModel],
+    completion: dict[str, CompletionModel],
+) -> None:
+    """The six files that ``load_completer`` reads."""
+    for entity in COMPLETABLE_ENTITIES:
+        name = entity.lower()
+        save_discretization(discretization[entity], model_dir / DISC_TEMPLATE.format(name))
+        save_completion(completion[entity], model_dir / COMPLETION_TEMPLATE.format(name))
 
 
 def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorModels:
@@ -342,9 +385,9 @@ def _slot_sort(slot: Slot, lexicon: SchemaLexicon | None, inferred: dict[Slot, s
 
 def crossvalidate_wiring(
     rules: list[InteractionRule],
-    folds: int = 10,
-    k_neighbors: int = 5,
-    threshold: float = 0.5,
+    folds: int,
+    k_neighbors: int,
+    threshold: float,
     lexicon: SchemaLexicon | None = None,
 ) -> WiringCvResult:
     """Per fold: learn the matrix on the training rules, partition each test
@@ -365,8 +408,9 @@ def crossvalidate_wiring(
         test_idx = set(int(i) for i in fold)
         train = [r for i, r in enumerate(rules) if i not in test_idx]
         test = [rules[i] for i in sorted(test_idx)]
-        matrix = impute_matrix(estimate_wiring_matrix(train), k_neighbors)
-        inferred = infer_slot_sorts(train, lexicon)
+        raw = estimate_wiring_matrix(train)
+        matrix = impute_matrix(raw, k_neighbors)
+        inferred = infer_slot_sorts(raw, lexicon)
         tp = fp = fn = tn = 0
         for rule in test:
             # node -> the index of its variable in the rule
@@ -411,6 +455,11 @@ def crossvalidate_wiring(
 
 # --- evaluation suite ---------------------------------------------------------------
 
+#: the fold count of ``eval``'s wiring cross-validation, and ``xval-wiring``'s default
+WIRING_CV_FOLDS = 10
+#: the words whose nearest neighbours ``eval`` reports
+PROBE_WORDS = ("buffer", "remote", "windows", "code")
+
 
 @dataclass
 class EvalInputs:
@@ -418,21 +467,13 @@ class EvalInputs:
     labeled: list[LabeledSentence]
     entity_sets: list[EntitySet]
     rules: list[InteractionRule]
-    pipeline_inputs: list[RawVulnerability]
 
 
-def eval_suite(
-    models: GeneratorModels,
-    data: EvalInputs,
-    top_ks: tuple[int, ...] = (1, 2, 3),
-    folds: int = 10,
-    k_neighbors: int = 5,
-    probe_words: tuple[str, ...] = ("buffer", "remote", "windows", "code"),
-) -> RunReport:
+def eval_suite(models: GeneratorModels, data: EvalInputs, config: PipelineConfig) -> RunReport:
     """Frequency report, neighbor probes, tagger F1, completion ranking
-    metrics, wiring cross-validation (``folds`` folds, ``k_neighbors``
-    imputation neighbours) and the end-to-end success ratio, all in one
-    machine-readable report."""
+    metrics at ``config.top_ks``, wiring cross-validation (``WIRING_CV_FOLDS``
+    folds, ``config.wiring_k`` imputation neighbours) and the end-to-end
+    success ratio over ``data.corpus``, all in one machine-readable report."""
     report = RunReport()
     t0 = time.perf_counter()
 
@@ -440,7 +481,7 @@ def eval_suite(
         [w, c] for w, c in word_frequency_report(data.corpus, 10)
     ]
     probes = {}
-    for word in probe_words:
+    for word in PROBE_WORDS:
         if word in models.embedding.vocab:
             probes[word] = [
                 [w, round(s, 6)] for w, s in nearest_neighbors(models.embedding, word, 5)
@@ -473,20 +514,20 @@ def eval_suite(
         if not queries:
             continue
         entry = {}
-        for k in top_ks:
+        for k in config.top_ks:
             precision, recall = mean_precision_recall_at_k(queries, k)
             entry[f"precision@{k}"] = precision
             entry[f"recall@{k}"] = recall
         completion_metrics[entity] = entry
     report.metrics["completion"] = completion_metrics
 
-    if len(data.rules) >= folds:
+    if len(data.rules) >= WIRING_CV_FOLDS:
         cv = crossvalidate_wiring(
-            data.rules, folds, k_neighbors, lexicon=models.lexicon, threshold=models.threshold
+            data.rules, WIRING_CV_FOLDS, config.wiring_k, models.threshold, models.lexicon
         )
         report.metrics["wiring_cv"] = {"f1": cv.f1, "accuracy": cv.accuracy}
 
-    pipeline_report, _ = run_pipeline(models, data.pipeline_inputs)
+    pipeline_report, _ = run_pipeline(models, data.corpus)
     ratio = pipeline_report.success_ratio()
     report.metrics["success_ratio"] = "n/a" if ratio is None else ratio
     report.failures = pipeline_report.failures

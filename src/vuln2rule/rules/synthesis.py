@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from ..completer import (
     CompletionModel,
     DiscretizationModel,
@@ -30,7 +32,8 @@ from ..errors import (
 )
 from ..tagger import BlstmModel, EntitySet, extract_entities
 from ..tagger import tag as tag_tokens
-from .datalog import WILDCARD, InteractionRule, Predicate, Term, quote, variable_groups
+from .datalog import WILDCARD, InteractionRule, Predicate, Term, quote
+from .datalog import variable_groups  # noqa: F401  (read here by perfbench's trace hook)
 from .schema import MappingTables, PredicateSchema, SchemaLexicon
 from .wiring import Slot, UnionFind, WiringMatrix
 
@@ -215,26 +218,16 @@ def wire_rule(
 
 
 def infer_slot_sorts(
-    rules: list[InteractionRule], lexicon: SchemaLexicon | None = None
+    matrix: WiringMatrix, lexicon: SchemaLexicon | None = None
 ) -> dict[Slot, str]:
-    """Sorts for slots outside the lexicon: slots ever co-wired in the corpus
-    share a sort; a class adopts a declared member sort when one exists."""
-    slot_list: list[Slot] = sorted(
-        {
-            Slot(p.name, p.arity, pos)
-            for rule in rules
-            for p in rule.predicates()
-            for pos in range(p.arity)
-        }
-    )
-    index = {(s.name, s.arity, s.pos): i for i, s in enumerate(slot_list)}
+    """Sorts for slots outside the lexicon, from a matrix as
+    ``estimate_wiring_matrix`` returns it: slots joined by a chain of pairs
+    ever co-wired in the corpus (``wired_counts > 0``) share a sort; a class
+    adopts a declared member sort when one exists."""
+    slot_list = matrix.slots
     uf = UnionFind(len(slot_list))
-    for rule in rules:
-        preds = rule.predicates()
-        for group in variable_groups(rule):
-            members = [index[preds[ai].name, preds[ai].arity, pos] for ai, pos in group]
-            for a, b in zip(members, members[1:]):
-                uf.union(a, b)
+    for a, b in np.argwhere(np.triu(matrix.wired_counts > 0, 1)):
+        uf.union(int(a), int(b))
 
     sorts: dict[Slot, str] = {}
     for root, members in uf.groups().items():
@@ -283,8 +276,8 @@ class GeneratorModels:
     wiring: WiringMatrix
     lexicon: SchemaLexicon
     mapping: MappingTables
+    threshold: float
     tagger: BlstmModel | None = None
-    threshold: float = 0.5
 
 
 def generate(

@@ -161,7 +161,7 @@ def _row_distances(probs: np.ndarray, known: np.ndarray) -> np.ndarray:
     return distances
 
 
-def impute_matrix(matrix: WiringMatrix, k_neighbors: int = 5) -> WiringMatrix:
+def impute_matrix(matrix: WiringMatrix, k_neighbors: int) -> WiringMatrix:
     """Fill every Unknown entry from the k nearest rows (KNNimpute).
 
     Row distance is masked Euclidean over mutually known coordinates,

@@ -328,7 +328,9 @@ class TestCriterion5WiringCrossValidation:
             n_templates=6, per_template=10, noise_rate=0.1, seed=0
         )
         assert len(rules) == 60
-        result = crossvalidate_wiring(rules, folds=10, lexicon=load_default_lexicon())
+        result = crossvalidate_wiring(
+            rules, folds=10, k_neighbors=5, threshold=0.5, lexicon=load_default_lexicon()
+        )
         elapsed = time.perf_counter() - start
         assert result.f1 >= 0.80
         assert elapsed < 10.0

@@ -23,6 +23,7 @@ from vuln2rule.pipeline import (
     crossvalidate_wiring,
     load_models,
     run_pipeline,
+    save_completer,
 )
 from vuln2rule.rules.datalog import Term, emit_rules, parse_rule_file
 from vuln2rule.rules.schema import load_default_lexicon, load_default_rule_corpus, load_lexicon
@@ -36,13 +37,7 @@ def model_dir(tmp_path_factory, demo_models):
     out = tmp_path_factory.mktemp("models")
     save_embedding(demo_models.embedding, out / ARTIFACTS["embedding"])
     save_ner(demo_models.tagger, out / ARTIFACTS["ner"])
-    for entity in COMPLETABLE_ENTITIES:
-        save_discretization(
-            demo_models.discretization[entity], out / DISC_TEMPLATE.format(entity.lower())
-        )
-        save_completion(
-            demo_models.completion[entity], out / COMPLETION_TEMPLATE.format(entity.lower())
-        )
+    save_completer(out, demo_models.discretization, demo_models.completion)
     save_wiring(demo_models.generator.wiring, out / ARTIFACTS["wiring"])
     return out
 
@@ -398,6 +393,43 @@ def test_xval_wiring_folds_below_one_is_error(capsys, folds):
     assert "Traceback" not in err
 
 
+def test_train_completer_rewrites_the_demo_completer_files(model_dir, demo_models, tmp_path):
+    """`train-completer` at the demo's seed, cluster counts and exemplars
+    writes the six files that `make-demo` wrote, byte for byte: both train
+    through `pipeline.train_completer`."""
+    from vuln2rule.demo import demo_exemplars, write_demo_entities
+
+    models = tmp_path / "models"
+    shutil.copytree(model_dir, models)
+    completer_files = [
+        template.format(entity.lower())
+        for entity in COMPLETABLE_ENTITIES
+        for template in (DISC_TEMPLATE, COMPLETION_TEMPLATE)
+    ]
+    for name in completer_files:
+        (models / name).unlink()
+    entities = tmp_path / "entities.jsonl"
+    write_demo_entities(demo_models.records, entities)
+    exemplars = tmp_path / "exemplars.json"
+    exemplars.write_text(json.dumps(demo_exemplars()), "utf-8")
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text("k_clusters.VECTOR = 3\nk_clusters.IMPACT = 4\nk_clusters.MEANS = 6\n", "utf-8")
+    assert main([
+        "train-completer", "--entities", str(entities), "--exemplars", str(exemplars),
+        "--model-dir", str(models), "--config", str(cfg), "--seed", "7",
+    ]) == 0
+    for name in completer_files:
+        assert (models / name).read_bytes() == (model_dir / name).read_bytes(), name
+
+
+def test_eval_without_input_is_error(tmp_path, capsys):
+    """Checked before any artifact loads: the model directory is empty."""
+    assert main(["eval", "--model-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: eval needs --demo or --corpus\n"
+
+
 def test_eval_demo(model_dir, tmp_path, capsys):
     report_path = tmp_path / "eval.json"
     assert main([
@@ -445,7 +477,9 @@ def test_xval_wiring_reads_lexicon_path(tmp_path, capsys):
     config = tmp_path / "lexicon.cfg"
     config.write_text(f"lexicon_path = {lexicon}\n", "utf-8")
     rules = parse_rule_file(load_default_rule_corpus())
-    cv = crossvalidate_wiring(rules, folds=10, lexicon=load_lexicon(lexicon))
+    cv = crossvalidate_wiring(
+        rules, folds=10, k_neighbors=5, threshold=0.5, lexicon=load_lexicon(lexicon)
+    )
     xval = _xval_line(capsys, "--config", str(config))
     assert xval == f"folds: 10  mean F1: {cv.f1:.4f}  mean accuracy: {cv.accuracy:.4f}"
     assert xval != _xval_line(capsys)

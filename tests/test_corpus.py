@@ -161,7 +161,6 @@ class TestLoadNvdFeed:
         result = load_nvd_feed(path)
         assert len(result.records) == 1
         assert result.records[0].id == "CVE-2010-2212"
-        assert result.records[0].published_year == 2010
 
     def test_blank_description_skipped_and_counted(self, tmp_path):
         path = tmp_path / "feed.tsv"

@@ -78,7 +78,7 @@ def test_wiring_artifact_bytes_stable(tmp_path):
     rules = parse_rule_file(load_default_rule_corpus())
     paths = []
     for run in range(2):
-        matrix = impute_matrix(estimate_wiring_matrix(rules))
+        matrix = impute_matrix(estimate_wiring_matrix(rules), 5)
         path = tmp_path / f"wiring{run}.csv"
         save_wiring(matrix, path)
         paths.append(path)

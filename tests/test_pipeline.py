@@ -137,7 +137,7 @@ def template_rule(wired: bool, tag: int = 0) -> InteractionRule:
 class TestCrossvalidateWiring:
     def test_uniform_corpus_scores_perfectly(self):
         rules = [template_rule(wired=True) for _ in range(20)]
-        result = crossvalidate_wiring(rules, folds=10)
+        result = crossvalidate_wiring(rules, folds=10, k_neighbors=5, threshold=0.5)
         assert result.f1 == 1.0
         assert result.accuracy == 1.0
 
@@ -148,29 +148,33 @@ class TestCrossvalidateWiring:
         for _ in range(10):
             rules.append(template_rule(wired=True))
             rules.append(template_rule(wired=False))
-        result = crossvalidate_wiring(rules, folds=10)
+        result = crossvalidate_wiring(rules, folds=10, k_neighbors=5, threshold=0.5)
         assert result.f1 <= 0.67
 
     def test_synthetic_noisy_corpus_above_bar(self):
         rules = synthesize_wiring_corpus(n_templates=6, per_template=10, noise_rate=0.1, seed=0)
         assert len(rules) == 60
-        result = crossvalidate_wiring(rules, folds=10, lexicon=load_default_lexicon())
+        result = crossvalidate_wiring(
+            rules, folds=10, k_neighbors=5, threshold=0.5, lexicon=load_default_lexicon()
+        )
         assert result.f1 >= 0.80
 
     def test_too_few_rules_rejected(self):
         with pytest.raises(TooFewRules):
-            crossvalidate_wiring([template_rule(True)] * 3, folds=10)
+            crossvalidate_wiring([template_rule(True)] * 3, folds=10, k_neighbors=5, threshold=0.5)
 
     # one fold would leave no training rules
     @pytest.mark.parametrize("folds", [0, -1, 1])
     def test_folds_below_one_rejected(self, folds):
         rules = [template_rule(wired=True) for _ in range(20)]
         with pytest.raises(ConfigError, match=f"folds must be at least 2, got {folds}"):
-            crossvalidate_wiring(rules, folds=folds)
+            crossvalidate_wiring(rules, folds=folds, k_neighbors=5, threshold=0.5)
 
     def test_packaged_corpus_reported(self):
         rules = parse_rule_file(load_default_rule_corpus())
-        result = crossvalidate_wiring(rules, folds=5, lexicon=load_default_lexicon())
+        result = crossvalidate_wiring(
+            rules, folds=5, k_neighbors=5, threshold=0.5, lexicon=load_default_lexicon()
+        )
         assert 0.0 <= result.f1 <= 1.0
         assert 0.0 <= result.accuracy <= 1.0
 
@@ -340,26 +344,25 @@ def eval_data(demo_models):
         labeled=[r.sentence for r in records],
         entity_sets=[r.entities for r in records],
         rules=parse_rule_file(load_default_rule_corpus()),
-        pipeline_inputs=[r.vulnerability for r in records[:40]],
     )
 
 
 class TestEvalSuite:
     def test_all_sections_present(self, demo_models, eval_data):
-        report = eval_suite(demo_models.generator, eval_data)
+        report = eval_suite(demo_models.generator, eval_data, PipelineConfig())
         for key in ("frequency_top10", "nearest_neighbors", "ner_f1",
                     "completion", "wiring_cv", "success_ratio"):
             assert key in report.metrics, key
 
     def test_requested_ks_reported(self, demo_models, eval_data):
-        report = eval_suite(demo_models.generator, eval_data, top_ks=(1, 2, 3))
+        report = eval_suite(demo_models.generator, eval_data, PipelineConfig(top_ks=(2, 3)))
+        assert report.metrics["completion"]
         for entity, entry in report.metrics["completion"].items():
-            assert {"precision@1", "recall@1", "precision@2", "recall@2",
-                    "precision@3", "recall@3"} <= set(entry)
+            assert set(entry) == {"precision@2", "recall@2", "precision@3", "recall@3"}
 
     def test_metrics_deterministic_across_runs(self, demo_models, eval_data):
-        first = eval_suite(demo_models.generator, eval_data)
-        second = eval_suite(demo_models.generator, eval_data)
+        first = eval_suite(demo_models.generator, eval_data, PipelineConfig())
+        second = eval_suite(demo_models.generator, eval_data, PipelineConfig())
         assert first.metrics_json() == second.metrics_json()
 
 

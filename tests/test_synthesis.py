@@ -52,7 +52,7 @@ def mapping():
 @pytest.fixture(scope="module")
 def corpus_matrix():
     rules = parse_rule_file(load_default_rule_corpus())
-    return impute_matrix(estimate_wiring_matrix(rules))
+    return impute_matrix(estimate_wiring_matrix(rules), 5)
 
 
 def entity_set(cve_id="CVE-2020-0200", **values) -> EntitySet:
@@ -293,7 +293,7 @@ class TestSelfConsistency:
 
     def test_inferred_sorts_cover_unknown_predicates(self, lexicon):
         rules = parse_rule_file("foo(X, Y) :- bar(X), baz(Y, Z).\n")
-        sorts = infer_slot_sorts(rules, lexicon)
+        sorts = infer_slot_sorts(estimate_wiring_matrix(rules), lexicon)
         assert sorts[Slot("foo", 2, 0)] == sorts[Slot("bar", 1, 0)]
         assert sorts[Slot("foo", 2, 1)] == sorts[Slot("baz", 2, 0)]
         assert sorts[Slot("foo", 2, 0)] != sorts[Slot("foo", 2, 1)]
