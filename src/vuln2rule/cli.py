@@ -213,7 +213,7 @@ def cmd_complete(args) -> int:
         raise MissingArtifact("train-completer", entity)
     # a JSON object literal, or else a path to a file holding one
     text = args.entities if args.entities.startswith("{") else read_text(args.entities)
-    entity_set = EntitySet.from_dict({"cve_id": args.cve_id, "entities": parse_json(text)})
+    entity_set = EntitySet.from_dict({"cve_id": PLACEHOLDER_CVE_ID, "entities": parse_json(text)})
     features = build_feature_vector(entity_set, emb)
     for label, prob in predict_missing(completion[entity], features, args.top_k):
         print(f"{label}\t{prob:.6f}")
@@ -381,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("complete", cmd_complete, "predict a missing entity from an entity record")
     p.add_argument("--entity", required=True, choices=["vector", "impact", "means"])
     p.add_argument("--entities", required=True, help="JSON file or literal with the entity map")
-    p.add_argument("--cve-id", default=PLACEHOLDER_CVE_ID)
     p.add_argument("--top-k", type=int, default=3)
 
     p = add("learn-wiring", cmd_learn_wiring, "estimate + impute the wiring matrix")

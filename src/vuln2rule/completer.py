@@ -53,19 +53,24 @@ class SuccinctVector:
     count: int
 
 
-def succinct_vector(words: list[str], emb: EmbeddingModel) -> SuccinctVector:
-    acc = np.zeros(emb.dim)
+def _add_unit_rows(words: list[str], emb: EmbeddingModel, acc: np.ndarray) -> int:
+    """Add each word's unit row to ``acc`` in word order, skipping zero
+    rows; the number of rows added."""
     count = 0
     for word in words:
-        vec = emb.w_in[emb.vocab.id_for(word)]
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            continue
-        acc = acc + vec / norm
-        count += 1
-    if count == 0:
-        return SuccinctVector(np.zeros(emb.dim), 0)
-    return SuccinctVector(acc / count, count)
+        row = emb.unit_row(word)
+        if row is not None:
+            acc += row
+            count += 1
+    return count
+
+
+def succinct_vector(words: list[str], emb: EmbeddingModel) -> SuccinctVector:
+    acc = np.zeros(emb.dim)
+    count = _add_unit_rows(words, emb, acc)
+    if count:
+        acc /= count
+    return SuccinctVector(acc, count)
 
 
 @dataclass(frozen=True)
@@ -94,10 +99,16 @@ class FeatureVector:
 
 
 def build_feature_vector(entities: EntitySet, emb: EmbeddingModel) -> FeatureVector:
-    blocks = [
-        succinct_vector(entities.words_for(t), emb).values for t in FEATURE_ENTITIES
-    ]
-    return FeatureVector(np.concatenate(blocks), emb.dim)
+    dim = emb.dim
+    values = np.zeros(len(FEATURE_ENTITIES) * dim)
+    for i, entity_type in enumerate(FEATURE_ENTITIES):
+        words = entities.words_for(entity_type)
+        if words:
+            block = values[i * dim : (i + 1) * dim]
+            count = _add_unit_rows(words, emb, block)
+            if count:
+                block /= count
+    return FeatureVector(values, dim)
 
 
 # --- k-means discretization ---------------------------------------------------
@@ -368,11 +379,11 @@ def predict_missing(
     influence the prediction."""
     masked = features.with_zeroed(model.entity_type)
     logits = model.weights @ masked.values + model.biases
-    shifted = logits - logits.max()
-    probs = np.exp(shifted) / np.exp(shifted).sum()
-    order = np.argsort(-probs, kind="stable")
-    ranked = [(model.classes[i][1], float(probs[i])) for i in order]
-    return ranked if top_k is None else ranked[:top_k]
+    exp = np.exp(logits - logits.max())
+    probs = exp / exp.sum()
+    order = np.argsort(-probs, kind="stable")[:top_k].tolist()
+    values = probs.tolist()
+    return [(model.classes[i][1], values[i]) for i in order]
 
 
 def knn_complete(

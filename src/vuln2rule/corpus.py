@@ -77,9 +77,7 @@ class LabeledSentence:
 def normalize(word: str) -> str:
     """Lowercase, except tokens containing digits (versions, ports, CVE ids)
     which are preserved verbatim."""
-    if any(ch.isdigit() for ch in word):
-        return word
-    return word.lower()
+    return word if any(map(str.isdigit, word)) else word.lower()
 
 
 def tokenize(text: str) -> list[Token]:

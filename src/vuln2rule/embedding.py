@@ -7,7 +7,7 @@ fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -44,7 +44,8 @@ class EmbeddingModel:
 
     ``w_in`` has one row per vocabulary word (the embeddings); ``w_out`` is
     the softmax output matrix of shape (dim, vocab size), or None in a loaded
-    model.
+    model.  ``w_in`` is read-only once the model serves: each word's unit row
+    is memoized the first time ``unit_row`` computes it.
     """
 
     vocab: Vocabulary
@@ -53,20 +54,30 @@ class EmbeddingModel:
     config: EmbeddingConfig
     initial_loss: float | None = None
     final_loss: float | None = None
+    _unit_rows: dict[int, np.ndarray | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
         return self.w_in.shape[1]
 
+    def unit_row(self, word: str) -> np.ndarray | None:
+        """``word``'s embedding row (the OOV row for an unknown word) divided
+        by its norm, or None for a zero row; computed once per vocabulary id,
+        on first use."""
+        word_id = self.vocab.id_for(word)
+        try:
+            return self._unit_rows[word_id]
+        except KeyError:
+            vec = self.w_in[word_id]
+            norm = float(np.linalg.norm(vec))
+            row = self._unit_rows[word_id] = None if norm == 0.0 else vec / norm
+            return row
+
     def embed(self, word: str) -> np.ndarray:
         """Embedding row for ``word``; out-of-vocabulary words get the OOV row."""
         return self.w_in[self.vocab.id_for(word)].copy()
-
-
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
 
 
 def _training_pairs(
@@ -124,6 +135,9 @@ def _gather_inputs(pairs: list[tuple[tuple[int, ...], int]]) -> _Inputs:
 #: pairs per block of the batched loss; a block's scores are block x vocab
 _LOSS_BLOCK = 64
 
+#: elements per row block of the trainer's ``w_out`` update
+_UPDATE_BLOCK = 32768
+
 
 def _mean_loss(w_in: np.ndarray, w_out: np.ndarray, inputs: _Inputs) -> float:
     """Mean cross-entropy over all pairs, computed a block of pairs at a
@@ -177,18 +191,30 @@ def train_embedding(
     # per-step scalars come from lists: indexing an array costs more
     offsets, targets = inputs.offsets.tolist(), inputs.targets.tolist()
     ids, weights = inputs.ids, inputs.weights
-    dw_out = np.empty_like(w_out)
+    # the w_out update runs a block of rows at a time, so that the block
+    # is still in cache between its three elementwise passes; the views
+    # into w_out and into one buffer stay valid, as every pass is in place
+    step = max(1, _UPDATE_BLOCK // size)
+    dw_out = np.empty((min(step, config.dim), size))
+    row_blocks = [slice(start, start + step) for start in range(0, config.dim, step)]
+    blocks = [(block, w_out[block], dw_out[: len(w_out[block])]) for block in row_blocks]
     for _ in range(config.epochs):
         for p in rng.permutation(len(targets)).tolist():
             lo, hi = offsets[p], offsets[p + 1]
             rows, row_weights = ids[lo:hi], weights[lo:hi]
             hidden = row_weights @ w_in[rows]
-            dscores = _softmax(hidden @ w_out)
+            dscores = hidden @ w_out
+            dscores -= dscores.max()
+            np.exp(dscores, out=dscores)
+            dscores /= dscores.sum()
             dscores[targets[p]] -= 1.0
+            # one product over all of w_out: a product per block rounds
+            # differently
             dhidden = w_out @ dscores
-            np.multiply.outer(hidden, dscores, out=dw_out)
-            dw_out *= lr
-            w_out -= dw_out
+            for block, w_block, dw in blocks:
+                np.multiply.outer(hidden[block], dscores, out=dw)
+                dw *= lr
+                w_block -= dw
             w_in[rows] -= lr * np.multiply.outer(row_weights, dhidden)
     final_loss = _mean_loss(w_in, w_out, inputs)
 

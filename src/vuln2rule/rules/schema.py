@@ -23,13 +23,26 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .._textio import read_data, read_text
 from ..errors import ConfigError
+from .wiring import Slot
 
 _DECL_RE = re.compile(r"^predicate\s+([a-z]\w*)\((.*)\)$")
 _ARG_RE = re.compile(r"^([A-Za-z]\w*):([a-z]\w*)(!?)$")
+
+
+class VariableNode(NamedTuple):
+    """A slot that rule synthesis fills with a variable."""
+
+    pos: int
+    slot: Slot
+    sort: str
+    #: the variable's name when this slot is the first of its group
+    hint: str
 
 
 @dataclass(frozen=True)
@@ -43,6 +56,21 @@ class PredicateSchema:
     def __post_init__(self):
         if len(self.arg_sorts) != self.arity or len(self.var_hints) != self.arity:
             raise ValueError(f"{self.name}: sorts/hints must match arity")
+
+    @cached_property
+    def variable_nodes(self) -> tuple[VariableNode, ...]:
+        """Every slot outside the constant slots, in position order.  The
+        hint is the declared one when it reads as a variable (upper case or
+        ``_`` first), else the capitalized sort, else ``X``."""
+        nodes = []
+        for pos, (sort, hint) in enumerate(zip(self.arg_sorts, self.var_hints)):
+            if pos in self.constant_slots:
+                continue
+            if not (hint and (hint[0].isupper() or hint[0] == "_")):
+                hint = re.sub(r"\W", "", sort)
+                hint = hint[:1].upper() + hint[1:] if hint else "X"
+            nodes.append(VariableNode(pos, Slot(self.name, self.arity, pos), sort, hint))
+        return tuple(nodes)
 
 
 @dataclass

@@ -34,7 +34,7 @@ from ..tagger import BlstmModel, EntitySet, extract_entities
 from ..tagger import tag as tag_tokens
 from .datalog import WILDCARD, InteractionRule, Predicate, Term, quote
 from .datalog import variable_groups  # noqa: F401  (read here by perfbench's trace hook)
-from .schema import MappingTables, PredicateSchema, SchemaLexicon
+from .schema import MappingTables, PredicateSchema, SchemaLexicon, VariableNode
 from .wiring import Slot, UnionFind, WiringMatrix
 
 #: entity keys used by structure creation, in the order they are checked
@@ -90,11 +90,15 @@ def create_structure(
     return atoms
 
 
+_NON_SLUG_RE = re.compile(r"[^a-z0-9_]+")
+_SLUG_RE = re.compile(r"[a-z][a-z0-9_]*")
+
+
 def to_atom(text: str) -> str:
     """Constant-safe rendering: lowercase_underscore atom, or the quoted text
     when the slug cannot stand alone (leading digit, empty, ...)."""
-    slug = re.sub(r"[^a-z0-9_]+", "_", text.lower()).strip("_")
-    if re.fullmatch(r"[a-z][a-z0-9_]*", slug):
+    slug = _NON_SLUG_RE.sub("_", text.lower()).strip("_")
+    if _SLUG_RE.fullmatch(slug):
         return slug
     return quote(text, "'")
 
@@ -111,18 +115,22 @@ def assign_constants(atoms: list[Atom], entities: EntitySet, cve_id: str) -> dic
         "protocol": lambda: _entity_constant(_first_value(entities, "PROTOCOL")),
         "port": lambda: _port_constant(_first_value(entities, "PORT")),
     }
+    # a sort's term and trace note, made at its first open slot
+    filled: dict[str, tuple[Term, str]] = {}
     trace: dict[str, str] = {}
     for schema, terms in atoms:
         for pos in sorted(schema.constant_slots):
             if terms[pos] is not None:
                 continue
             sort = schema.arg_sorts[pos]
-            filler = fillers.get(sort)
-            filled = terms[pos] = filler() if filler else Term.wildcard()
-            if filled.kind == WILDCARD:
-                trace[f"{schema.name}#{pos}"] = f"no entity for sort {sort!r}"
-            else:
-                trace[f"{schema.name}#{pos}"] = f"{sort} <- {filled.text}"
+            if sort not in filled:
+                filler = fillers.get(sort)
+                term = filler() if filler else Term.wildcard()
+                if term.kind == WILDCARD:
+                    filled[sort] = term, f"no entity for sort {sort!r}"
+                else:
+                    filled[sort] = term, f"{sort} <- {term.text}"
+            terms[pos], trace[f"{schema.name}#{pos}"] = filled[sort]
     return trace
 
 
@@ -145,14 +153,6 @@ def _port_constant(value: str | None) -> Term:
     return Term.constant(value) if value.isdecimal() else Term.constant(to_atom(value))
 
 
-def _hint_for(schema: PredicateSchema, pos: int) -> str:
-    hint = schema.var_hints[pos]
-    if hint and (hint[0].isupper() or hint[0] == "_"):
-        return hint
-    sort = re.sub(r"\W", "", schema.arg_sorts[pos])
-    return sort[:1].upper() + sort[1:] if sort else "X"
-
-
 def wire_variables(
     slots: list[Slot], sorts: list[str], matrix: WiringMatrix, threshold: float
 ) -> list[list[int]]:
@@ -160,12 +160,15 @@ def wire_variables(
     differ, whose probability is at least ``threshold`` and whose sorts
     agree.  Groups of node indices come ordered by their lowest node, with
     members ascending."""
-    uf = UnionFind(len(slots))
-    for i in range(len(slots)):
-        for j in range(i + 1, len(slots)):
-            if slots[i] == slots[j] or sorts[i] != sorts[j]:
+    n = len(slots)
+    uf = UnionFind(n)
+    prob_of = matrix.prob
+    for i in range(n):
+        slot, sort = slots[i], sorts[i]
+        for j in range(i + 1, n):
+            if slots[j] == slot or sorts[j] != sort:
                 continue
-            prob = matrix.prob(slots[i], slots[j])
+            prob = prob_of(slot, slots[j])
             if prob is not None and prob >= threshold:
                 uf.union(i, j)
     return sorted(uf.groups().values(), key=min)
@@ -185,27 +188,27 @@ def wire_rule(
     the first free ``<hint><n>`` with n >= 2.  Raises
     RangeRestrictionViolation when a head variable stays unbound."""
     terms = [list(atom_terms) for _, atom_terms in atoms]
-    nodes: list[tuple[int, int]] = []
+    # (atom index, node) of every variable slot, atom by atom
+    nodes: list[tuple[int, VariableNode]] = []
     for ai, (schema, atom_terms) in enumerate(atoms):
-        for pos, term in enumerate(atom_terms):
-            if pos not in schema.constant_slots:
-                nodes.append((ai, pos))
-            elif term is None:
+        for pos in sorted(schema.constant_slots):
+            if atom_terms[pos] is None:
                 raise ValueError(f"{schema.name}#{pos}: constant slot not assigned")
-    schemas = [atoms[ai][0] for ai, _ in nodes]
-    slots = [Slot(s.name, s.arity, pos) for s, (_, pos) in zip(schemas, nodes)]
-    sorts = [s.arg_sorts[pos] for s, (_, pos) in zip(schemas, nodes)]
+        nodes += [(ai, node) for node in schema.variable_nodes]
+    slots = [node.slot for _, node in nodes]
+    sorts = [node.sort for _, node in nodes]
     taken: set[str] = set()
     for group in wire_variables(slots, sorts, matrix, threshold):
-        base = name = _hint_for(schemas[group[0]], nodes[group[0]][1])
+        base = name = nodes[group[0]][1].hint
         n = 1
         while name in taken:
             n += 1
             name = f"{base}{n}"
         taken.add(name)
+        variable = Term.variable(name)
         for m in group:
-            ai, pos = nodes[m]
-            terms[ai][pos] = Term.variable(name)
+            ai, node = nodes[m]
+            terms[ai][node.pos] = variable
     predicates = [Predicate(schema.name, tuple(t)) for (schema, _), t in zip(atoms, terms)]
     rule = InteractionRule(
         head=predicates[0], body=tuple(predicates[1:]), description=description, trace=dict(trace)
@@ -307,7 +310,7 @@ def generate(
         else:
             entity_set = EntitySet(cve_id=cve_id)
 
-    if not any(entity_set.present(t) for t in entity_set.entities):
+    if not any(entity_set.entities.values()):
         return GenerationFailure(
             FailureKind.MISSING_CORE_ENTITY, "nothing extracted from the description"
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +20,10 @@ from ..errors import ConfigError, EmptyMatrix, MalformedRecord
 from .datalog import InteractionRule, variable_groups
 
 
-@dataclass(frozen=True, order=True)
-class Slot:
+class Slot(NamedTuple):
+    """One argument position of a predicate; slots hash and sort as their
+    ``(name, arity, pos)`` tuples."""
+
     name: str
     arity: int
     pos: int
@@ -89,8 +92,9 @@ class WiringMatrix:
         ia, ib = self.index.get(a), self.index.get(b)
         if ia is None or ib is None:
             return None
-        value = self.probs[ia, ib]
-        return None if np.isnan(value) else float(value)
+        value = self.probs.item(ia, ib)
+        # v != v is the NaN test, on a Python float
+        return None if value != value else value
 
     @property
     def fully_known(self) -> bool:

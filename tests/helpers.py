@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from vuln2rule.corpus import RawVulnerability, Vocabulary, sentences_of, vocabulary_from_sentences
-from vuln2rule.embedding import EmbeddingConfig, EmbeddingModel, _softmax, _training_pairs
+from vuln2rule.completer import FEATURE_ENTITIES, FeatureVector, SuccinctVector
+from vuln2rule.embedding import EmbeddingConfig, EmbeddingModel, _training_pairs
 from vuln2rule.errors import EmptyCorpus
 from vuln2rule.errors import MissingCoreEntity
 from vuln2rule.rules.datalog import VARIABLE, WILDCARD, InteractionRule, Predicate, Term, quote
@@ -18,11 +20,9 @@ from vuln2rule.rules.synthesis import (
     UnmappableClusterError,
     _entity_constant,
     _first_value,
-    _hint_for,
     _port_constant,
-    wire_variables,
 )
-from vuln2rule.rules.wiring import Slot, WiringMatrix
+from vuln2rule.rules.wiring import Slot, UnionFind, WiringMatrix
 from vuln2rule.tagger import LOSS_WEIGHTS, EntitySet
 
 
@@ -72,6 +72,12 @@ def synthesize_wiring_corpus(
             description=rule.description + " (noisy)",
         )
     return rules
+
+
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    shifted = scores - scores.max()
+    exp = np.exp(shifted)
+    return exp / exp.sum()
 
 
 def example_loss_and_grads(
@@ -372,6 +378,28 @@ def reference_assign_constants(
     return skeleton
 
 
+def reference_hint_for(schema: PredicateSchema, pos: int) -> str:
+    hint = schema.var_hints[pos]
+    if hint and (hint[0].isupper() or hint[0] == "_"):
+        return hint
+    sort = re.sub(r"\W", "", schema.arg_sorts[pos])
+    return sort[:1].upper() + sort[1:] if sort else "X"
+
+
+def reference_wire_variables(
+    slots: list[Slot], sorts: list[str], matrix: WiringMatrix, threshold: float
+) -> list[list[int]]:
+    uf = UnionFind(len(slots))
+    for i in range(len(slots)):
+        for j in range(i + 1, len(slots)):
+            if slots[i] == slots[j] or sorts[i] != sorts[j]:
+                continue
+            prob = reference_prob(matrix, slots[i], slots[j])
+            if prob is not None and prob >= threshold:
+                uf.union(i, j)
+    return sorted(uf.groups().values(), key=min)
+
+
 def reference_wire_rule(
     skeleton: RuleSkeleton, matrix: WiringMatrix, threshold: float
 ) -> InteractionRule:
@@ -388,8 +416,8 @@ def reference_wire_rule(
     slots = [Slot(s.name, s.arity, pos) for s, (_, pos) in zip(schemas, nodes)]
     sorts = [s.arg_sorts[pos] for s, (_, pos) in zip(schemas, nodes)]
     taken: set[str] = set()
-    for group in wire_variables(slots, sorts, matrix, threshold):
-        base = name = _hint_for(schemas[group[0]], nodes[group[0]][1])
+    for group in reference_wire_variables(slots, sorts, matrix, threshold):
+        base = name = reference_hint_for(schemas[group[0]], nodes[group[0]][1])
         n = 1
         while name in taken:
             n += 1
@@ -407,3 +435,56 @@ def reference_wire_rule(
     )
     rule.check_range_restriction()
     return rule
+
+
+# --- the per-record serve steps -------------------------------------------------
+#
+# The serve path memoizes each vocabulary word's unit row, keeps slots as
+# tuples and reads wiring probabilities as Python floats.  These are the
+# forms it replaced; the library must give the same bits, groups and
+# strings.
+
+
+def reference_normalize(word: str) -> str:
+    if any(ch.isdigit() for ch in word):
+        return word
+    return word.lower()
+
+
+def reference_succinct_vector(words: list[str], emb: EmbeddingModel) -> SuccinctVector:
+    acc = np.zeros(emb.dim)
+    count = 0
+    for word in words:
+        vec = emb.w_in[emb.vocab.id_for(word)]
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0:
+            continue
+        acc = acc + vec / norm
+        count += 1
+    if count == 0:
+        return SuccinctVector(np.zeros(emb.dim), 0)
+    return SuccinctVector(acc / count, count)
+
+
+def reference_build_feature_vector(entities: EntitySet, emb: EmbeddingModel) -> FeatureVector:
+    blocks = [
+        reference_succinct_vector(entities.words_for(t), emb).values for t in FEATURE_ENTITIES
+    ]
+    return FeatureVector(np.concatenate(blocks), emb.dim)
+
+
+def reference_prob(matrix: WiringMatrix, a: Slot, b: Slot) -> float | None:
+    ia, ib = matrix.index.get(a), matrix.index.get(b)
+    if ia is None or ib is None:
+        return None
+    value = matrix.probs[ia, ib]
+    return None if np.isnan(value) else float(value)
+
+
+@dataclass(frozen=True, order=True)
+class ReferenceSlot:
+    """The slot as a frozen, ordered dataclass."""
+
+    name: str
+    arity: int
+    pos: int

@@ -234,6 +234,18 @@ def test_complete_reads_the_embedding_and_completer_alone(model_dir, tmp_path, c
     assert "train-completer" in capsys.readouterr().err
 
 
+def test_complete_has_no_cve_id_flag(model_dir, capsys):
+    """A record's CVE id never reaches the completion features, so
+    ``complete`` takes none."""
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "complete", "--entity", "vector", "--entities", '{"MEANS": ["buffer overflow"]}',
+            "--cve-id", "CVE-2010-2212", "--model-dir", str(model_dir),
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cve-id" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argument", ["{bad", "absent-entities.json"])
 def test_complete_bad_entities_is_error(model_dir, argument, capsys):
     assert main([

@@ -7,8 +7,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_embedding
+from helpers import reference_build_feature_vector, reference_succinct_vector
 from vuln2rule.completer import (
     BLOCK_INDEX,
     FEATURE_ENTITIES,
@@ -124,6 +127,52 @@ class TestFeatureVector:
         masked = fv.with_zeroed("MEANS")
         assert not masked.block("MEANS").any()
         assert np.array_equal(masked.block("OS"), fv.block("OS"))
+
+
+@st.composite
+def embeddings_and_entity_sets(draw):
+    """A random embedding whose rows may be zero, hold negative zeros or
+    be tiny, an OOV row that may be nonzero, and an entity set whose values
+    mix vocabulary words, repeats and out-of-vocabulary words."""
+    dim = draw(st.integers(1, 6))
+    n_words = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = {}
+    for i in range(n_words):
+        kind = draw(st.sampled_from(["normal", "zero", "negative zero", "tiny"]))
+        row = rng.normal(size=dim)
+        if kind == "zero":
+            row[:] = 0.0
+        elif kind == "negative zero":
+            row[rng.random(dim) < 0.5] = -0.0
+        elif kind == "tiny":
+            row *= 1e-160
+        rows[f"w{i}"] = row
+    emb = make_embedding(rows)
+    if draw(st.booleans()):
+        emb.w_in[0] = rng.normal(size=dim)
+    word = st.sampled_from([*rows, "oov", "Oov2"])
+    value = st.lists(word, min_size=1, max_size=6).map(" ".join)
+    entities = EntitySet(cve_id="CVE-2020-0001")
+    for tag in draw(st.lists(st.sampled_from(FEATURE_ENTITIES), unique=True)):
+        entities.entities[tag] = draw(st.lists(value, min_size=1, max_size=3))
+    return emb, entities
+
+
+@settings(max_examples=200, deadline=None)
+@given(embeddings_and_entity_sets())
+def test_serve_vectors_match_the_per_word_reference(case):
+    """Succinct and feature vectors built from memoized unit rows have the
+    bits of the reference's per-word ``vec / norm`` sums, cold and warm."""
+    emb, entities = case
+    for _ in range(2):
+        want = reference_build_feature_vector(entities, emb).values
+        assert build_feature_vector(entities, emb).values.tobytes() == want.tobytes()
+        for tag in FEATURE_ENTITIES:
+            words = entities.words_for(tag)
+            got, ref = succinct_vector(words, emb), reference_succinct_vector(words, emb)
+            assert (got.count, got.values.tobytes()) == (ref.count, ref.values.tobytes())
+    assert len(emb._unit_rows) <= len(emb.vocab)
 
 
 class TestKmeans:

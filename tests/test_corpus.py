@@ -6,13 +6,16 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import build_vocabulary
+from helpers import build_vocabulary, reference_normalize
 from vuln2rule.corpus import (
     STOPWORDS,
     RawVulnerability,
     load_labeled_dataset,
     load_nvd_feed,
+    normalize,
     norms,
     tokenize,
     word_frequency_report,
@@ -28,6 +31,18 @@ from vuln2rule.errors import (
 
 def rec(cve_id: str, text: str) -> RawVulnerability:
     return RawVulnerability(cve_id, text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+@example("Port\u00b2")
+@example("Vers\u0663ON")
+@example("ÄBC")
+@example("")
+def test_normalize_matches_the_reference(word):
+    """Unicode digits such as superscripts and Arabic-Indic digits keep a
+    word verbatim, as in the per-character reference."""
+    assert normalize(word) == reference_normalize(word)
 
 
 class TestTokenize:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import example_loss_and_grads, reference_mean_loss, reference_train_embedding
-from vuln2rule import _textio
+from vuln2rule import _textio, embedding
 from vuln2rule.corpus import vocabulary_from_sentences
 from vuln2rule.embedding import (
     _LOSS_BLOCK,
@@ -174,6 +174,18 @@ class TestExactTraining:
         assert got.initial_loss == pytest.approx(want.initial_loss, rel=1e-12)
         assert got.final_loss == pytest.approx(want.final_loss, rel=1e-12)
         assert got.final_loss < got.initial_loss
+
+    @pytest.mark.parametrize("update_block", [1, 26, 39, 91])
+    def test_row_blocked_update_matches_reference_bit_for_bit(self, update_block, monkeypatch):
+        """At 13 ids, blocks of 1, 26, 39 and 91 elements update ``w_out``'s
+        7 rows 1, 2, 3 and 7 at a time; blocks of 2 and 3 leave a short
+        last block."""
+        monkeypatch.setattr(embedding, "_UPDATE_BLOCK", update_block)
+        config = EmbeddingConfig(dim=7, window=3, epochs=3, learning_rate=0.05, max_vocab=12, seed=6)
+        got = train_embedding(EXACT_CORPUS, config)
+        want = reference_train_embedding(EXACT_CORPUS, config)
+        assert got.w_in.tobytes() == want.w_in.tobytes()
+        assert got.w_out.tobytes() == want.w_out.tobytes()
 
     @pytest.mark.parametrize("variant", [CBOW, SKIP_GRAM])
     def test_losses_match_reference_on_random_weights(self, variant):

@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 from helpers import synthesize_wiring_corpus
 from vuln2rule._textio import RANGES, config_meta
 from vuln2rule.corpus import RawVulnerability
-from vuln2rule.embedding import EmbeddingConfig
-from vuln2rule.demo import golden_entity_set
+from vuln2rule.embedding import EmbeddingConfig, EmbeddingModel
+from vuln2rule.demo import generate_demo_records, golden_entity_set
 from vuln2rule.errors import ConfigError, TooFewRules
 from vuln2rule import pipeline
 from vuln2rule.pipeline import (
@@ -30,9 +31,9 @@ from vuln2rule.rules.datalog import (
     emit_rules,
     parse_rule_file,
 )
-from vuln2rule.rules.synthesis import GenerationFailure, generate
+from vuln2rule.rules.synthesis import GenerationFailure, GeneratorModels, generate
 from vuln2rule.rules.schema import load_default_lexicon, load_default_rule_corpus
-from vuln2rule.tagger import BlstmConfig
+from vuln2rule.tagger import BlstmConfig, EntitySet
 
 
 class TestRunPipeline:
@@ -120,6 +121,61 @@ class TestRunPipeline:
         seen.clear()
         run_pipeline(demo_models.generator, inputs[::2], gold_entities=gold)
         assert seen == []
+
+
+def masked_gold_sets(records) -> dict[str, EntitySet]:
+    """Each record's gold set without one of its core entities (the i-th
+    record drops its present core entity ``i mod count``), so every record
+    goes through completion and wiring."""
+    gold = {}
+    for i, record in enumerate(records):
+        entities = EntitySet(
+            cve_id=record.entities.cve_id,
+            entities={k: list(v) for k, v in record.entities.entities.items()},
+        )
+        present = [t for t in ("VECTOR", "IMPACT", "MEANS") if entities.present(t)]
+        entities.entities[present[i % len(present)]] = []
+        gold[record.vulnerability.id] = entities
+    return gold
+
+
+def fresh_generator(models: GeneratorModels) -> GeneratorModels:
+    """The same models behind a new embedding object, whose caches start
+    empty."""
+    emb = models.embedding
+    return replace(
+        models, embedding=EmbeddingModel(vocab=emb.vocab, w_in=emb.w_in, w_out=None, config=emb.config)
+    )
+
+
+class TestServeBytes:
+    """The rule bytes of the demo models over the demo corpus at seed 7,
+    served from tagged text and from gold sets with a core entity masked."""
+
+    TAGGED_SHA256 = "cdccdd691a3df27bef2f30f4f61342ac040f34cf5f082122ce97e3a9816eaa13"
+    MASKED_SHA256 = "a53b8481380d0aee1d7c3a9bdef874fa23b4fb21d9f7594813d49b26a71210d2"
+
+    @staticmethod
+    def served(models, gold):
+        records = generate_demo_records(160, 7)
+        _, rules = run_pipeline(models, [r.vulnerability for r in records], gold_entities=gold)
+        return emit_rules(rules).encode("utf-8")
+
+    def test_tagged_bytes_pinned(self, demo_models):
+        text = self.served(fresh_generator(demo_models.generator), None)
+        assert hashlib.sha256(text).hexdigest() == self.TAGGED_SHA256
+
+    def test_masked_gold_bytes_pinned(self, demo_models):
+        gold = masked_gold_sets(generate_demo_records(160, 7))
+        text = self.served(fresh_generator(demo_models.generator), gold)
+        assert hashlib.sha256(text).hexdigest() == self.MASKED_SHA256
+
+    def test_cold_and_warm_models_serve_the_same_bytes(self, demo_models):
+        models = fresh_generator(demo_models.generator)
+        gold = masked_gold_sets(generate_demo_records(160, 7))
+        cold = self.served(models, gold)
+        assert self.served(models, gold) == cold
+        assert self.served(models, None) == self.served(fresh_generator(models), None)
 
 
 def template_rule(wired: bool, tag: int = 0) -> InteractionRule:

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from helpers import reference_assign_constants, reference_create_structure, reference_wire_rule
+from helpers import (
+    reference_assign_constants,
+    reference_create_structure,
+    reference_hint_for,
+    reference_wire_rule,
+    reference_wire_variables,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +25,7 @@ from vuln2rule.rules.schema import (
     load_default_lexicon,
     load_default_mapping,
     load_default_rule_corpus,
+    PredicateSchema,
     parse_lexicon,
     parse_mapping,
 )
@@ -393,6 +400,50 @@ def test_synthesis_matches_the_skeleton_reference(
         want = _synthesized(skeletons, clusters, entities, cve_id, threshold)
         got = _synthesized(atom_lists, clusters, entities, cve_id, threshold)
         assert got == want, clusters
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_slots=st.integers(1, 6),
+    picks=st.lists(st.tuples(st.integers(0, 5), st.sampled_from("ab")), max_size=10),
+    threshold=st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wire_variables_matches_the_reference(n_slots, picks, threshold, seed):
+    """Over random matrices, with repeated slots and mixed sorts, the
+    groups are the reference's; a pick past the matrix's slots is a slot
+    it does not hold."""
+    slots = tuple(Slot(f"p{i}", 2, i % 2) for i in range(n_slots))
+    matrix = _random_matrix(slots, seed)
+    nodes = [Slot(f"p{i}", 2, i % 2) for i, _ in picks]
+    sorts = [sort for _, sort in picks]
+    want = reference_wire_variables(nodes, sorts, matrix, threshold)
+    assert wire_variables(nodes, sorts, matrix, threshold) == want
+
+
+_NAME_TEXT = st.one_of(st.text(alphabet="_aZé1- ", max_size=4), st.text(max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    args=st.lists(st.tuples(_NAME_TEXT, _NAME_TEXT, st.booleans()), min_size=1, max_size=5)
+)
+def test_variable_nodes_match_the_per_slot_reference(args):
+    """A schema's variable nodes are its slots outside the constant slots,
+    in order, each with the hint the per-slot reference gives it."""
+    schema = PredicateSchema(
+        name="p",
+        arity=len(args),
+        arg_sorts=tuple(sort for sort, _, _ in args),
+        var_hints=tuple(hint for _, hint, _ in args),
+        constant_slots=frozenset(pos for pos, (_, _, constant) in enumerate(args) if constant),
+    )
+    want = [
+        (pos, Slot("p", len(args), pos), schema.arg_sorts[pos], reference_hint_for(schema, pos))
+        for pos in range(len(args))
+        if pos not in schema.constant_slots
+    ]
+    assert [tuple(node) for node in schema.variable_nodes] == want
 
 
 class TestGenerate:

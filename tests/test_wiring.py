@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ReferenceSlot, reference_prob
 from vuln2rule.errors import ConfigError, EmptyMatrix, MalformedRecord
 from vuln2rule.rules.datalog import parse_rule_file
 from vuln2rule.rules.schema import load_default_rule_corpus
@@ -288,6 +289,51 @@ def test_impute_matches_loop_reference_bit_for_bit(n, k, unknown_share, random_s
         return
     got = impute_matrix(matrix, k)
     assert np.array_equal(got.probs.view("<u8"), expected.probs.view("<u8"))
+
+
+_SLOT = st.builds(
+    Slot,
+    st.text(alphabet="abcxyzAB_/#", min_size=1, max_size=4),
+    st.integers(0, 12),
+    st.integers(0, 12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    slots=st.lists(_SLOT, min_size=1, max_size=8, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+    unknown_share=st.sampled_from([0.0, 0.3, 1.0]),
+    queries=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=20),
+    stranger=_SLOT,
+)
+def test_prob_matches_the_numpy_scalar_reference(slots, seed, unknown_share, queries, stranger):
+    """``prob`` gives the reference's value (a float of the same bits) or
+    None on known, Unknown and missing slots."""
+    rng = np.random.default_rng(seed)
+    probs = rng.choice(_TIED_VALUES, (len(slots), len(slots)))
+    probs[rng.random(probs.shape) < unknown_share] = np.nan
+    matrix = WiringMatrix(slots=tuple(slots), probs=probs)
+    # an index past the slots stands for a slot the matrix does not hold
+    pool = [*slots, stranger]
+    for i, j in queries:
+        a, b = pool[min(i, len(pool) - 1)], pool[min(j, len(pool) - 1)]
+        got, want = matrix.prob(a, b), reference_prob(matrix, a, b)
+        assert type(got) is type(want)
+        assert got is None or np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SLOT, max_size=10))
+def test_slot_keeps_the_dataclass_hash_order_and_label(slots):
+    references = [ReferenceSlot(*s) for s in slots]
+    assert [hash(s) for s in slots] == [hash(r) for r in references]
+    by_slot = sorted(range(len(slots)), key=lambda i: slots[i])
+    assert by_slot == sorted(range(len(slots)), key=lambda i: references[i])
+    for s in slots:
+        if "/" not in s.name:
+            assert Slot.from_label(s.label) == s
+            assert s.label == f"{s.name}/{s.arity}#{s.pos}"
 
 
 class TestUnionFind:
