@@ -38,7 +38,7 @@ from .pipeline import (
     save_completer,
     train_completer,
 )
-from .rules.datalog import emit_rule, parse_rule_file
+from .rules.datalog import InteractionRule, emit_rule, parse_rule_file
 from .rules.schema import load_default_rule_corpus
 from .rules.synthesis import PLACEHOLDER_CVE_ID, GenerationFailure, generate
 from .rules.wiring import estimate_wiring_matrix, impute_matrix, save_wiring
@@ -54,10 +54,9 @@ from .tagger import (
 
 
 def _config_from(args) -> PipelineConfig:
+    """The ``--config`` file, or the defaults, with the flags that the command declares."""
     config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    if args.model_dir:
-        config.model_dir = Path(args.model_dir)
-    for key in ("seed", "threshold"):
+    for key in ("model_dir", "seed", "threshold"):
         value = getattr(args, key, None)
         if value is not None:
             try:
@@ -89,6 +88,11 @@ def _trainer_config(command: str, cls, args, **given):
 
 def _load_corpus(path: str) -> list[RawVulnerability]:
     return list(load_nvd_feed(path).records)
+
+
+def _load_rules(path: str | None) -> list[InteractionRule]:
+    """The rule corpus at ``path``, else the packaged one."""
+    return parse_rule_file(read_text(path) if path else load_default_rule_corpus())
 
 
 def _model_dir(config: PipelineConfig) -> Path:
@@ -152,10 +156,8 @@ def cmd_train_ner(args) -> int:
 
 def cmd_tag(args) -> int:
     config = _config_from(args)
-    if not args.text and not args.input:
-        raise ConfigError("tag needs --input or --text")
     emb, tagger = load_embedding_and_tagger(config)
-    if args.text:
+    if args.text is not None:
         records = [RawVulnerability(args.cve_id, args.text)]
     else:
         records = _load_corpus(args.input)
@@ -222,10 +224,7 @@ def cmd_complete(args) -> int:
 
 def cmd_learn_wiring(args) -> int:
     config = _config_from(args)
-    text = (
-        read_text(args.rules) if args.rules else load_default_rule_corpus()
-    )
-    rules = parse_rule_file(text)
+    rules = _load_rules(args.rules)
     raw = estimate_wiring_matrix(rules)
     imputed = impute_matrix(raw, config.wiring_k if args.k_neighbors is None else args.k_neighbors)
     out_dir = _model_dir(config)
@@ -279,16 +278,14 @@ def cmd_eval(args) -> int:
             corpus=[r.vulnerability for r in records],
             labeled=[r.sentence for r in records],
             entity_sets=[r.entities for r in records],
-            rules=parse_rule_file(load_default_rule_corpus()),
+            rules=_load_rules(None),
         )
     else:
         data = EvalInputs(
             corpus=_load_corpus(args.corpus),
             labeled=load_labeled_dataset(args.labeled) if args.labeled else [],
             entity_sets=demo_mod.read_entity_records(args.entities) if args.entities else [],
-            rules=parse_rule_file(
-                read_text(args.rules) if args.rules else load_default_rule_corpus()
-            ),
+            rules=_load_rules(args.rules),
         )
     report = eval_suite(models, data, config)
     if args.report:
@@ -299,12 +296,8 @@ def cmd_eval(args) -> int:
 
 def cmd_xval_wiring(args) -> int:
     config = _config_from(args)
-    text = (
-        read_text(args.rules) if args.rules else load_default_rule_corpus()
-    )
-    rules = parse_rule_file(text)
     result = crossvalidate_wiring(
-        rules,
+        _load_rules(args.rules),
         folds=args.folds,
         k_neighbors=config.wiring_k,
         threshold=config.threshold,
@@ -321,7 +314,7 @@ def cmd_make_demo(args) -> int:
     save_embedding(demo.embedding, out_dir / ARTIFACTS["embedding"])
     save_ner(demo.tagger, out_dir / ARTIFACTS["ner"])
     save_completer(out_dir, demo.discretization, demo.completion)
-    raw = estimate_wiring_matrix(parse_rule_file(load_default_rule_corpus()))
+    raw = estimate_wiring_matrix(_load_rules(None))
     save_wiring(raw, out_dir / ARTIFACTS["wiring_raw"])
     save_wiring(demo.generator.wiring, out_dir / ARTIFACTS["wiring"])
     demo_mod.write_demo_corpus(demo.records, out_dir / "demo_corpus.tsv")
@@ -342,65 +335,77 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_: str) -> argparse.ArgumentParser:
+    # the flags that several commands share; each command declares the ones it reads
+    common_flags = {
+        "--config": {"help": "key-value config file"},
+        "--model-dir": {"type": Path, "help": "artifact directory"},
+        "--seed": {"type": int, "help": "global random seed"},
+    }
+
+    def add(name: str, func, help_: str, *common: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
-        p.add_argument("--config", help="key-value config file")
-        p.add_argument("--model-dir", help="artifact directory")
-        p.add_argument("--seed", type=int, help="global random seed")
+        for flag in common:
+            p.add_argument(flag, **common_flags[flag])
         return p
+
+    artifacts = ("--config", "--model-dir")
+    seeded = (*artifacts, "--seed")
 
     p = add("ingest", cmd_ingest, "load NVD feeds (JSON or TSV) into a normalized TSV")
     p.add_argument("feeds", nargs="+")
     p.add_argument("--out")
 
-    p = add("train-embedding", cmd_train_embedding, "train the word embedding")
+    p = add("train-embedding", cmd_train_embedding, "train the word embedding", *seeded)
     p.add_argument("--corpus", required=True)
     _add_setting_flags(p, EmbeddingConfig, "seed")
 
-    p = add("train-ner", cmd_train_ner, "train the sequence tagger")
+    p = add("train-ner", cmd_train_ner, "train the sequence tagger", *seeded)
     p.add_argument("--labeled", required=True)
     p.add_argument("--hidden", type=int)
     _add_setting_flags(p, BlstmConfig, "dim", "hidden", "seed")
 
-    p = add("tag", cmd_tag, "tag descriptions and emit entities as JSON lines")
-    p.add_argument("--input", help="TSV/JSON feed of descriptions")
-    p.add_argument("--text", help="tag a single description")
-    p.add_argument("--cve-id", default=PLACEHOLDER_CVE_ID)
+    p = add("tag", cmd_tag, "tag descriptions and emit entities as JSON lines", *artifacts)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="TSV/JSON feed of descriptions")
+    source.add_argument("--text", help="tag a single description")
+    p.add_argument("--cve-id", default=PLACEHOLDER_CVE_ID, help="the CVE id of the --text record")
     p.add_argument("--out")
 
-    p = add("eval-ner", cmd_eval_ner, "score the tagger on a labeled TSV")
+    p = add("eval-ner", cmd_eval_ner, "score the tagger on a labeled TSV", *artifacts)
     p.add_argument("--labeled", required=True)
 
-    p = add("train-completer", cmd_train_completer, "fit discretization + completion models")
+    p = add(
+        "train-completer", cmd_train_completer, "fit discretization + completion models", *seeded
+    )
     p.add_argument("--entities", required=True, help="JSON-lines entity records")
     p.add_argument(
         "--exemplars", required=True, help="JSON {entity: {label: [phrases]}} for cluster labeling"
     )
 
-    p = add("complete", cmd_complete, "predict a missing entity from an entity record")
+    p = add("complete", cmd_complete, "predict a missing entity from an entity record", *artifacts)
     p.add_argument("--entity", required=True, choices=["vector", "impact", "means"])
     p.add_argument("--entities", required=True, help="JSON file or literal with the entity map")
     p.add_argument("--top-k", type=int, default=3)
 
-    p = add("learn-wiring", cmd_learn_wiring, "estimate + impute the wiring matrix")
+    p = add("learn-wiring", cmd_learn_wiring, "estimate + impute the wiring matrix", *artifacts)
     p.add_argument("--rules", help="rule corpus (default: packaged)")
     p.add_argument("--k-neighbors", type=int)
 
-    p = add("genrule", cmd_genrule, "generate one interaction rule")
+    p = add("genrule", cmd_genrule, "generate one interaction rule", *artifacts)
     p.add_argument("--description")
     p.add_argument("--cve-id", help="the rule's CVE id (default: the fixture's, else a placeholder)")
     p.add_argument("--gold-entities", help="JSON fixture with cve_id + entities")
     p.add_argument("--threshold", type=float)
     p.add_argument("--out")
 
-    p = add("pipeline", cmd_pipeline, "run the full pipeline over a feed")
+    p = add("pipeline", cmd_pipeline, "run the full pipeline over a feed", *artifacts)
     p.add_argument("--input", required=True)
     p.add_argument("--out", help="emitted rule file")
     p.add_argument("--report", help="JSON run report")
     p.add_argument("--threshold", type=float)
 
-    p = add("eval", cmd_eval, "run the evaluation suite")
+    p = add("eval", cmd_eval, "run the evaluation suite", *seeded)
     p.add_argument("--demo", action="store_true", help="evaluate on the synthetic demo data")
     p.add_argument("--corpus")
     p.add_argument("--labeled")
@@ -408,12 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules")
     p.add_argument("--report")
 
-    p = add("xval-wiring", cmd_xval_wiring, "cross-validate the wiring model")
+    p = add("xval-wiring", cmd_xval_wiring, "cross-validate the wiring model", "--config")
     p.add_argument("--rules", help="rule corpus (default: packaged)")
     p.add_argument("--folds", type=int, default=WIRING_CV_FOLDS)
     p.add_argument("--threshold", type=float)
 
-    add("make-demo", cmd_make_demo, "train demo models on the synthetic corpus")
+    add("make-demo", cmd_make_demo, "train demo models on the synthetic corpus", *seeded)
 
     return parser
 

@@ -40,6 +40,9 @@ COMPLETABLE_ENTITIES: tuple[str, ...] = ("VECTOR", "IMPACT", "MEANS")
 COMPLETION_L2 = 0.01
 COMPLETION_ITERATIONS = 70
 
+#: the cap on ``kmeans``'s Lloyd iterations
+KMEANS_MAX_ITER = 300
+
 DISC_MARKER = "# vuln2rule-discretization 2"
 COMPLETION_MARKER = "# vuln2rule-completion 2"
 
@@ -146,9 +149,7 @@ def _kmeans_pp_init(
     return centroids
 
 
-def kmeans(
-    points: np.ndarray, k: int, seed: int, max_iter: int = 300
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Seeded k-means++ then Lloyd iterations to an assignment fixpoint.
 
     Returns (centroids, assignments, per-iteration within-cluster SSE).
@@ -157,7 +158,7 @@ def kmeans(
     centroids = _kmeans_pp_init(points, k, rng)
     assignments = np.full(points.shape[0], -1)
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         sq = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assignments = sq.argmin(axis=1)
         history.append(float(sq[np.arange(points.shape[0]), new_assignments].sum()))
@@ -241,15 +242,17 @@ def label_clusters_by_exemplars(
 ) -> DiscretizationModel:
     """Give each cluster the label whose exemplar phrase lies nearest to the
     cluster centroid."""
+    vectors = [
+        (label, succinct_vector(phrase.split(), emb).values)
+        for label, phrases in exemplars.items() for phrase in phrases
+    ]
     labeled: dict[int, str] = {}
     for cid in range(model.k_clusters):
         best_label, best_dist = None, np.inf
-        for label, phrases in exemplars.items():
-            for phrase in phrases:
-                sv = succinct_vector(phrase.split(), emb).values
-                dist = float(((model.centroids[cid] - sv) ** 2).sum())
-                if dist < best_dist:
-                    best_label, best_dist = label, dist
+        for label, sv in vectors:
+            dist = float(((model.centroids[cid] - sv) ** 2).sum())
+            if dist < best_dist:
+                best_label, best_dist = label, dist
         labeled[cid] = best_label if best_label is not None else f"cluster{cid}"
     return replace(model, labels=labeled)
 

@@ -246,16 +246,14 @@ def vocabulary_from_sentences(
     return Vocabulary(words=words, index_of=index_of, coverage=covered / total)
 
 
-def word_frequency_report(
-    corpus: list[RawVulnerability], top_k: int, drop_stopwords: bool = True
-) -> list[tuple[str, int]]:
-    """Most frequent words, descending (ties broken lexicographically)."""
+def word_frequency_report(corpus: list[RawVulnerability], top_k: int) -> list[tuple[str, int]]:
+    """Most frequent non-stopwords, descending (ties broken lexicographically)."""
     if not corpus:
         raise EmptyCorpus("empty corpus")
     counts: Counter[str] = Counter()
     for rec in corpus:
         for tok in tokenize(rec.description):
-            if drop_stopwords and tok.norm in STOPWORDS:
+            if tok.norm in STOPWORDS:
                 continue
             counts[tok.norm] += 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))

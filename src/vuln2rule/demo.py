@@ -70,15 +70,15 @@ TECHNIQUES = [
     "a malformed packet",
 ]
 
+#: the share of demo records whose description states no attack vector
+VECTOR_MISSING_RATE = 0.15
+
 
 @dataclass
 class DemoRecord:
     vulnerability: RawVulnerability
     sentence: LabeledSentence
     entities: EntitySet
-    vector_label: str
-    means_label: str
-    impact_label: str
 
 
 def _segment_tokens(segments: list[tuple[str, str]]) -> tuple[list[Token], list[str]]:
@@ -92,13 +92,11 @@ def _segment_tokens(segments: list[tuple[str, str]]) -> tuple[list[Token], list[
     return tokens, tags
 
 
-def generate_demo_records(
-    n: int = 160, seed: int = 7, vector_missing_rate: float = 0.15
-) -> list[DemoRecord]:
+def generate_demo_records(n: int = 160, seed: int = 7) -> list[DemoRecord]:
     """Template-generated vulnerability descriptions with gold labels.
 
-    A fraction of records omit the attack-vector phrase, mirroring NVD
-    descriptions that never state how the bug is reached.
+    A ``VECTOR_MISSING_RATE`` share of records omit the attack-vector phrase,
+    mirroring NVD descriptions that never state how the bug is reached.
     """
     rng = np.random.default_rng(seed)
     vector_labels = sorted(VECTOR_VALUES)
@@ -115,7 +113,7 @@ def generate_demo_records(
         os_name = OSES[int(rng.integers(len(OSES)))]
         version = VERSIONS[int(rng.integers(len(VERSIONS)))]
         technique = TECHNIQUES[int(rng.integers(len(TECHNIQUES)))]
-        with_vector = rng.random() >= vector_missing_rate
+        with_vector = rng.random() >= VECTOR_MISSING_RATE
 
         segments: list[tuple[str, str]] = [
             (means_value.capitalize(), "MEANS"),
@@ -148,9 +146,6 @@ def generate_demo_records(
                 vulnerability=RawVulnerability(cve_id, description),
                 sentence=LabeledSentence(tuple(tokens), tuple(tags)),
                 entities=entities,
-                vector_label=vector,
-                means_label=means,
-                impact_label=impact,
             )
         )
     return records

@@ -42,7 +42,6 @@ from .rules.schema import (
     load_mapping,
 )
 from .rules.synthesis import (
-    PLACEHOLDER_CVE_ID,
     GenerationFailure,
     GeneratorModels,
     generate,
@@ -342,9 +341,7 @@ def run_pipeline(
     ]
     untagged = [i for i, entities in enumerate(entity_sets) if entities is None]
     if models.tagger is not None and untagged:
-        texts = [
-            (inputs[i].id or PLACEHOLDER_CVE_ID, inputs[i].description) for i in untagged
-        ]
+        texts = [(inputs[i].id, inputs[i].description) for i in untagged]
         for i, tagged in zip(untagged, tag_texts(models.tagger, models.embedding, texts)):
             entity_sets[i] = tagged.entities
     report.timings["tag"] = time.perf_counter() - start

@@ -246,6 +246,62 @@ def test_complete_has_no_cve_id_flag(model_dir, capsys):
     assert "unrecognized arguments: --cve-id" in capsys.readouterr().err
 
 
+#: each subcommand with its required arguments, and the common flags it takes
+COMMANDS = {
+    "ingest": (["feed.tsv"], set()),
+    "train-embedding": (["--corpus", "in.tsv"], {"config", "model_dir", "seed"}),
+    "train-ner": (["--labeled", "in.tsv"], {"config", "model_dir", "seed"}),
+    "tag": (["--text", "x"], {"config", "model_dir"}),
+    "eval-ner": (["--labeled", "in.tsv"], {"config", "model_dir"}),
+    "train-completer": (["--entities", "e.jsonl", "--exemplars", "x.json"],
+                        {"config", "model_dir", "seed"}),
+    "complete": (["--entity", "means", "--entities", "{}"], {"config", "model_dir"}),
+    "learn-wiring": ([], {"config", "model_dir"}),
+    "genrule": ([], {"config", "model_dir"}),
+    "pipeline": (["--input", "in.tsv"], {"config", "model_dir"}),
+    "eval": ([], {"config", "model_dir", "seed"}),
+    "xval-wiring": ([], {"config"}),
+    "make-demo": ([], {"config", "model_dir", "seed"}),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_common_flags_pinned(command):
+    """Each subcommand takes only the common flags that it reads."""
+    required, common = COMMANDS[command]
+    args = vars(build_parser().parse_args([command, *required]))
+    assert {"config", "model_dir", "seed"} & args.keys() == common
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("ingest", "--config"), ("ingest", "--model-dir"), ("ingest", "--seed"),
+        ("xval-wiring", "--model-dir"), ("xval-wiring", "--seed"),
+        ("tag", "--seed"), ("eval-ner", "--seed"), ("complete", "--seed"),
+        ("learn-wiring", "--seed"), ("genrule", "--seed"), ("pipeline", "--seed"),
+    ],
+)
+def test_unread_common_flag_is_rejected(command, flag, capsys):
+    """The common flags a command never reads are not accepted either."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, *COMMANDS[command][0], flag, "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "sources", [["--text", "x", "--input", "feed.tsv"], []], ids=["both", "neither"]
+)
+def test_tag_takes_exactly_one_of_text_and_input(sources, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tag", *sources])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--text" in err and "--input" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argument", ["{bad", "absent-entities.json"])
 def test_complete_bad_entities_is_error(model_dir, argument, capsys):
     assert main([
@@ -626,15 +682,18 @@ def test_artifacts_of_another_dim_rejected_at_load(model_dir, demo_models, tmp_p
 @pytest.mark.parametrize(
     "argv",
     [
-        ["train-embedding", "--corpus", "unused.tsv", "--seed", "-1"],
+        ["train-embedding", "--corpus", "unused.tsv", "--model-dir", "models", "--seed", "-1"],
         ["xval-wiring", "--threshold", "nan"],
     ],
 )
-def test_flag_out_of_range_is_error(tmp_path, capsys, argv):
-    assert main([*argv, "--model-dir", str(tmp_path / "models")]) == 2
+def test_flag_out_of_range_is_error(tmp_path, monkeypatch, capsys, argv):
+    """An error line, and nothing is created: train-embedding makes no
+    model directory."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: --{argv[-2][2:]}: ") and "Traceback" not in err
-    assert not (tmp_path / "models").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -134,9 +134,7 @@ class TestFrequencyReport:
         assert report == [("x", 2), ("y", 1)]
 
     def test_all_stopwords_filtered(self):
-        report = word_frequency_report(
-            [rec("CVE-2020-0009", "the the a")], top_k=5, drop_stopwords=True
-        )
+        report = word_frequency_report([rec("CVE-2020-0009", "the the a")], top_k=5)
         assert report == []
 
     def test_stopword_list_spares_domain_words(self):
