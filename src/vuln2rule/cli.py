@@ -156,9 +156,12 @@ def cmd_train_ner(args) -> int:
 
 def cmd_tag(args) -> int:
     config = _config_from(args)
+    if args.input is not None and args.cve_id is not None:
+        raise ConfigError("--cve-id names the --text record; --input records keep their own ids")
     emb, tagger = load_embedding_and_tagger(config)
     if args.text is not None:
-        records = [RawVulnerability(args.cve_id, args.text)]
+        cve_id = PLACEHOLDER_CVE_ID if args.cve_id is None else args.cve_id
+        records = [RawVulnerability(cve_id, args.text)]
     else:
         records = _load_corpus(args.input)
     tagged = tag_texts(tagger, emb, [(r.id, r.description) for r in records])
@@ -271,6 +274,11 @@ def cmd_eval(args) -> int:
     config = _config_from(args)
     if not args.demo and not args.corpus:
         raise ConfigError("eval needs --demo or --corpus")
+    if args.demo:
+        given = [f"--{name}" for name in ("corpus", "labeled", "entities", "rules")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(f"eval --demo reads its own data, not {', '.join(given)}")
     models = load_models(config, need_tagger=True)
     if args.demo:
         records = demo_mod.generate_demo_records(seed=config.seed)
@@ -369,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="TSV/JSON feed of descriptions")
     source.add_argument("--text", help="tag a single description")
-    p.add_argument("--cve-id", default=PLACEHOLDER_CVE_ID, help="the CVE id of the --text record")
+    p.add_argument(
+        "--cve-id", help=f"the CVE id of the --text record (default: {PLACEHOLDER_CVE_ID})"
+    )
     p.add_argument("--out")
 
     p = add("eval-ner", cmd_eval_ner, "score the tagger on a labeled TSV", *artifacts)

@@ -373,6 +373,15 @@ def train_completion(
     )
 
 
+def completion_logits(model: CompletionModel, features: FeatureVector) -> np.ndarray:
+    """The model's logits on ``features`` with the target block zeroed; a
+    block that holds no nonzero entry (an absent entity's) is used as it
+    is, without a copy."""
+    if features.block(model.entity_type).any():
+        features = features.with_zeroed(model.entity_type)
+    return model.weights @ features.values + model.biases
+
+
 def predict_missing(
     model: CompletionModel, features: FeatureVector, top_k: int | None = None
 ) -> list[tuple[str, float]]:
@@ -380,8 +389,7 @@ def predict_missing(
 
     The target block is zeroed before scoring, so only the other blocks can
     influence the prediction."""
-    masked = features.with_zeroed(model.entity_type)
-    logits = model.weights @ masked.values + model.biases
+    logits = completion_logits(model, features)
     exp = np.exp(logits - logits.max())
     probs = exp / exp.sum()
     order = np.argsort(-probs, kind="stable")[:top_k].tolist()

@@ -44,6 +44,7 @@ from .rules.schema import (
 from .rules.synthesis import (
     GenerationFailure,
     GeneratorModels,
+    RuleTemplate,
     generate,
     infer_slot_sorts,
     wire_variables,
@@ -332,6 +333,12 @@ def run_pipeline(
     extracted first, all of them in one batched tagger call (length-bucketed
     padded batches); ``generate`` then gets each record's pre-extracted
     entities.  ``timings`` has one entry per stage: ``tag`` and ``generate``.
+
+    Rule templates are built once per call: the records of one input file
+    that share an (impact, vector, means) triple share its predicates,
+    variables and range-restriction verdict (see ``RuleTemplate``), and
+    each record adds its constants.  The templates go when the call
+    returns.
     """
     report = RunReport()
     rules: list[InteractionRule] = []
@@ -346,8 +353,12 @@ def run_pipeline(
             entity_sets[i] = tagged.entities
     report.timings["tag"] = time.perf_counter() - start
     start = time.perf_counter()
+    templates: dict[tuple[str, str, str], RuleTemplate] = {}
     for record, entities in zip(inputs, entity_sets):
-        result = generate(record.description, models, gold_entities=entities, cve_id=record.id)
+        result = generate(
+            record.description, models, gold_entities=entities, cve_id=record.id,
+            templates=templates,
+        )
         if isinstance(result, GenerationFailure):
             report.outcomes.append((record.id, result.kind.value))
             report.failures[result.kind.value] = report.failures.get(result.kind.value, 0) + 1

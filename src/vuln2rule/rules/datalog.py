@@ -88,14 +88,18 @@ class InteractionRule:
 
     def check_range_restriction(self) -> None:
         """Raise when a head variable does not occur in the body."""
-        unbound = self.head.variables().difference(*(p.variables() for p in self.body))
-        if unbound:
-            raise RangeRestrictionViolation(
-                f"head variables not bound in body: {sorted(unbound)}"
-            )
+        check_bound(self.head.variables(), set().union(*(p.variables() for p in self.body)))
 
     def predicates(self) -> list[Predicate]:
         return [self.head, *self.body]
+
+
+def check_bound(head_variables: set[str], body_variables: set[str]) -> None:
+    """Raise RangeRestrictionViolation when a head variable is not among
+    the body's variables."""
+    unbound = head_variables - body_variables
+    if unbound:
+        raise RangeRestrictionViolation(f"head variables not bound in body: {sorted(unbound)}")
 
 
 def variable_groups(rule: InteractionRule) -> list[frozenset[tuple[int, int]]]:

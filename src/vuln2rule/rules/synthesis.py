@@ -9,6 +9,7 @@ threshold and their sorts agree).
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,9 +33,9 @@ from ..errors import (
 )
 from ..tagger import BlstmModel, EntitySet, extract_entities
 from ..tagger import tag as tag_tokens
-from .datalog import WILDCARD, InteractionRule, Predicate, Term, quote
+from .datalog import WILDCARD, InteractionRule, Predicate, Term, check_bound, quote
 from .datalog import variable_groups  # noqa: F401  (read here by perfbench's trace hook)
-from .schema import MappingTables, PredicateSchema, SchemaLexicon, VariableNode
+from .schema import MappingTables, PredicateSchema, SchemaLexicon
 from .wiring import Slot, UnionFind, WiringMatrix
 
 #: entity keys used by structure creation, in the order they are checked
@@ -174,29 +175,20 @@ def wire_variables(
     return sorted(uf.groups().values(), key=min)
 
 
-def wire_rule(
-    atoms: list[Atom],
-    matrix: WiringMatrix,
-    threshold: float,
-    description: str,
-    trace: dict[str, str],
-) -> InteractionRule:
-    """The rule whose variables are the classes ``wire_variables`` returns
-    for every slot outside its schema's constant slots.
+def wire_nodes(
+    atoms: list[Atom], matrix: WiringMatrix, threshold: float
+) -> list[tuple[int, int, Term]]:
+    """Each variable slot's ``(atom index, position, variable)``: the
+    variables are the classes ``wire_variables`` returns for every slot
+    outside its schema's constant slots.
 
     A class is named from its first slot's hint: the hint itself, or else
-    the first free ``<hint><n>`` with n >= 2.  Raises
-    RangeRestrictionViolation when a head variable stays unbound."""
-    terms = [list(atom_terms) for _, atom_terms in atoms]
+    the first free ``<hint><n>`` with n >= 2."""
     # (atom index, node) of every variable slot, atom by atom
-    nodes: list[tuple[int, VariableNode]] = []
-    for ai, (schema, atom_terms) in enumerate(atoms):
-        for pos in sorted(schema.constant_slots):
-            if atom_terms[pos] is None:
-                raise ValueError(f"{schema.name}#{pos}: constant slot not assigned")
-        nodes += [(ai, node) for node in schema.variable_nodes]
+    nodes = [(ai, node) for ai, (schema, _) in enumerate(atoms) for node in schema.variable_nodes]
     slots = [node.slot for _, node in nodes]
     sorts = [node.sort for _, node in nodes]
+    placed: list[tuple[int, int, Term]] = []
     taken: set[str] = set()
     for group in wire_variables(slots, sorts, matrix, threshold):
         base = name = nodes[group[0]][1].hint
@@ -206,13 +198,42 @@ def wire_rule(
             name = f"{base}{n}"
         taken.add(name)
         variable = Term.variable(name)
-        for m in group:
-            ai, node = nodes[m]
-            terms[ai][node.pos] = variable
-    predicates = [Predicate(schema.name, tuple(t)) for (schema, _), t in zip(atoms, terms)]
-    rule = InteractionRule(
+        placed += [(nodes[m][0], nodes[m][1].pos, variable) for m in group]
+    return placed
+
+
+def _place(
+    atoms: list[Atom],
+    variables: Iterable[tuple[int, int, Term]],
+    description: str,
+    trace: dict[str, str],
+) -> InteractionRule:
+    """The rule of ``atoms`` once ``variables`` are written into their
+    term lists (which this changes)."""
+    for ai, pos, variable in variables:
+        atoms[ai][1][pos] = variable
+    predicates = [Predicate(schema.name, tuple(terms)) for schema, terms in atoms]
+    return InteractionRule(
         head=predicates[0], body=tuple(predicates[1:]), description=description, trace=dict(trace)
     )
+
+
+def wire_rule(
+    atoms: list[Atom],
+    matrix: WiringMatrix,
+    threshold: float,
+    description: str,
+    trace: dict[str, str],
+) -> InteractionRule:
+    """The rule whose variables ``wire_nodes`` places, with ``atoms``
+    left as they are.  Raises RangeRestrictionViolation when a head
+    variable stays unbound."""
+    for schema, atom_terms in atoms:
+        for pos in sorted(schema.constant_slots):
+            if atom_terms[pos] is None:
+                raise ValueError(f"{schema.name}#{pos}: constant slot not assigned")
+    copies = [(schema, list(atom_terms)) for schema, atom_terms in atoms]
+    rule = _place(copies, wire_nodes(atoms, matrix, threshold), description, trace)
     rule.check_range_restriction()
     return rule
 
@@ -283,17 +304,61 @@ class GeneratorModels:
     tagger: BlstmModel | None = None
 
 
+@dataclass(frozen=True)
+class RuleTemplate:
+    """What a rule's (impact, vector, means) labels decide, built once and
+    filled per record: ``create_structure``'s atoms with the record's
+    constant slots still open, each variable slot's ``(atom index,
+    position, variable)``, and the RangeRestrictionViolation message, or
+    None when the rule is range-restricted.  The verdict holds for every
+    record: constants never bind a head variable."""
+
+    atoms: tuple[tuple[PredicateSchema, tuple[Term | None, ...]], ...]
+    variables: tuple[tuple[int, int, Term], ...]
+    violation: str | None
+
+
+def build_template(labels: dict[str, str], models: GeneratorModels) -> RuleTemplate:
+    """The template of ``labels``; raises MissingCoreEntity and
+    UnmappableClusterError as ``create_structure`` does."""
+    atoms = create_structure(labels, models.mapping, models.lexicon)
+    variables = wire_nodes(atoms, models.wiring, models.threshold)
+    # only wired slots hold variables; the head is atom 0
+    try:
+        check_bound(
+            {v.text for ai, _, v in variables if ai == 0},
+            {v.text for ai, _, v in variables if ai > 0},
+        )
+        violation = None
+    except RangeRestrictionViolation as exc:
+        violation = str(exc)
+    return RuleTemplate(
+        atoms=tuple((schema, tuple(terms)) for schema, terms in atoms),
+        variables=tuple(variables),
+        violation=violation,
+    )
+
+
 def generate(
     description: str,
     models: GeneratorModels,
     gold_entities: EntitySet | None = None,
     cve_id: str | None = None,
+    *,
+    templates: dict[tuple[str, str, str], RuleTemplate] | None = None,
 ) -> InteractionRule | GenerationFailure:
     """Description to interaction rule; failures come back as values.
 
     With ``gold_entities`` (gold or pre-extracted entities) the tagging
     stage is bypassed; gold entities decouple rule-synthesis evaluation from
     tagger quality, and ``run_pipeline`` passes entities it tagged in a batch.
+
+    The record's (impact, vector, means) labels pick its ``RuleTemplate``:
+    the one in ``templates`` under that triple, else one built now (and
+    stored there when ``templates`` is given).  The record then adds its
+    constants only.  A template that fails range restriction fails every
+    record that takes it; a triple whose template cannot be built is a
+    failure of this record alone and is not stored.
     """
     if gold_entities is not None:
         entity_set = gold_entities
@@ -351,13 +416,21 @@ def generate(
             labels[key] = ranked[0][0]
             trace[key] = f"completed -> {ranked[0][0]} (p={ranked[0][1]:.3f})"
 
-    try:
-        atoms = create_structure(labels, models.mapping, models.lexicon)
-    except MissingCoreEntity as exc:
-        return GenerationFailure(FailureKind.MISSING_CORE_ENTITY, str(exc))
-    except UnmappableClusterError as exc:
-        return GenerationFailure(FailureKind.UNMAPPABLE_CLUSTER, str(exc))
+    key = (labels["impact"], labels["vector"], labels["means"])
+    template = templates.get(key) if templates is not None else None
+    if template is None:
+        try:
+            template = build_template(labels, models)
+        except MissingCoreEntity as exc:
+            return GenerationFailure(FailureKind.MISSING_CORE_ENTITY, str(exc))
+        except UnmappableClusterError as exc:
+            return GenerationFailure(FailureKind.UNMAPPABLE_CLUSTER, str(exc))
+        if templates is not None:
+            templates[key] = template
+    if template.violation is not None:
+        return GenerationFailure(FailureKind.RANGE_RESTRICTION, template.violation)
 
+    atoms = [(schema, list(terms)) for schema, terms in template.atoms]
     trace.update(assign_constants(atoms, entity_set, cve_id))
     platform = _first_value(entity_set, "PLATFORM")
     description = (
@@ -365,7 +438,4 @@ def generate(
         f"{platform or 'an unspecified product'} "
         f"enables {labels['impact']} ({labels['vector']} vector); auto-generated"
     )
-    try:
-        return wire_rule(atoms, models.wiring, models.threshold, description, trace)
-    except RangeRestrictionViolation as exc:
-        return GenerationFailure(FailureKind.RANGE_RESTRICTION, str(exc))
+    return _place(atoms, template.variables, description, trace)

@@ -8,22 +8,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from vuln2rule.corpus import RawVulnerability, Vocabulary, sentences_of, vocabulary_from_sentences
-from vuln2rule.completer import FEATURE_ENTITIES, FeatureVector, SuccinctVector
+from vuln2rule.corpus import (
+    RawVulnerability,
+    Vocabulary,
+    sentences_of,
+    tokenize,
+    vocabulary_from_sentences,
+)
+from vuln2rule.completer import (
+    FEATURE_ENTITIES,
+    FeatureVector,
+    SuccinctVector,
+    build_feature_vector,
+    map_to_cluster,
+    predict_missing,
+)
 from vuln2rule.embedding import EmbeddingConfig, EmbeddingModel, _training_pairs
-from vuln2rule.errors import EmptyCorpus
-from vuln2rule.errors import MissingCoreEntity
+from vuln2rule.errors import EmptyCorpus, EmptyValue, MissingCoreEntity, RangeRestrictionViolation
 from vuln2rule.rules.datalog import VARIABLE, WILDCARD, InteractionRule, Predicate, Term, quote
 from vuln2rule.rules.schema import MappingTables, PredicateSchema, SchemaLexicon
 from vuln2rule.rules.synthesis import (
     CORE_ENTITIES,
+    PLACEHOLDER_CVE_ID,
+    FailureKind,
+    GenerationFailure,
+    GeneratorModels,
     UnmappableClusterError,
     _entity_constant,
     _first_value,
     _port_constant,
+    assign_constants,
+    create_structure,
+    wire_variables,
 )
 from vuln2rule.rules.wiring import Slot, UnionFind, WiringMatrix
-from vuln2rule.tagger import LOSS_WEIGHTS, EntitySet
+from vuln2rule.tagger import LOSS_WEIGHTS, EntitySet, extract_entities, tag
 
 
 def build_vocabulary(corpus: list[RawVulnerability], max_size: int) -> Vocabulary:
@@ -488,3 +507,111 @@ class ReferenceSlot:
     name: str
     arity: int
     pos: int
+
+
+# --- generation, one record at a time ---------------------------------------------
+#
+# The serve path builds each (impact, vector, means) triple's rule template
+# once per input file and fills in each record's constants.  This is the
+# path it replaced: structure, constants and wiring redone for every
+# record, with the range check on the finished rule.  Both must give the
+# same rule bytes, traces and failures.
+
+
+def reference_per_record_wire_rule(
+    atoms, matrix: WiringMatrix, threshold: float, description: str, trace: dict[str, str]
+) -> InteractionRule:
+    terms = [list(atom_terms) for _, atom_terms in atoms]
+    nodes = []
+    for ai, (schema, atom_terms) in enumerate(atoms):
+        for pos in sorted(schema.constant_slots):
+            if atom_terms[pos] is None:
+                raise ValueError(f"{schema.name}#{pos}: constant slot not assigned")
+        nodes += [(ai, node) for node in schema.variable_nodes]
+    slots = [node.slot for _, node in nodes]
+    sorts = [node.sort for _, node in nodes]
+    taken: set[str] = set()
+    for group in wire_variables(slots, sorts, matrix, threshold):
+        base = name = nodes[group[0]][1].hint
+        n = 1
+        while name in taken:
+            n += 1
+            name = f"{base}{n}"
+        taken.add(name)
+        variable = Term.variable(name)
+        for m in group:
+            ai, node = nodes[m]
+            terms[ai][node.pos] = variable
+    predicates = [Predicate(schema.name, tuple(t)) for (schema, _), t in zip(atoms, terms)]
+    rule = InteractionRule(
+        head=predicates[0], body=tuple(predicates[1:]), description=description, trace=dict(trace)
+    )
+    rule.check_range_restriction()
+    return rule
+
+
+def reference_generate(
+    description: str, models: GeneratorModels, gold_entities: EntitySet | None = None,
+    cve_id: str | None = None,
+) -> InteractionRule | GenerationFailure:
+    if gold_entities is not None:
+        entity_set = gold_entities
+        cve_id = cve_id or gold_entities.cve_id
+    else:
+        cve_id = cve_id or PLACEHOLDER_CVE_ID
+        tokens = tokenize(description)
+        if tokens:
+            tagged = tag(models.tagger, models.embedding, tokens)
+            pairs = list(zip(tokens, [t for t, _ in tagged]))
+            entity_set = extract_entities(pairs, cve_id)
+        else:
+            entity_set = EntitySet(cve_id=cve_id)
+
+    if not any(entity_set.entities.values()):
+        return GenerationFailure(
+            FailureKind.MISSING_CORE_ENTITY, "nothing extracted from the description"
+        )
+    means_text = " ".join(entity_set.values_for("MEANS")).lower()
+    if "unspecified vulnerabilit" in means_text:
+        return GenerationFailure(FailureKind.UNSPECIFIED_VULNERABILITY, means_text)
+
+    labels: dict[str, str] = {}
+    trace: dict[str, str] = {}
+    features = None
+    for key, tag_name in (("means", "MEANS"), ("impact", "IMPACT"), ("vector", "VECTOR")):
+        if entity_set.present(tag_name):
+            value = entity_set.values_for(tag_name)[0]
+            try:
+                _, label = map_to_cluster(models.discretization[tag_name], value.split(), models.embedding)
+            except EmptyValue:
+                return GenerationFailure(
+                    FailureKind.MISSING_CORE_ENTITY, f"{tag_name} value {value!r} has no word"
+                )
+            labels[key] = label
+            trace[key] = f"entity value {value!r} -> {label}"
+        else:
+            if features is None:
+                features = build_feature_vector(entity_set, models.embedding)
+            ranked = predict_missing(models.completion[tag_name], features, top_k=1)
+            labels[key] = ranked[0][0]
+            trace[key] = f"completed -> {ranked[0][0]} (p={ranked[0][1]:.3f})"
+
+    try:
+        atoms = create_structure(labels, models.mapping, models.lexicon)
+    except MissingCoreEntity as exc:
+        return GenerationFailure(FailureKind.MISSING_CORE_ENTITY, str(exc))
+    except UnmappableClusterError as exc:
+        return GenerationFailure(FailureKind.UNMAPPABLE_CLUSTER, str(exc))
+    trace.update(assign_constants(atoms, entity_set, cve_id))
+    platform = _first_value(entity_set, "PLATFORM")
+    description = (
+        f"{cve_id}: {labels['means']} in "
+        f"{platform or 'an unspecified product'} "
+        f"enables {labels['impact']} ({labels['vector']} vector); auto-generated"
+    )
+    try:
+        return reference_per_record_wire_rule(
+            atoms, models.wiring, models.threshold, description, trace
+        )
+    except RangeRestrictionViolation as exc:
+        return GenerationFailure(FailureKind.RANGE_RESTRICTION, str(exc))

@@ -27,6 +27,7 @@ from vuln2rule.pipeline import (
 )
 from vuln2rule.rules.datalog import Term, emit_rules, parse_rule_file
 from vuln2rule.rules.schema import load_default_lexicon, load_default_rule_corpus, load_lexicon
+from vuln2rule.rules.synthesis import PLACEHOLDER_CVE_ID
 from vuln2rule.rules.wiring import save_wiring
 from vuln2rule.tagger import BlstmModel, init_params, save_ner
 
@@ -302,6 +303,20 @@ def test_tag_takes_exactly_one_of_text_and_input(sources, capsys):
     assert out == "" and "--text" in err and "--input" in err and "Traceback" not in err
 
 
+def test_tag_input_rejects_cve_id(model_dir, tmp_path, capsys):
+    """--cve-id names the --text record; a feed's records keep their ids."""
+    feed = tmp_path / "feed.tsv"
+    feed.write_text("CVE-2020-0001\tBuffer overflow in adobe reader\n", "utf-8")
+    argv = ["tag", "--model-dir", str(model_dir), "--input", str(feed)]
+    assert main([*argv, "--cve-id", "CVE-1999-0001"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --cve-id") and "Traceback" not in err
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["cve_id"] == "CVE-2020-0001"
+    assert main(["tag", "--model-dir", str(model_dir), "--text", "adobe reader"]) == 0
+    assert json.loads(capsys.readouterr().out)["cve_id"] == PLACEHOLDER_CVE_ID
+
+
 @pytest.mark.parametrize("argument", ["{bad", "absent-entities.json"])
 def test_complete_bad_entities_is_error(model_dir, argument, capsys):
     assert main([
@@ -496,6 +511,21 @@ def test_eval_without_input_is_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: eval needs --demo or --corpus\n"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--rules", "/nope.P"], ["--corpus", "c.tsv"], ["--labeled", "l.tsv", "--entities", "e.jsonl"]],
+    ids=["rules", "corpus", "labeled+entities"],
+)
+def test_eval_demo_rejects_input_files(tmp_path, flags, capsys):
+    """--demo makes its own data: a file flag beside it is an error line,
+    checked before any artifact loads (the model directory is empty)."""
+    assert main(["eval", "--demo", "--model-dir", str(tmp_path), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    named = ", ".join(f for f in flags if f.startswith("--"))
+    assert err == f"error: eval --demo reads its own data, not {named}\n"
 
 
 def test_eval_demo(model_dir, tmp_path, capsys):

@@ -18,6 +18,7 @@ from vuln2rule.completer import (
     CompletionModel,
     FeatureVector,
     build_feature_vector,
+    completion_logits,
     fit_discretization,
     kmeans,
     knn_complete,
@@ -419,6 +420,27 @@ class TestPredictMissing:
         tampered_values[block * 4 : (block + 1) * 4] = 99.0
         tampered = FeatureVector(tampered_values, 4)
         assert predict_missing(model, fv) == predict_missing(model, tampered)
+
+    @pytest.mark.parametrize("target", ["zero", "negative zero", "mixed zeros", "nonzero"])
+    @pytest.mark.parametrize("others", ["zero", "random"])
+    def test_logits_match_the_zeroed_copy(self, target, others):
+        """An all-zero target block, with +0.0 or -0.0 entries, is scored
+        without a copy; the logits are the bits of the zeroed copy's."""
+        rng = np.random.default_rng(44)
+        model = self.make_model(rng.normal(size=(5, 36)), rng.normal(size=5))
+        values = rng.normal(size=36) if others == "random" else np.zeros(36)
+        block = values[BLOCK_INDEX["VECTOR"] * 4 : (BLOCK_INDEX["VECTOR"] + 1) * 4]
+        block[:] = {
+            "zero": [0.0] * 4,
+            "negative zero": [-0.0] * 4,
+            "mixed zeros": [-0.0, 0.0, -0.0, 0.0],
+            "nonzero": [0.0, -1.5, 0.0, 2.0],
+        }[target]
+        fv = FeatureVector(values, 4)
+        before = values.tobytes()
+        want = model.weights @ fv.with_zeroed("VECTOR").values + model.biases
+        assert completion_logits(model, fv).tobytes() == want.tobytes()
+        assert fv.values.tobytes() == before
 
     def test_argmax_invariant_under_uniform_weight_scale(self, ortho_embedding):
         rng = np.random.default_rng(43)

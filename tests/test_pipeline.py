@@ -8,9 +8,11 @@ import re
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import synthesize_wiring_corpus
-from vuln2rule._textio import RANGES, config_meta
+from helpers import reference_generate, synthesize_wiring_corpus
+from vuln2rule._textio import RANGES, config_meta, read_data
 from vuln2rule.corpus import RawVulnerability
 from vuln2rule.embedding import EmbeddingConfig, EmbeddingModel
 from vuln2rule.demo import generate_demo_records, golden_entity_set
@@ -31,8 +33,13 @@ from vuln2rule.rules.datalog import (
     emit_rules,
     parse_rule_file,
 )
+from vuln2rule.rules import synthesis
 from vuln2rule.rules.synthesis import GenerationFailure, GeneratorModels, generate
-from vuln2rule.rules.schema import load_default_lexicon, load_default_rule_corpus
+from vuln2rule.rules.schema import (
+    load_default_lexicon,
+    load_default_rule_corpus,
+    parse_mapping,
+)
 from vuln2rule.tagger import BlstmConfig, EntitySet
 
 
@@ -176,6 +183,124 @@ class TestServeBytes:
         cold = self.served(models, gold)
         assert self.served(models, gold) == cold
         assert self.served(models, None) == self.served(fresh_generator(models), None)
+
+
+def outcome(result) -> tuple:
+    """A generation result as data: the rule's bytes and trace, or the
+    failure's kind and message."""
+    if isinstance(result, GenerationFailure):
+        return ("failure", result.kind.value, result.detail)
+    return ("rule", emit_rule(result), list(result.trace.items()))
+
+
+def recorded_run(models, inputs, gold):
+    """run_pipeline's report and rules, and the result of each of its
+    generate calls."""
+    results = []
+    original = pipeline.generate
+
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "generate", recording)
+        report, rules = run_pipeline(models, inputs, gold_entities=gold)
+    return report, rules, results
+
+
+_MAPPING_LINES = [
+    line for line in read_data("mapping_tables.txt").splitlines() if line and not line.startswith("#")
+]
+_CONSTANT_VALUES = st.sampled_from(["adobe reader", "", "3com's router", "8080", "tcp", "Ünï"])
+
+
+@st.composite
+def gold_files(draw, records):
+    """One input file of gold sets drawn from the first 12 demo records, so
+    that triples repeat: some lose a core entity or get other constants,
+    a few say "unspecified vulnerability" or hold nothing."""
+    inputs, gold = [], {}
+    for i in range(draw(st.integers(1, 20))):
+        source = records[draw(st.integers(0, 11))].entities
+        entities = {k: list(v) for k, v in source.entities.items()}
+        masked = draw(st.sampled_from([None, "VECTOR", "IMPACT", "MEANS"]))
+        if masked is not None:
+            entities[masked] = []
+        for tag in draw(st.sets(st.sampled_from(["PLATFORM", "PROTOCOL", "PORT"]))):
+            entities[tag] = [draw(_CONSTANT_VALUES)]
+        special = draw(st.sampled_from([None] * 8 + ["unspecified", "empty"]))
+        if special == "unspecified":
+            entities["MEANS"] = ["unspecified vulnerability"]
+        elif special == "empty":
+            entities = {}
+        cve_id = f"CVE-2030-{i:04d}"
+        inputs.append(RawVulnerability(cve_id, "gold"))
+        gold[cve_id] = EntitySet(cve_id=cve_id, entities=entities)
+    return inputs, gold
+
+
+class TestRuleTemplates:
+    """run_pipeline builds each triple's template once per call; the
+    per-record oracle redoes structure, constants and wiring per record."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        threshold=st.sampled_from([0.0, 0.5, 0.9, 1.01]),
+        dropped=st.sets(st.sampled_from(_MAPPING_LINES), max_size=6),
+    )
+    def test_matches_the_per_record_oracle(self, demo_models, data, threshold, dropped):
+        """Same rule bytes, traces, failure kinds and messages.  Threshold
+        1.01 wires nothing, so every template fails range restriction; a
+        dropped mapping line makes its label unmappable."""
+        mapping = parse_mapping("\n".join(l for l in _MAPPING_LINES if l not in dropped))
+        models = replace(demo_models.generator, threshold=threshold, mapping=mapping)
+        inputs, gold = data.draw(gold_files(demo_models.records))
+        report, rules, results = recorded_run(models, inputs, gold)
+        want = [reference_generate(r.description, models, gold[r.id], r.id) for r in inputs]
+        assert [outcome(r) for r in results] == [outcome(r) for r in want]
+        kept = [r for r in want if not isinstance(r, GenerationFailure)]
+        assert [emit_rule(r) for r in rules] == [emit_rule(r) for r in kept]
+        assert [o for _, o in report.outcomes] == [
+            r.kind.value if isinstance(r, GenerationFailure) else "rule" for r in want
+        ]
+
+    def test_one_build_per_distinct_triple_per_call(self, demo_models, monkeypatch):
+        """Within a call, create_structure and wire_variables run once per
+        distinct triple: the triples a file's records take one at a time.
+        A second call, or one with other models, builds its own again."""
+        records = generate_demo_records(60, 7)
+        inputs = [r.vulnerability for r in records]
+        gold = masked_gold_sets(records)
+        built, wired = [], []
+        create_structure, wire_variables = synthesis.create_structure, synthesis.wire_variables
+
+        def counting_structure(clusters, *args):
+            built.append((clusters["impact"], clusters["vector"], clusters["means"]))
+            return create_structure(clusters, *args)
+
+        def counting_wiring(*args):
+            wired.append(args)
+            return wire_variables(*args)
+
+        monkeypatch.setattr(synthesis, "create_structure", counting_structure)
+        monkeypatch.setattr(synthesis, "wire_variables", counting_wiring)
+        run_pipeline(demo_models.generator, inputs, gold_entities=gold)
+        first = list(built)
+        assert len(set(first)) == len(first) == len(wired) < len(inputs)
+        built.clear()
+        for record in inputs:
+            run_pipeline(demo_models.generator, [record], gold_entities=gold)
+        assert set(built) == set(first) and len(built) == len(inputs)
+        built.clear()
+        report, _ = run_pipeline(demo_models.generator, inputs, gold_entities=gold)
+        assert built == first and report.failures == {}
+        built.clear()
+        strict = replace(demo_models.generator, threshold=1.01)
+        report, rules = run_pipeline(strict, inputs, gold_entities=gold)
+        assert built == first
+        assert rules == [] and report.failures == {"RangeRestrictionViolation": len(inputs)}
 
 
 def template_rule(wired: bool, tag: int = 0) -> InteractionRule:
