@@ -16,13 +16,14 @@ from . import demo as demo_mod
 from ._textio import FIELD_PARSERS, read_text, write_text
 from .completer import COMPLETABLE_ENTITIES, build_feature_vector, check_exemplars, predict_missing
 from .corpus import (
+    CVE_ID_RE,
     RawVulnerability,
     load_labeled_dataset,
     load_nvd_feed,
     sentences_of,
 )
 from .embedding import EmbeddingConfig, save_embedding, train_embedding
-from .errors import ConfigError, MissingArtifact, UnwritableFile, Vuln2RuleError
+from .errors import ConfigError, MalformedRecord, MissingArtifact, UnwritableFile, Vuln2RuleError
 from .pipeline import (
     ARTIFACTS,
     WIRING_CV_FOLDS,
@@ -245,8 +246,11 @@ def cmd_genrule(args) -> int:
         if isinstance(data, dict):
             data.setdefault("cve_id", PLACEHOLDER_CVE_ID)
         gold = EntitySet.from_dict(data)
+    cve_id = args.cve_id or (gold.cve_id if gold is not None else PLACEHOLDER_CVE_ID)
+    if not CVE_ID_RE.fullmatch(cve_id):
+        raise MalformedRecord(f"bad CVE identifier {cve_id!r}")
     models = load_models(config, need_tagger=gold is None)
-    result = generate(args.description or "", models, gold_entities=gold, cve_id=args.cve_id)
+    result = generate(args.description or "", models, gold_entities=gold, cve_id=cve_id)
     if isinstance(result, GenerationFailure):
         print(f"failure: {result.kind.value}: {result.detail}")
         return 0

@@ -279,27 +279,21 @@ class RunReport:
         generated = sum(1 for _, outcome in self.outcomes if outcome == "rule")
         return generated / len(self.outcomes)
 
+    def _metrics(self) -> dict:
+        ratio = self.success_ratio()
+        return {
+            "counts": self.counts,
+            "failures": self.failures,
+            "metrics": self.metrics,
+            "success_ratio": "n/a" if ratio is None else ratio,
+        }
+
     def metrics_json(self) -> str:
         """Deterministic metrics section (no timings)."""
-        ratio = self.success_ratio()
-        payload = {
-            "counts": self.counts,
-            "failures": self.failures,
-            "metrics": self.metrics,
-            "success_ratio": "n/a" if ratio is None else ratio,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(self._metrics(), sort_keys=True, indent=2)
 
     def to_json(self) -> str:
-        ratio = self.success_ratio()
-        payload = {
-            "counts": self.counts,
-            "failures": self.failures,
-            "metrics": self.metrics,
-            "outcomes": self.outcomes,
-            "success_ratio": "n/a" if ratio is None else ratio,
-            "timings": self.timings,
-        }
+        payload = {**self._metrics(), "outcomes": self.outcomes, "timings": self.timings}
         return json.dumps(payload, sort_keys=True, indent=2)
 
     def render_text(self) -> str:
@@ -335,9 +329,9 @@ def run_pipeline(
     entities.  ``timings`` has one entry per stage: ``tag`` and ``generate``.
 
     Rule templates are built once per call: the records of one input file
-    that share an (impact, vector, means) triple share its predicates,
-    variables and range-restriction verdict (see ``RuleTemplate``), and
-    each record adds its constants.  The templates go when the call
+    that share an (impact, vector, means) triple share its ``RuleTemplate``
+    (predicates, wired variables and range-restriction verdict), and each
+    record fills in its constants.  The templates go when the call
     returns.
     """
     report = RunReport()

@@ -1,21 +1,23 @@
 """Rule synthesis from extracted/completed entities.
 
 Three steps: structure creation (labels pick the head and body predicates),
-constant assignment (entity values fill constant slots), and variable wiring
-(slot pairs merge when their learned co-wiring probability clears the
-threshold and their sorts agree).
+variable wiring (slot pairs merge when their learned co-wiring probability
+clears the threshold and their sorts agree) and constant assignment (entity
+values fill constant slots).  The first two depend on the labels alone, so
+``build_template`` does them once per label triple and ``assign_constants``
+fills each record's constants into the template by index.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from ..completer import (
+    COMPLETABLE_ENTITIES,
     CompletionModel,
     DiscretizationModel,
     build_feature_vector,
@@ -49,16 +51,11 @@ class UnmappableClusterError(Vuln2RuleError):
     pass
 
 
-#: one rule atom during synthesis: its schema and its terms, None where a
-#: slot is still open (a constant not yet assigned, or a variable)
-Atom = tuple[PredicateSchema, list[Term | None]]
-
-
 def create_structure(
     clusters: dict[str, str],
     mapping: MappingTables,
     lexicon: SchemaLexicon,
-) -> list[Atom]:
+) -> list[tuple[PredicateSchema, list[Term | None]]]:
     """The rule's atoms, head first: the head from the impact label, then
     the means predicates and the vector's support predicates.  The range
     and consequence constants come from the mapping tables; every other
@@ -80,7 +77,7 @@ def create_structure(
         "range": Term.constant(vector.range_constant),
         "consequence": Term.constant(impact.consequence),
     }
-    atoms: list[Atom] = []
+    atoms = []
     for name in [impact.head, *means.body, *vector.support]:
         schema = lexicon.require(name)
         terms = [
@@ -104,35 +101,37 @@ def to_atom(text: str) -> str:
     return quote(text, "'")
 
 
-def assign_constants(atoms: list[Atom], entities: EntitySet, cve_id: str) -> dict[str, str]:
-    """Fill the constant slots still open: vulnerability ids from the CVE
-    id, products/protocols/ports from the entities' first values, wildcards
-    when an entity is absent or its first value holds no word.  Returns one
-    ``"<pred>#<pos>"`` trace entry per filled slot."""
+#: each record sort's term from the record's entities and CVE id; an open
+#: slot of any other sort gets a wildcard
+_FILLERS = {
+    "vulnid": lambda entities, cve_id: Term.constant(quote(cve_id, "'")),
+    "product": lambda entities, _: _entity_constant(_first_value(entities, "PLATFORM")),
+    "protocol": lambda entities, _: _entity_constant(_first_value(entities, "PROTOCOL")),
+    "port": lambda entities, _: _port_constant(_first_value(entities, "PORT")),
+}
 
-    fillers = {
-        "vulnid": lambda: Term.constant(quote(cve_id, "'")),
-        "product": lambda: _entity_constant(_first_value(entities, "PLATFORM")),
-        "protocol": lambda: _entity_constant(_first_value(entities, "PROTOCOL")),
-        "port": lambda: _port_constant(_first_value(entities, "PORT")),
-    }
-    # a sort's term and trace note, made at its first open slot
-    filled: dict[str, tuple[Term, str]] = {}
-    trace: dict[str, str] = {}
-    for schema, terms in atoms:
-        for pos in sorted(schema.constant_slots):
-            if terms[pos] is not None:
-                continue
-            sort = schema.arg_sorts[pos]
-            if sort not in filled:
-                filler = fillers.get(sort)
-                term = filler() if filler else Term.wildcard()
-                if term.kind == WILDCARD:
-                    filled[sort] = term, f"no entity for sort {sort!r}"
-                else:
-                    filled[sort] = term, f"{sort} <- {term.text}"
-            terms[pos], trace[f"{schema.name}#{pos}"] = filled[sort]
-    return trace
+
+def assign_constants(
+    template: RuleTemplate, entities: EntitySet, cve_id: str
+) -> tuple[list[list[Term]], list[tuple[str, str]]]:
+    """The template's atom terms with its open constant slots filled:
+    vulnerability ids from the CVE id, products/protocols/ports from the
+    entities' first values, wildcards when an entity is absent or its first
+    value holds no word.  Each sort's term is made once.  Also returns one
+    ``("<pred>#<pos>", note)`` trace entry per filled slot, in fill order."""
+    made = []
+    for sort in template.sorts:
+        filler = _FILLERS.get(sort)
+        term = filler(entities, cve_id) if filler else Term.wildcard()
+        note = f"no entity for sort {sort!r}" if term.kind == WILDCARD else f"{sort} <- {term.text}"
+        made.append((term, note))
+    terms = [list(atom_terms) for _, atom_terms in template.atoms]
+    trace = []
+    for ai, pos, sort, key in template.slots:
+        term, note = made[sort]
+        terms[ai][pos] = term
+        trace.append((key, note))
+    return terms, trace
 
 
 def _first_value(entities: EntitySet, tag: str) -> str | None:
@@ -149,9 +148,11 @@ def _entity_constant(value: str | None) -> Term:
 
 
 def _port_constant(value: str | None) -> Term:
-    if value is None:
-        return Term.wildcard()
-    return Term.constant(value) if value.isdecimal() else Term.constant(to_atom(value))
+    """A port of ASCII digits is written bare, as a Prolog integer; any
+    other value as ``_entity_constant`` writes it."""
+    if value is not None and value.isascii() and value.isdecimal():
+        return Term.constant(value)
+    return _entity_constant(value)
 
 
 def wire_variables(
@@ -173,69 +174,6 @@ def wire_variables(
             if prob is not None and prob >= threshold:
                 uf.union(i, j)
     return sorted(uf.groups().values(), key=min)
-
-
-def wire_nodes(
-    atoms: list[Atom], matrix: WiringMatrix, threshold: float
-) -> list[tuple[int, int, Term]]:
-    """Each variable slot's ``(atom index, position, variable)``: the
-    variables are the classes ``wire_variables`` returns for every slot
-    outside its schema's constant slots.
-
-    A class is named from its first slot's hint: the hint itself, or else
-    the first free ``<hint><n>`` with n >= 2."""
-    # (atom index, node) of every variable slot, atom by atom
-    nodes = [(ai, node) for ai, (schema, _) in enumerate(atoms) for node in schema.variable_nodes]
-    slots = [node.slot for _, node in nodes]
-    sorts = [node.sort for _, node in nodes]
-    placed: list[tuple[int, int, Term]] = []
-    taken: set[str] = set()
-    for group in wire_variables(slots, sorts, matrix, threshold):
-        base = name = nodes[group[0]][1].hint
-        n = 1
-        while name in taken:
-            n += 1
-            name = f"{base}{n}"
-        taken.add(name)
-        variable = Term.variable(name)
-        placed += [(nodes[m][0], nodes[m][1].pos, variable) for m in group]
-    return placed
-
-
-def _place(
-    atoms: list[Atom],
-    variables: Iterable[tuple[int, int, Term]],
-    description: str,
-    trace: dict[str, str],
-) -> InteractionRule:
-    """The rule of ``atoms`` once ``variables`` are written into their
-    term lists (which this changes)."""
-    for ai, pos, variable in variables:
-        atoms[ai][1][pos] = variable
-    predicates = [Predicate(schema.name, tuple(terms)) for schema, terms in atoms]
-    return InteractionRule(
-        head=predicates[0], body=tuple(predicates[1:]), description=description, trace=dict(trace)
-    )
-
-
-def wire_rule(
-    atoms: list[Atom],
-    matrix: WiringMatrix,
-    threshold: float,
-    description: str,
-    trace: dict[str, str],
-) -> InteractionRule:
-    """The rule whose variables ``wire_nodes`` places, with ``atoms``
-    left as they are.  Raises RangeRestrictionViolation when a head
-    variable stays unbound."""
-    for schema, atom_terms in atoms:
-        for pos in sorted(schema.constant_slots):
-            if atom_terms[pos] is None:
-                raise ValueError(f"{schema.name}#{pos}: constant slot not assigned")
-    copies = [(schema, list(atom_terms)) for schema, atom_terms in atoms]
-    rule = _place(copies, wire_nodes(atoms, matrix, threshold), description, trace)
-    rule.check_range_restriction()
-    return rule
 
 
 # --- parsed rules (cross-validation) -------------------------------------------
@@ -292,7 +230,9 @@ class GenerationFailure:
 
 @dataclass
 class GeneratorModels:
-    """Everything generation needs, loaded once and then read-only."""
+    """Everything generation needs, loaded once and then read-only.  Raises
+    MissingArtifact when the discretization or the completion models lack
+    a completable entity."""
 
     embedding: EmbeddingModel
     discretization: dict[str, DiscretizationModel]
@@ -303,38 +243,76 @@ class GeneratorModels:
     threshold: float
     tagger: BlstmModel | None = None
 
+    def __post_init__(self):
+        for entity in COMPLETABLE_ENTITIES:
+            for kind in ("discretization", "completion"):
+                if entity not in getattr(self, kind):
+                    raise MissingArtifact(f"{kind}:{entity}")
+
 
 @dataclass(frozen=True)
 class RuleTemplate:
     """What a rule's (impact, vector, means) labels decide, built once and
-    filled per record: ``create_structure``'s atoms with the record's
-    constant slots still open, each variable slot's ``(atom index,
-    position, variable)``, and the RangeRestrictionViolation message, or
-    None when the rule is range-restricted.  The verdict holds for every
-    record: constants never bind a head variable."""
+    filled per record.  ``atoms`` holds each atom's predicate name and
+    terms, head first, with the variables and the mapping tables' constants
+    in place and None in each constant slot a record fills.  ``slots``
+    lists those as ``(atom index, position, sort, trace key)`` in fill
+    order (atom order, then ascending position); ``sort`` indexes
+    ``sorts``, the distinct sorts in order of first slot.  ``violation``
+    is the RangeRestrictionViolation message, or None when the rule is
+    range-restricted; it holds for every record, since constants never
+    bind a head variable."""
 
-    atoms: tuple[tuple[PredicateSchema, tuple[Term | None, ...]], ...]
-    variables: tuple[tuple[int, int, Term], ...]
+    atoms: tuple[tuple[str, tuple[Term | None, ...]], ...]
+    sorts: tuple[str, ...]
+    slots: tuple[tuple[int, int, int, str], ...]
     violation: str | None
 
 
 def build_template(labels: dict[str, str], models: GeneratorModels) -> RuleTemplate:
     """The template of ``labels``; raises MissingCoreEntity and
-    UnmappableClusterError as ``create_structure`` does."""
+    UnmappableClusterError as ``create_structure`` does.
+
+    Every slot outside its schema's constant slots is a variable node; the
+    variables are the classes ``wire_variables`` returns for them.  A class
+    is named from its first node's hint: the hint itself, or else the first
+    free ``<hint><n>`` with n >= 2."""
     atoms = create_structure(labels, models.mapping, models.lexicon)
-    variables = wire_nodes(atoms, models.wiring, models.threshold)
-    # only wired slots hold variables; the head is atom 0
+    # (atom index, node) of every variable slot, atom by atom
+    nodes = [(ai, node) for ai, (schema, _) in enumerate(atoms) for node in schema.variable_nodes]
+    slots = [node.slot for _, node in nodes]
+    sorts = [node.sort for _, node in nodes]
+    in_head, in_body = set(), set()
+    for group in wire_variables(slots, sorts, models.wiring, models.threshold):
+        base = name = nodes[group[0]][1].hint
+        n = 1
+        while name in in_head or name in in_body:
+            n += 1
+            name = f"{base}{n}"
+        variable = Term.variable(name)
+        for m in group:
+            ai, node = nodes[m]
+            atoms[ai][1][node.pos] = variable
+            (in_body if ai else in_head).add(name)
     try:
-        check_bound(
-            {v.text for ai, _, v in variables if ai == 0},
-            {v.text for ai, _, v in variables if ai > 0},
-        )
+        check_bound(in_head, in_body)
         violation = None
     except RangeRestrictionViolation as exc:
         violation = str(exc)
+    # every slot still None is a constant slot that the record fills
+    open_slots = [
+        (ai, pos, schema.arg_sorts[pos], f"{schema.name}#{pos}")
+        for ai, (schema, terms) in enumerate(atoms)
+        for pos, term in enumerate(terms)
+        if term is None
+    ]
+    open_sorts = tuple(dict.fromkeys([sort for _, _, sort, _ in open_slots]))
+    # tuple() of lists: on CPython 3.11 tuple() of a generator leaves the
+    # collector's allocation count one higher, and genrule builds per record
     return RuleTemplate(
-        atoms=tuple((schema, tuple(terms)) for schema, terms in atoms),
-        variables=tuple(variables),
+        atoms=tuple([(schema.name, tuple(terms)) for schema, terms in atoms]),
+        sorts=open_sorts,
+        slots=tuple([(ai, pos, open_sorts.index(sort), key) for ai, pos, sort, key in open_slots]),
         violation=violation,
     )
 
@@ -354,11 +332,11 @@ def generate(
     tagger quality, and ``run_pipeline`` passes entities it tagged in a batch.
 
     The record's (impact, vector, means) labels pick its ``RuleTemplate``:
-    the one in ``templates`` under that triple, else one built now (and
-    stored there when ``templates`` is given).  The record then adds its
-    constants only.  A template that fails range restriction fails every
-    record that takes it; a triple whose template cannot be built is a
-    failure of this record alone and is not stored.
+    the one in ``templates`` under that triple, else one built now and
+    stored there (``templates`` defaults to a fresh dict).  The record then
+    adds its constants only.  A template that fails range restriction fails
+    every record that takes it; a triple whose template cannot be built is
+    a failure of this record alone and is not stored.
     """
     if gold_entities is not None:
         entity_set = gold_entities
@@ -389,11 +367,9 @@ def generate(
     features = None
     for key in CORE_ENTITIES:
         tag_name = _CORE_TO_TAG[key]
-        disc = models.discretization.get(tag_name)
         if entity_set.present(tag_name):
-            if disc is None:
-                raise MissingArtifact(f"discretization:{tag_name}")
             value = entity_set.values_for(tag_name)[0]
+            disc = models.discretization[tag_name]
             try:
                 _, label = map_to_cluster(disc, value.split(), models.embedding)
             except EmptyValue:
@@ -403,39 +379,34 @@ def generate(
             labels[key] = label
             trace[key] = f"entity value {value!r} -> {label}"
         else:
-            completion = models.completion.get(tag_name)
-            if completion is None:
-                return GenerationFailure(
-                    FailureKind.MISSING_CORE_ENTITY,
-                    f"{tag_name} absent and no completion model available",
-                )
             # predict_missing leaves the features as they are: build them once
             if features is None:
                 features = build_feature_vector(entity_set, models.embedding)
-            ranked = predict_missing(completion, features, top_k=1)
+            ranked = predict_missing(models.completion[tag_name], features, top_k=1)
             labels[key] = ranked[0][0]
             trace[key] = f"completed -> {ranked[0][0]} (p={ranked[0][1]:.3f})"
 
+    if templates is None:
+        templates = {}
     key = (labels["impact"], labels["vector"], labels["means"])
-    template = templates.get(key) if templates is not None else None
+    template = templates.get(key)
     if template is None:
         try:
-            template = build_template(labels, models)
+            template = templates[key] = build_template(labels, models)
         except MissingCoreEntity as exc:
             return GenerationFailure(FailureKind.MISSING_CORE_ENTITY, str(exc))
         except UnmappableClusterError as exc:
             return GenerationFailure(FailureKind.UNMAPPABLE_CLUSTER, str(exc))
-        if templates is not None:
-            templates[key] = template
     if template.violation is not None:
         return GenerationFailure(FailureKind.RANGE_RESTRICTION, template.violation)
 
-    atoms = [(schema, list(terms)) for schema, terms in template.atoms]
-    trace.update(assign_constants(atoms, entity_set, cve_id))
+    terms, constants = assign_constants(template, entity_set, cve_id)
+    trace.update(constants)
     platform = _first_value(entity_set, "PLATFORM")
     description = (
         f"{cve_id}: {labels['means']} in "
         f"{platform or 'an unspecified product'} "
         f"enables {labels['impact']} ({labels['vector']} vector); auto-generated"
     )
-    return _place(atoms, template.variables, description, trace)
+    predicates = [Predicate(name, tuple(t)) for (name, _), t in zip(template.atoms, terms)]
+    return InteractionRule(predicates[0], tuple(predicates[1:]), description, trace)

@@ -37,7 +37,6 @@ from vuln2rule.rules.synthesis import (
     _entity_constant,
     _first_value,
     _port_constant,
-    assign_constants,
     create_structure,
     wire_variables,
 )
@@ -518,6 +517,33 @@ class ReferenceSlot:
 # same rule bytes, traces and failures.
 
 
+def reference_per_record_assign_constants(
+    atoms, entities: EntitySet, cve_id: str
+) -> dict[str, str]:
+    fillers = {
+        "vulnid": lambda: Term.constant(quote(cve_id, "'")),
+        "product": lambda: _entity_constant(_first_value(entities, "PLATFORM")),
+        "protocol": lambda: _entity_constant(_first_value(entities, "PROTOCOL")),
+        "port": lambda: _port_constant(_first_value(entities, "PORT")),
+    }
+    filled: dict[str, tuple[Term, str]] = {}
+    trace: dict[str, str] = {}
+    for schema, terms in atoms:
+        for pos in sorted(schema.constant_slots):
+            if terms[pos] is not None:
+                continue
+            sort = schema.arg_sorts[pos]
+            if sort not in filled:
+                filler = fillers.get(sort)
+                term = filler() if filler else Term.wildcard()
+                if term.kind == WILDCARD:
+                    filled[sort] = term, f"no entity for sort {sort!r}"
+                else:
+                    filled[sort] = term, f"{sort} <- {term.text}"
+            terms[pos], trace[f"{schema.name}#{pos}"] = filled[sort]
+    return trace
+
+
 def reference_per_record_wire_rule(
     atoms, matrix: WiringMatrix, threshold: float, description: str, trace: dict[str, str]
 ) -> InteractionRule:
@@ -602,7 +628,7 @@ def reference_generate(
         return GenerationFailure(FailureKind.MISSING_CORE_ENTITY, str(exc))
     except UnmappableClusterError as exc:
         return GenerationFailure(FailureKind.UNMAPPABLE_CLUSTER, str(exc))
-    trace.update(assign_constants(atoms, entity_set, cve_id))
+    trace.update(reference_per_record_assign_constants(atoms, entity_set, cve_id))
     platform = _first_value(entity_set, "PLATFORM")
     description = (
         f"{cve_id}: {labels['means']} in "

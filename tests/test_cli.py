@@ -390,6 +390,29 @@ def test_genrule_takes_the_fixture_cve_id(model_dir, tmp_path, capsys):
     assert main(["genrule", "--model-dir", str(model_dir), "--gold-entities", str(gold),
                  "--cve-id", "CVE-2021-0002"]) == 0
     assert "'CVE-2021-0002'" in capsys.readouterr().out
+    # the flag's id is the one checked, so it stands in for a bad fixture id
+    gold = _gold_fixture(tmp_path, fixture={"cve_id": "bogus"})
+    assert main(["genrule", "--model-dir", str(model_dir), "--gold-entities", str(gold),
+                 "--cve-id", "CVE-2021-0002"]) == 0
+    assert "'CVE-2021-0002'" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source", ["flag", "fixture", "description"])
+def test_genrule_bad_cve_id_is_error_before_models_load(tmp_path, capsys, source):
+    """The id a rule would carry, ``--cve-id`` else the fixture's, must be
+    a CVE identifier; the model directory here holds nothing."""
+    argv = ["genrule", "--model-dir", str(tmp_path / "empty")]
+    if source == "description":
+        argv += ["--description", "a buffer overflow", "--cve-id", "not an id"]
+    else:
+        gold = _gold_fixture(tmp_path, fixture={"cve_id": "bogus"} if source == "fixture" else {})
+        argv += ["--gold-entities", str(gold)]
+        if source == "flag":
+            argv += ["--cve-id", "not an id"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad CVE identifier")
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_genrule_quoted_platform_re_parses(model_dir, tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import (
@@ -16,11 +18,21 @@ from hypothesis import strategies as st
 
 from vuln2rule.errors import (
     ConfigError,
+    MissingArtifact,
     MissingCoreEntity,
     RangeRestrictionViolation,
     Vuln2RuleError,
 )
-from vuln2rule.rules.datalog import Term, emit_rule, parse_rule_file
+from vuln2rule.rules import synthesis
+from vuln2rule.rules.datalog import (
+    CONSTANT,
+    VARIABLE,
+    InteractionRule,
+    Predicate,
+    Term,
+    emit_rule,
+    parse_rule_file,
+)
 from vuln2rule.rules.schema import (
     load_default_lexicon,
     load_default_mapping,
@@ -34,12 +46,12 @@ from vuln2rule.rules.synthesis import (
     GenerationFailure,
     UnmappableClusterError,
     assign_constants,
+    build_template,
     create_structure,
     generate,
     infer_slot_sorts,
     to_atom,
     variable_groups,
-    wire_rule,
     wire_variables,
 )
 from vuln2rule.rules.wiring import Slot, WiringMatrix, estimate_wiring_matrix, impute_matrix
@@ -71,6 +83,30 @@ def entity_set(cve_id="CVE-2020-0200", **values) -> EntitySet:
 
 def terms_of(atoms, name):
     return next(terms for schema, terms in atoms if schema.name == name)
+
+
+_REMOTE_EXEC = {"impact": "execCode", "vector": "remote", "means": "bufferOverflow"}
+
+
+def template_of(demo_models, labels, lexicon, mapping, matrix, threshold=0.5):
+    """``build_template`` on the given tables, wiring and threshold."""
+    models = replace(
+        demo_models.generator, lexicon=lexicon, mapping=mapping, wiring=matrix, threshold=threshold
+    )
+    return build_template(labels, models)
+
+
+def rule_of(template, entities=None, cve_id="CVE-2010-2212", description="", trace=None):
+    """The rule that ``generate`` makes from ``template``: its constants
+    filled, after ``trace``; raises RangeRestrictionViolation with the
+    template's message."""
+    if template.violation is not None:
+        raise RangeRestrictionViolation(template.violation)
+    terms, constants = assign_constants(template, entities or EntitySet(cve_id=cve_id), cve_id)
+    predicates = [Predicate(name, tuple(t)) for (name, _), t in zip(template.atoms, terms)]
+    return InteractionRule(
+        predicates[0], tuple(predicates[1:]), description, {**(trace or {}), **dict(constants)}
+    )
 
 
 class TestCreateStructure:
@@ -124,46 +160,101 @@ def test_lexicon_require_rejects_a_name_at_two_arities():
 
 
 class TestAssignConstants:
-    def build(self, lexicon, mapping, **entities):
-        atoms = create_structure(
-            {"impact": "execCode", "vector": "remote", "means": "bufferOverflow"},
-            mapping, lexicon,
-        )
-        trace = assign_constants(atoms, entity_set(**entities), "CVE-2010-2212")
-        return atoms, trace
+    @pytest.fixture
+    def build(self, demo_models, lexicon, mapping, corpus_matrix):
+        template = template_of(demo_models, _REMOTE_EXEC, lexicon, mapping, corpus_matrix)
 
-    def test_vulnerability_id_and_product(self, lexicon, mapping):
-        atoms, trace = self.build(lexicon, mapping, platform=["adobe reader"])
+        def fill(**entities):
+            """The filled atoms as (schema, terms) pairs, and the trace."""
+            terms, trace = assign_constants(template, entity_set(**entities), "CVE-2010-2212")
+            schemas = [lexicon.require(name) for name, _ in template.atoms]
+            return list(zip(schemas, terms)), dict(trace)
+
+        return fill
+
+    def test_vulnerability_id_and_product(self, build):
+        atoms, trace = build(platform=["adobe reader"])
         vul = terms_of(atoms, "vulExists")
         assert vul[1] == Term.constant("'CVE-2010-2212'")
         assert vul[2] == Term.constant("adobe_reader")
         assert trace["vulExists#1"] == "vulnid <- 'CVE-2010-2212'"
         assert trace["vulExists#2"] == "product <- adobe_reader"
 
-    def test_absent_protocol_port_become_wildcards(self, lexicon, mapping):
-        atoms, trace = self.build(lexicon, mapping, platform=["adobe reader"])
+    def test_absent_protocol_port_become_wildcards(self, build):
+        atoms, trace = build(platform=["adobe reader"])
         service = terms_of(atoms, "networkService")
         assert service[2] == Term.wildcard()
         assert service[3] == Term.wildcard()
         assert trace["networkService#3"] == "no entity for sort 'port'"
 
-    def test_present_protocol_port_fill_slots(self, lexicon, mapping):
-        atoms, _ = self.build(
-            lexicon, mapping, platform=["apache tomcat"], protocol=["http"], port=["8080"],
-        )
+    def test_present_protocol_port_fill_slots(self, build):
+        atoms, _ = build(platform=["apache tomcat"], protocol=["http"], port=["8080"])
         service = terms_of(atoms, "networkService")
         assert service[2] == Term.constant("http")
         assert service[3] == Term.constant("8080")
 
     @pytest.mark.parametrize("blank", ["", "  ", "\t\n"])
-    def test_wordless_values_become_wildcards(self, lexicon, mapping, blank):
-        atoms, trace = self.build(
-            lexicon, mapping, platform=[blank], protocol=[blank], port=[blank],
-        )
-        absent, absent_trace = self.build(lexicon, mapping)
+    def test_wordless_values_become_wildcards(self, build, blank):
+        atoms, trace = build(platform=[blank], protocol=[blank], port=[blank])
+        absent, absent_trace = build()
         assert atoms == absent
         assert trace == absent_trace
         assert terms_of(atoms, "networkService")[1:4] == [Term.wildcard()] * 3
+
+    def test_ascii_digit_port_is_bare_and_any_other_is_quoted(self, build):
+        """Only 0-9 reads as a Prolog integer; another script's digits or a
+        superscript would not, so such a port is a quoted atom."""
+        for port, want in [("8080", "8080"), ("\u0663", "'\u0663'"), ("1\u00b2", "'1\u00b2'"),
+                           ("\uff18\uff10", "'\uff18\uff10'"), ("http", "http")]:
+            atoms, trace = build(port=[port])
+            assert terms_of(atoms, "networkService")[3] == Term.constant(want)
+            assert trace["networkService#3"] == f"port <- {want}"
+
+    def test_trace_keys_follow_atom_then_position_order(self, build, demo_models, lexicon,
+                                                        mapping, corpus_matrix):
+        atoms, trace = build(platform=["adobe reader"], protocol=["http"])
+        template = template_of(demo_models, _REMOTE_EXEC, lexicon, mapping, corpus_matrix)
+        want = [
+            f"{schema.name}#{pos}"
+            for schema, terms in create_structure(_REMOTE_EXEC, mapping, lexicon)
+            for pos in sorted(schema.constant_slots)
+            if terms[pos] is None
+        ]
+        assert list(trace) == [key for _, _, _, key in template.slots] == want
+        assert all(t is not None for _, terms in atoms for t in terms)
+
+    def test_template_holds_the_variables_and_the_mapped_constants(
+        self, demo_models, lexicon, mapping, corpus_matrix
+    ):
+        template = template_of(demo_models, _REMOTE_EXEC, lexicon, mapping, corpus_matrix)
+        open_slots = {(ai, pos) for ai, pos, _, _ in template.slots}
+        for ai, (name, terms) in enumerate(template.atoms):
+            schema = lexicon.require(name)
+            for pos, term in enumerate(terms):
+                if pos not in schema.constant_slots:
+                    assert term.kind == VARIABLE
+                elif (ai, pos) in open_slots:
+                    assert term is None
+                else:
+                    assert term.kind == CONSTANT and schema.arg_sorts[pos] in (
+                        "range", "consequence"
+                    )
+
+    def test_each_sort_is_made_once(
+        self, demo_models, lexicon, mapping, corpus_matrix, monkeypatch
+    ):
+        template = template_of(demo_models, _REMOTE_EXEC, lexicon, mapping, corpus_matrix)
+        made = []
+        for sort, filler in synthesis._FILLERS.items():
+            monkeypatch.setitem(
+                synthesis._FILLERS, sort,
+                lambda *args, sort=sort, filler=filler: made.append(sort) or filler(*args),
+            )
+        entities = entity_set(platform=["adobe reader"], protocol=["http"], port=["80"])
+        assign_constants(template, entities, "CVE-2010-2212")
+        sorts = [template.sorts[sort] for _, _, sort, _ in template.slots]
+        assert len(sorts) > len(set(sorts))  # some sort fills two slots
+        assert made == list(template.sorts) == list(dict.fromkeys(sorts))
 
     def test_atom_normalization(self):
         assert to_atom("Mac OS X") == "mac_os_x"
@@ -181,28 +272,22 @@ class TestWireVariables:
             probs[index[a], index[b]] = probs[index[b], index[a]] = p
         return WiringMatrix(slots=tuple(slots), probs=probs)
 
-    def test_attacker_slot_shares_variable(self, lexicon, mapping, corpus_matrix):
-        atoms = create_structure(
-            {"impact": "execCode", "vector": "remote", "means": "bufferOverflow"},
-            mapping, lexicon,
-        )
-        assign_constants(atoms, entity_set(platform=["adobe reader"]), "CVE-2010-2212")
-        rule = wire_rule(atoms, corpus_matrix, 0.5, "", {})
+    def test_attacker_slot_shares_variable(self, demo_models, lexicon, mapping, corpus_matrix):
+        template = template_of(demo_models, _REMOTE_EXEC, lexicon, mapping, corpus_matrix)
+        rule = rule_of(template, entity_set(platform=["adobe reader"]))
         located = next(p for p in rule.body if p.name == "attackerLocated")
         access = next(p for p in rule.body if p.name == "netAccess")
         assert located.args[0] == access.args[0]
         assert located.args[0].text == "AttackerHost"
 
-    def test_threshold_above_one_fails_range_restriction(self, lexicon, mapping, corpus_matrix):
-        atoms = create_structure(
-            {"impact": "execCode", "vector": "remote", "means": "bufferOverflow"},
-            mapping, lexicon,
-        )
-        assign_constants(atoms, entity_set(platform=["x"]), "CVE-2010-2212")
+    def test_threshold_above_one_fails_range_restriction(
+        self, demo_models, lexicon, mapping, corpus_matrix
+    ):
+        template = template_of(demo_models, _REMOTE_EXEC, lexicon, mapping, corpus_matrix, 1.1)
         with pytest.raises(RangeRestrictionViolation):
-            wire_rule(atoms, corpus_matrix, 1.1, "", {})
+            rule_of(template, entity_set(platform=["x"]))
 
-    def test_transitive_merge_via_union_find(self):
+    def test_transitive_merge_via_union_find(self, demo_models):
         lexicon = parse_lexicon(
             "predicate h(V:thing)\n"
             "predicate p(V:thing)\n"
@@ -213,17 +298,18 @@ class TestWireVariables:
             "vector v range=r support=q\n"
             "means m body=p\n"
         )
-        atoms = create_structure({"impact": "i", "vector": "v", "means": "m"}, mapping, lexicon)
         entries = {
             (Slot("h", 1, 0), Slot("p", 1, 0)): 0.9,
             (Slot("p", 1, 0), Slot("q", 1, 0)): 0.9,
             (Slot("h", 1, 0), Slot("q", 1, 0)): 0.0,
         }
-        rule = wire_rule(atoms, self.hand_matrix(entries), 0.5, "", {})
+        labels = {"impact": "i", "vector": "v", "means": "m"}
+        matrix = self.hand_matrix(entries)
+        rule = rule_of(template_of(demo_models, labels, lexicon, mapping, matrix))
         names = {rule.head.args[0].text} | {p.args[0].text for p in rule.body}
         assert len(names) == 1  # all three slots merged transitively
 
-    def test_sort_gate_blocks_type_absurd_merge(self):
+    def test_sort_gate_blocks_type_absurd_merge(self, demo_models):
         lexicon = parse_lexicon(
             "predicate h(H:host)\n"
             "predicate p(H:host)\n"
@@ -234,13 +320,14 @@ class TestWireVariables:
             "vector v range=r support=q\n"
             "means m body=p\n"
         )
-        atoms = create_structure({"impact": "i", "vector": "v", "means": "m"}, mapping, lexicon)
         entries = {
             (Slot("h", 1, 0), Slot("p", 1, 0)): 1.0,
             (Slot("h", 1, 0), Slot("q", 1, 0)): 1.0,  # statistically high, type-absurd
             (Slot("p", 1, 0), Slot("q", 1, 0)): 0.0,
         }
-        rule = wire_rule(atoms, self.hand_matrix(entries), 0.5, "", {})
+        labels = {"impact": "i", "vector": "v", "means": "m"}
+        matrix = self.hand_matrix(entries)
+        rule = rule_of(template_of(demo_models, labels, lexicon, mapping, matrix))
         q_pred = next(p for p in rule.body if p.name == "q")
         assert q_pred.args[0].text != rule.head.args[0].text
 
@@ -256,7 +343,7 @@ class TestWireVariables:
         matrix = WiringMatrix(slots=(p0,), probs=np.ones((1, 1)))
         assert wire_variables([p0, p0], ["s", "s"], matrix, 0.5) == [[0], [1]]
 
-    def test_hint_taken_by_another_class_is_not_reused(self):
+    def test_hint_taken_by_another_class_is_not_reused(self, demo_models):
         lexicon = parse_lexicon(
             "predicate h(X:a, X2:b)\n"
             "predicate p(X:a)\n"
@@ -267,12 +354,12 @@ class TestWireVariables:
             "vector v range=rr support=r\n"
             "means m body=p\n"
         )
-        atoms = create_structure({"impact": "i", "vector": "v", "means": "m"}, mapping, lexicon)
         h0, h1, p0, r0, r1 = (
             Slot("h", 2, 0), Slot("h", 2, 1), Slot("p", 1, 0), Slot("r", 2, 0), Slot("r", 2, 1)
         )
         matrix = self.hand_matrix({(h0, p0): 1.0, (h1, r1): 1.0})
-        rule = wire_rule(atoms, matrix, 0.5, "", {})
+        labels = {"impact": "i", "vector": "v", "means": "m"}
+        rule = rule_of(template_of(demo_models, labels, lexicon, mapping, matrix))
         # r#0 has hint X like h#0, and X2 is h#1's own hint
         assert [t.text for t in rule.head.args] == ["X", "X2"]
         assert [t.text for t in rule.body[1].args] == ["X3", "X2"]
@@ -368,12 +455,13 @@ _ENTITY_VALUE = st.one_of(
     matrix_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
 )
 def test_synthesis_matches_the_skeleton_reference(
-    lexicon, mapping, corpus_matrix, platform, protocol, port, cve_id, threshold, matrix_seed
+    demo_models, lexicon, mapping, corpus_matrix, platform, protocol, port, cve_id, threshold,
+    matrix_seed,
 ):
-    """Over every label triple of the packaged tables, the atom-list steps
-    give the rule bytes and trace (keys, values and order) of the
-    skeleton-object steps, or the same failure.  The matrix is the packaged
-    one or a random one over its slots."""
+    """Over every label triple of the packaged tables, a template filled
+    with the record's constants gives the rule bytes and trace (keys,
+    values and order) of the skeleton-object steps, or the same failure.
+    The matrix is the packaged one or a random one over its slots."""
     matrix = corpus_matrix
     if matrix_seed is not None:
         matrix = _random_matrix(corpus_matrix.slots, matrix_seed)
@@ -382,12 +470,10 @@ def test_synthesis_matches_the_skeleton_reference(
         if value is not None:
             entities.entities[tag].append(value)
 
-    def atom_lists(clusters, entities, cve_id, threshold):
-        atoms = create_structure(clusters, mapping, lexicon)
-        trace = _core_trace(clusters)
-        trace.update(assign_constants(atoms, entities, cve_id))
+    def templated(clusters, entities, cve_id, threshold):
+        template = template_of(demo_models, clusters, lexicon, mapping, matrix, threshold)
         description = _description(clusters, entities, cve_id)
-        return wire_rule(atoms, matrix, threshold, description, trace)
+        return rule_of(template, entities, cve_id, description, _core_trace(clusters))
 
     def skeletons(clusters, entities, cve_id, threshold):
         skeleton = reference_create_structure(clusters, mapping, lexicon)
@@ -398,7 +484,7 @@ def test_synthesis_matches_the_skeleton_reference(
 
     for clusters in _packaged_triples(mapping):
         want = _synthesized(skeletons, clusters, entities, cve_id, threshold)
-        got = _synthesized(atom_lists, clusters, entities, cve_id, threshold)
+        got = _synthesized(templated, clusters, entities, cve_id, threshold)
         assert got == want, clusters
 
 
@@ -535,6 +621,14 @@ class TestGenerate:
         assert report.outcomes == [(inputs[0].id, "MissingCoreEntity"), *want_report.outcomes[1:]]
         assert report.failures == {"MissingCoreEntity": 1}
         assert emit_rules(rules) == emit_rules(want[1:])
+
+    @pytest.mark.parametrize("kind", ["discretization", "completion"])
+    @pytest.mark.parametrize("entity", ["VECTOR", "IMPACT", "MEANS"])
+    def test_models_without_a_completable_entity_are_rejected(self, demo_models, kind, entity):
+        models = demo_models.generator
+        lacking = {k: v for k, v in getattr(models, kind).items() if k != entity}
+        with pytest.raises(MissingArtifact, match=f"{kind}:{entity}"):
+            replace(models, **{kind: lacking})
 
     def test_generated_rules_satisfy_range_restriction(self, demo_models):
         from vuln2rule.rules.datalog import emit_rule
