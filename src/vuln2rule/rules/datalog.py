@@ -131,7 +131,7 @@ _TOKEN_RE = re.compile(
       | (?P<STRING>"(?:\\.|[^"\\\n])*")
       | (?P<NEWLINE>'(?:\\.|[^'\\\n])*\n|"(?:\\.|[^"\\\n])*\n)
       | (?P<UNTERMINATED>['"])
-      | (?P<NUMBER>-?\d+(?:\.\d+)?)
+      | (?P<NUMBER>-?[0-9]+(?:\.[0-9]+)?)       # ASCII digits only, as in ISO Prolog
       | (?P<NAME>[^\W\d]\w*)                    # VAR or ATOM: no leading digit
       | (?P<EOF>\Z)
       | (?P<UNEXPECTED>.)

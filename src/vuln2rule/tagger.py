@@ -7,12 +7,17 @@ class-weighted cross-entropy, with backpropagation through time; class O
 gets weight 1, the ten entity classes get weight 10.
 
 The time loop runs on the rows of a batch sorted longest first, and each
-step only on the rows still inside their sentence (at least two).  Real
-positions get the bits of running the directions one after the other over
-the whole padded batch, and a row's states have the same bits in any batch
-of two rows or more; padded positions get finite log-probabilities.
-Gradients differ from the full-batch loop's by rounding only (each step's
-``dz @ wh^T`` covers fewer rows), and not at all when no row is padded.
+step only on the rows still inside their sentence (at least two).  The
+inputs, their products and the gates are packed: one row per such live
+(step, row) position, time-major.  The input GEMM runs over those rows
+only, and backpropagation forms the weight gradients after its time loop,
+one product per direction over them.  Real positions get the bits of running
+the directions one after the other over the whole padded batch, and a row's
+states have the same bits in any batch of two rows or more; padded
+positions get finite log-probabilities.  Gradients and trained weights
+differ from the full-batch loop's by rounding only: each step's
+``dz @ wh^T`` covers only the live rows, and the weight gradients sum over
+all steps in one product, so they differ also when no row is padded.
 """
 
 from __future__ import annotations
@@ -171,6 +176,28 @@ def _live_runs(lengths: list[int], steps: int) -> list[tuple[int, int, int]]:
     return runs
 
 
+def _packed_index(
+    runs: list[tuple[int, int, int]], batch: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The packed layout of a batch, as the (step, row) of each of its
+    positions: one per live position of ``runs`` (rows sorted longest
+    first), time-major, so that each run's positions are one contiguous
+    (steps, rows) block."""
+    counts = np.repeat([n for _, _, n in runs], [stop - start for start, stop, _ in runs])
+    return np.nonzero(np.arange(batch) < counts[:, None])
+
+
+def _run_views(packed: np.ndarray, runs: list[tuple[int, int, int]]) -> list[np.ndarray]:
+    """Each run's (2, run steps, rows, ...) view of ``packed`` (2,
+    positions, ...), an array in the layout of ``_packed_index``."""
+    views, offset = [], 0
+    for start, stop, n in runs:
+        end = offset + (stop - start) * n
+        views.append(packed[:, offset:end].reshape(2, stop - start, n, -1))
+        offset = end
+    return views
+
+
 def _lstm_forward(
     xw: np.ndarray,
     wh: np.ndarray,
@@ -180,32 +207,32 @@ def _lstm_forward(
     tanh_cs: np.ndarray,
     runs: list[tuple[int, int, int]],
 ) -> None:
-    """Both LSTM directions in one time loop, from the input products ``xw``
-    (2, steps, batch, 4 * hidden), with each step's products one ``matmul``
-    over the direction axis.  Rows are sorted longest first, and each step
-    of a run of ``_live_runs`` computes its first ``rows`` rows only.
+    """Both LSTM directions in one time loop, from the packed input products
+    ``xw`` (2, positions, 4 * hidden) of ``_packed_index``, with each step's
+    products one ``matmul`` over the direction axis.  Rows are sorted
+    longest first, and each step of a run of ``_live_runs`` computes its
+    first ``rows`` rows only: the step's block of ``xw``.
 
     Fills ``hs`` (steps + 1, 2, batch, hidden) with the states, zero initial
-    state first and zeros for the rows a step skips, and overwrites each
-    step's live slice of ``xw`` with its gates.  ``cs`` gets the cells, zero
-    initial cell first, and ``tanh_cs`` their tanh: for every step (steps +
-    1 and steps rows), or in rings of two and one rows when nothing is kept
-    for backpropagation; the rows a step skips are left as they are.  States
-    and cells are time-major, so that each step's slice of a row range is
-    contiguous."""
+    state first and zeros for the rows a step skips, and overwrites ``xw``
+    with the gates.  ``cs`` gets the cells, zero initial cell first, and
+    ``tanh_cs`` their tanh: for every step (steps + 1 and steps rows), or in
+    rings of two and one rows when nothing is kept for backpropagation; the
+    rows a step skips are left as they are.  States and cells are
+    time-major, so that each step's slice of a row range is contiguous."""
     h_size = wh.shape[1]
     rows, kept = len(cs), len(tanh_cs)
     b = b[:, None, :]
     hs[0] = cs[0] = 0.0
-    z_all = np.empty(xw.shape[:1] + xw.shape[2:])
+    z_all = np.empty((2, hs.shape[2], 4 * h_size))
     g_block = slice(2 * h_size, 3 * h_size)
-    for start, stop, n in runs:
+    for (start, stop, n), xw_n in zip(runs, _run_views(xw, runs)):
         hs[start + 1 : stop + 1, :, n:] = 0.0
-        z, xw_n = z_all[:, :n], xw[:, :, :n]
+        z = z_all[:, :n]
         hs_n, cs_n, tanh_n = hs[:, :, :n], cs[:, :, :n], tanh_cs[:, :, :n]
         for t in range(start, stop):
             # z = xw + h @ wh + b, summed in that order
-            gates = xw_n[:, t]
+            gates = xw_n[:, t - start]
             np.matmul(hs_n[t], wh, out=z)
             z += gates
             z += b
@@ -219,25 +246,28 @@ def _lstm_forward(
 
 def _lstm_backward(
     d_hs: np.ndarray,
-    xs: np.ndarray,
+    xp: np.ndarray,
     hs: np.ndarray,
     gates_all: np.ndarray,
     cs: np.ndarray,
     tanh_cs: np.ndarray,
-    wx: np.ndarray,
     wh: np.ndarray,
     runs: list[tuple[int, int, int]],
+    positions: tuple[np.ndarray, np.ndarray],
 ):
     """Gradients of ``wx``, ``wh`` and ``b`` from the state gradients
     ``d_hs`` (steps, 2, batch, hidden), through both directions in one
-    time loop over the runs of ``_live_runs``; ``xs`` (2, batch, steps, dim)
-    are the inputs, and the states, gates, cells and their tanh are those
+    time loop over the runs of ``_live_runs``.  ``xp`` (2, positions, dim)
+    are the packed inputs, ``positions`` the (step, row) of each packed
+    position, and the states, packed gates, cells and their tanh are those
     ``_lstm_forward`` kept.  A skipped row's gradients are zero, so each
-    step works on its live rows alone."""
+    step works on its live rows alone.
+
+    Each step writes its gate gradients ``dz`` over its gates, which it has
+    just read; after the loop the weight gradients are one product (or sum)
+    per direction over the packed positions: ``xp^T dz``, ``h_prev^T dz``
+    with the previous states gathered in packed order, and ``sum(dz)``."""
     batch, h_size = d_hs.shape[2:]
-    dwx, dwx_t = np.zeros_like(wx), np.empty_like(wx)
-    dwh, dwh_t = np.zeros_like(wh), np.empty_like(wh)
-    db = np.zeros((2, 4 * h_size))
     wh_t = wh.transpose(0, 2, 1)
     # rows join as the loop walks back in time, with the zero gradients
     # these buffers hold until then
@@ -245,14 +275,13 @@ def _lstm_backward(
     dc_all = np.zeros((2, batch, h_size))
     dz_all = np.zeros((2, batch, 4 * h_size))
     one_minus_all = np.empty_like(dz_all)
-    for start, stop, n in reversed(runs):
+    for (start, stop, n), gates_n in reversed(list(zip(runs, _run_views(gates_all, runs)))):
         dh_next, dc_next = dh_all[:, :n], dc_all[:, :n]
         dz, one_minus = dz_all[:, :n], one_minus_all[:, :n]
         d_gi, d_gf, d_gg, d_go = (dz[..., k * h_size : (k + 1) * h_size] for k in range(4))
-        xs_n, hs_n, gates_n = xs[:, :n], hs[:, :, :n], gates_all[:, :, :n]
         cs_n, tanh_n, d_hs_n = cs[:, :, :n], tanh_cs[:, :, :n], d_hs[:, :, :n]
         for t in reversed(range(start, stop)):
-            gates, tanh_c = gates_n[:, t], tanh_n[t]
+            gates, tanh_c = gates_n[:, t - start], tanh_n[t]
             gi, gf, gg, go = (gates[..., k * h_size : (k + 1) * h_size] for k in range(4))
             dh = d_hs_n[t] + dh_next
             dc = dc_next + dh * go * (1.0 - tanh_c**2)
@@ -266,11 +295,16 @@ def _lstm_backward(
             dz *= gates
             dz *= np.subtract(1.0, gates, out=one_minus)
             np.multiply(dc * gi, 1.0 - gg**2, out=d_gg)
-            dwx += np.matmul(xs_n[:, :, t].transpose(0, 2, 1), dz, out=dwx_t)
-            dwh += np.matmul(hs_n[t].transpose(0, 2, 1), dz, out=dwh_t)
-            db += dz.sum(axis=1)
             np.matmul(dz, wh_t, out=dh_next)
-    return dwx, dwh, db
+            gates[...] = dz
+    t, j = positions
+    # h_prev of (step t, row j) in direction d is hs[t, d, j]
+    flat = t * (2 * batch) + j
+    h_prev = hs.reshape(-1, h_size)[np.stack([flat, flat + batch])]
+    dz = gates_all
+    dwx = np.matmul(xp.transpose(0, 2, 1), dz)
+    dwh = np.matmul(h_prev.transpose(0, 2, 1), dz)
+    return dwx, dwh, dz.sum(axis=1)
 
 
 def _reversal(lengths: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -318,10 +352,13 @@ def forward(
     so trailing padding never influences real positions.  The loop runs on
     the rows sorted longest first, and each step only on the rows still
     inside their sentence (``_live_runs``); the head gets the rows back in
-    the caller's order.  A row's states have the bits they have in any
-    other batch of two rows or more (the head's product over a row's
-    positions may round otherwise at another padded length); a padded
-    position's log-probabilities are finite.
+    the caller's order.  The inputs are gathered into the packed layout of
+    ``_packed_index``, one row per live (step, row) position, and the input
+    products are one GEMM per direction over those rows alone; the cache
+    keeps the packed inputs and gates.  A row's states have the bits they
+    have in any other batch of two rows or more (the head's product over a
+    row's positions may round otherwise at another padded length); a
+    padded position's log-probabilities are finite.
     """
     batch, steps, dim = x.shape
     h_size = params["wh"].shape[1]
@@ -329,34 +366,30 @@ def forward(
     reversal = _reversal(lengths, steps)
     packed_reversal = reversal[0][order], reversal[1][order]
     runs = _live_runs(lengths[order].tolist(), steps)
-    x = x[order]
-    x_rev = _reverse_within_lengths(x, packed_reversal)
-    # the input products of every step: one GEMM per direction ahead of the
-    # time loop, over rows in time-major order, so that each step's slice
-    # of the result is contiguous (each row of a GEMM is its own dot
-    # products, so the row order leaves the bits as they are)
-    xs_tm = np.empty((2, steps, batch, dim))
-    xs_tm[0] = x.transpose(1, 0, 2)
-    xs_tm[1] = x_rev.transpose(1, 0, 2)
+    positions = _packed_index(runs, batch)
+    t, j = positions
     kept = steps if keep_cache else 1
     hs = np.empty((steps + 1, 2, batch, h_size))
-    xw, cs, tanh_cs, xs = _carve(
-        (2, steps, batch, 4 * h_size),
+    xp, xw, cs, tanh_cs = _carve(
+        (2, len(t), dim),
+        (2, len(t), 4 * h_size),
         (kept + 1, 2, batch, h_size),
         (kept, 2, batch, h_size),
-        (2, batch, steps, dim) if keep_cache else (0,),
     )
-    if keep_cache:
-        # backpropagation reads each step's inputs with the strides of
-        # batch-major rows: with dim 1, contiguous ones take another matmul
-        # path and other bits
-        xs[0], xs[1] = x, x_rev
-    del x, x_rev
-    np.matmul(xs_tm.reshape(2, -1, dim), params["wx"], out=xw.reshape(2, -1, 4 * h_size))
-    del xs_tm
+    # each packed position reads its row's input at its step, and in the
+    # backward direction at its step reversed within the row's length, with
+    # exact zeros at a padded step; every index is in range, and "clip"
+    # writes into xp directly where the default mode buffers a copy of it
+    base = order[j] * steps
+    src = np.array([base + t, base + packed_reversal[0][j, t]])
+    np.take(x.reshape(-1, dim), src, axis=0, out=xp, mode="clip")
+    xp[1, ~packed_reversal[1][j, t]] = 0.0
+    # each row of a GEMM is its own dot products, so the packed row order
+    # leaves the bits as they are
+    np.matmul(xp, params["wx"], out=xw)
     _lstm_forward(xw, params["wh"], params["b"], hs, cs, tanh_cs, runs)
     if not keep_cache:
-        del xw, cs, tanh_cs, xs
+        del xp, xw, cs, tanh_cs
     concat = np.empty((batch, steps, 2 * h_size))
     concat[order, :, :h_size] = hs[1:, 0].transpose(1, 0, 2)
     concat[order, :, h_size:] = _reverse_within_lengths(
@@ -367,8 +400,8 @@ def forward(
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
     if not keep_cache:
         return log_probs, None
-    packing = order, packed_reversal, runs
-    return log_probs, (xs, hs, xw, cs, tanh_cs, concat, reversal[1], packing)
+    packing = order, packed_reversal, runs, positions
+    return log_probs, (xp, hs, xw, cs, tanh_cs, concat, reversal[1], packing)
 
 
 def loss_and_grads(
@@ -382,8 +415,8 @@ def loss_and_grads(
     gradients (under the names of ``params``), and the per-sentence loss
     vector."""
     batch, steps, _ = x.shape
-    log_probs, (xs, hs, gates, cs, tanh_cs, concat, mask, packing) = forward(params, x, lengths)
-    order, packed_reversal, runs = packing
+    log_probs, (xp, hs, gates, cs, tanh_cs, concat, mask, packing) = forward(params, x, lengths)
+    order, packed_reversal, runs, positions = packing
     safe_ids = np.where(mask, tag_ids, 0)
     token_w = np.where(mask, class_weights[safe_ids], 0.0)
     rows = np.arange(batch)[:, None], np.arange(steps)[None, :], safe_ids
@@ -412,7 +445,7 @@ def loss_and_grads(
     d_hs[:, 1] = _reverse_within_lengths(dconcat[:, :, h_size:], packed_reversal).transpose(1, 0, 2)
     del dconcat
     grads["wx"], grads["wh"], grads["b"] = _lstm_backward(
-        d_hs, xs, hs, gates, cs, tanh_cs, params["wx"], params["wh"], runs
+        d_hs, xp, hs, gates, cs, tanh_cs, params["wh"], runs, positions
     )
     return total, grads, per_sentence
 

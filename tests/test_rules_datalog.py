@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vuln2rule.errors import RangeRestrictionViolation, RuleSyntaxError, UnbalancedParens
@@ -129,6 +131,8 @@ class TestParser:
             ("a(X) :- b(X, 'ab\\", RuleSyntaxError, 1, 14, "unterminated '-quoted text"),
             ("a(X) :- b(X, :).", RuleSyntaxError, 1, 14, "unexpected character ':'"),
             ("a(X) :- b(X, -x).", RuleSyntaxError, 1, 14, "unexpected character '-'"),
+            # a number is ASCII digits only, as in ISO Prolog
+            ("p(H, ٣) :- q(H, ٣).", RuleSyntaxError, 1, 6, "unexpected character '٣'"),
             ("a(X) :-\n\tb(X) c.", RuleSyntaxError, 2, 7, "found 'c'"),
             ("a(X) :- b(X, 1.5.2).", UnbalancedParens, 1, 17, "unclosed parenthesis"),
             ("a(X) :- b(X % open\n", UnbalancedParens, 2, 1, "unclosed parenthesis"),
@@ -243,3 +247,44 @@ def test_quoted_constants_and_descriptions_round_trip(constants, description):
     text = emit_rule(rule)
     assert parse_rule_file(text) == [rule]
     assert emit_rule(parse_rule_file(text)[0]) == text
+
+
+#: letters and digits of any script, ASCII digits and letters among them
+_WORDS = st.text(
+    st.one_of(st.sampled_from("0123456789az"), st.characters(categories=("L", "N"))),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _rule_with(constant: Term) -> InteractionRule:
+    return InteractionRule(
+        head=Predicate("p", (Term.variable("H"), constant)),
+        body=(Predicate("q", (Term.variable("H"), constant)),),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@example(text="٣")
+@example(text="²")
+@example(text="١٢")
+@given(text=_WORDS)
+def test_unicode_constants_round_trip(text):
+    """A constant of any script's letters and digits survives emit -> parse
+    -> emit quoted, and bare unless the parser rejects it; a bare number is
+    ASCII digits only, and a bare ASCII atom or integer is never rejected."""
+    quoted = _rule_with(Term.constant(quote(text, "'")))
+    emitted = emit_rule(quoted)
+    assert parse_rule_file(emitted) == [quoted]
+    assert emit_rule(parse_rule_file(emitted)[0]) == emitted
+    if text[0].isupper():
+        return  # bare, it is a variable
+    bare = _rule_with(Term.constant(text))
+    try:
+        parsed = parse_rule_file(emit_rule(bare))
+    except RuleSyntaxError:
+        assert not re.fullmatch(r"[a-z][A-Za-z0-9_]*|[0-9]+", text)
+        return
+    assert parsed == [bare]
+    assert emit_rule(parsed[0]) == emit_rule(bare)
+    assert not text[0].isdecimal() or text.isascii()
