@@ -231,13 +231,16 @@ def vocabulary_from_sentences(
     sentences: list[list[str]], max_size: int
 ) -> Vocabulary:
     """Top ``max_size`` words by frequency (ties broken lexicographically),
-    with OOV at id 0 and corpus coverage."""
+    with OOV at id 0 and corpus coverage.  A literal OOV pseudo-word in the
+    text is not ranked: it already has id 0, and counts as uncovered."""
     counts: Counter[str] = Counter()
     for sentence in sentences:
         counts.update(sentence)
     if not counts:
         raise EmptyCorpus("no tokens in corpus")
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(
+        ((w, c) for w, c in counts.items() if w != OOV_WORD), key=lambda kv: (-kv[1], kv[0])
+    )
     kept = ranked[:max_size]
     total = sum(counts.values())
     covered = sum(c for _, c in kept)

@@ -166,7 +166,10 @@ def train_embedding(
     """Train the embedding network on tokenized, normalized sentences.
 
     One epoch is a pass over all (input, target) pairs in a seeded-shuffle
-    order.  Each step is the update of the per-example gradient
+    order; the order is turned into plain lists of offsets and targets once
+    per epoch.  Each step gathers the pair's ``w_in`` rows once, for both the
+    hidden vector and the write-back, and works in buffers made before the
+    first epoch.  It is the update of the per-example gradient
     (``example_loss_and_grads`` in ``tests/helpers.py``), with the same
     operations in the same order, so the weights match that per-example
     trainer bit for bit.  Raises DegenerateCorpus when no trainable pairs
@@ -188,34 +191,46 @@ def train_embedding(
 
     initial_loss = _mean_loss(w_in, w_out, inputs)
     lr = config.learning_rate
-    # per-step scalars come from lists: indexing an array costs more
-    offsets, targets = inputs.offsets.tolist(), inputs.targets.tolist()
     ids, weights = inputs.ids, inputs.weights
-    # the w_out update runs a block of rows at a time, so that the block
-    # is still in cache between its three elementwise passes; the views
-    # into w_out and into one buffer stay valid, as every pass is in place
-    step = max(1, _UPDATE_BLOCK // size)
-    dw_out = np.empty((min(step, config.dim), size))
-    row_blocks = [slice(start, start + step) for start in range(0, config.dim, step)]
-    blocks = [(block, w_out[block], dw_out[: len(w_out[block])]) for block in row_blocks]
+    # every step writes into these buffers in place; the w_out update runs a
+    # block of rows at a time, so that the block is still in cache between
+    # its three elementwise passes
+    hidden = np.empty(config.dim)
+    dscores = np.empty(size)
+    dhidden = np.empty(config.dim)
+    weight_column = weights[:, None]
+    block_rows = max(1, _UPDATE_BLOCK // size)
+    dw_out = np.empty((min(block_rows, config.dim), size))
+    blocks = []
+    for start in range(0, config.dim, block_rows):
+        w_block = w_out[start : start + block_rows]
+        blocks.append((w_block, hidden[start : start + block_rows, None], dw_out[: len(w_block)]))
     for _ in range(config.epochs):
-        for p in rng.permutation(len(targets)).tolist():
-            lo, hi = offsets[p], offsets[p + 1]
-            rows, row_weights = ids[lo:hi], weights[lo:hi]
-            hidden = row_weights @ w_in[rows]
-            dscores = hidden @ w_out
-            dscores -= dscores.max()
-            np.exp(dscores, out=dscores)
-            dscores /= dscores.sum()
-            dscores[targets[p]] -= 1.0
+        order = rng.permutation(len(inputs.targets))
+        starts = inputs.offsets[order].tolist()
+        stops = inputs.offsets[order + 1].tolist()
+        for lo, hi, target in zip(starts, stops, inputs.targets[order].tolist()):
+            rows = ids[lo:hi]
+            # one gather serves the hidden vector and the w_in write-back:
+            # only w_out changes in between
+            gathered = w_in.take(rows, 0)
+            np.dot(weights[lo:hi], gathered, hidden)
+            np.dot(hidden, w_out, dscores)
+            np.subtract(dscores, np.maximum.reduce(dscores), dscores)
+            np.exp(dscores, dscores)
+            np.divide(dscores, np.add.reduce(dscores), dscores)
+            dscores[target] -= 1.0
             # one product over all of w_out: a product per block rounds
             # differently
-            dhidden = w_out @ dscores
-            for block, w_block, dw in blocks:
-                np.multiply.outer(hidden[block], dscores, out=dw)
-                dw *= lr
-                w_block -= dw
-            w_in[rows] -= lr * np.multiply.outer(row_weights, dhidden)
+            np.dot(w_out, dscores, dhidden)
+            for w_block, col, dw in blocks:
+                np.multiply(col, dscores, dw)
+                np.multiply(dw, lr, dw)
+                np.subtract(w_block, dw, w_block)
+            row_update = weight_column[lo:hi] * dhidden
+            row_update *= lr
+            gathered -= row_update
+            w_in[rows] = gathered
     final_loss = _mean_loss(w_in, w_out, inputs)
 
     return EmbeddingModel(
@@ -276,11 +291,11 @@ def load_embedding(path: str | Path) -> EmbeddingModel:
             raise ValueError(f"w_in is {w_in.shape}, want ({len(words)}, {config.dim})")
         if words[0] != OOV_WORD:
             raise ValueError(f"first word must be {OOV_WORD}")
-        vocab = Vocabulary(
-            words=words,
-            index_of={w: i for i, w in enumerate(words)},
-            coverage=float(meta["coverage"]),
-        )
+        index_of = {w: i for i, w in enumerate(words)}
+        if len(index_of) != len(words):
+            repeated = next(w for i, w in enumerate(words) if index_of[w] != i)
+            raise ValueError(f"word {repeated!r} appears more than once in the vocabulary")
+        vocab = Vocabulary(words=words, index_of=index_of, coverage=float(meta["coverage"]))
         return EmbeddingModel(vocab=vocab, w_in=w_in, w_out=None, config=config)
 
     return _textio.read_model(path, FORMAT_MARKER, build)

@@ -18,6 +18,7 @@ from vuln2rule.corpus import (
     normalize,
     norms,
     tokenize,
+    vocabulary_from_sentences,
     word_frequency_report,
 )
 from vuln2rule.errors import (
@@ -101,6 +102,13 @@ class TestVocabulary:
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
             build_vocabulary([], max_size=10)
+
+    def test_literal_oov_word_is_not_ranked(self):
+        """It already has id 0; ranking it too would repeat it in the words."""
+        vocab = vocabulary_from_sentences([["<oov>", "x", "<oov>"]], 10)
+        assert vocab.words == ("<oov>", "x")
+        assert vocab.index_of == {"<oov>": 0, "x": 1}
+        assert vocab.coverage == pytest.approx(1 / 3)
 
     def test_ids_dense_and_inverse(self):
         corpus = [rec("CVE-2020-0004", "x y z z y x q")]

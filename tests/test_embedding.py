@@ -3,12 +3,17 @@ behavior, neighbor queries and persistence."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import example_loss_and_grads, reference_mean_loss, reference_train_embedding
 from vuln2rule import _textio, embedding
-from vuln2rule.corpus import vocabulary_from_sentences
+from vuln2rule.corpus import tokenize, vocabulary_from_sentences
+from vuln2rule.demo import generate_demo_records
 from vuln2rule.embedding import (
     _LOSS_BLOCK,
     CBOW,
@@ -197,6 +202,64 @@ class TestExactTraining:
         got = _mean_loss(w_in, w_out, _gather_inputs(pairs))
         assert got == pytest.approx(reference_mean_loss(w_in, w_out, pairs), rel=1e-12)
 
+    @pytest.mark.parametrize("variant, epochs", [(CBOW, 2), (SKIP_GRAM, 1)])
+    def test_demo_shape_matches_reference_bit_for_bit(self, variant, epochs):
+        """The demo's vocabulary size, dim and window, which the small fixed
+        corpus does not reach."""
+        sentences = [
+            [t.norm for t in tokenize(r.vulnerability.description)]
+            for r in generate_demo_records(40, 7)
+        ]
+        config = EmbeddingConfig(variant=variant, dim=32, window=5, epochs=epochs,
+                                 learning_rate=0.05, seed=7)
+        got = train_embedding(sentences, config)
+        want = reference_train_embedding(sentences, config)
+        assert len(got.vocab) > 64
+        assert got.w_in.tobytes() == want.w_in.tobytes()
+        assert got.w_out.tobytes() == want.w_out.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sentences=st.integers(2, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from("abcdefgh"[:n]), min_size=1, max_size=15),
+                min_size=1,
+                max_size=4,
+            )
+        ),
+        variant=st.sampled_from([CBOW, SKIP_GRAM]),
+        dim=st.integers(1, 9),
+        window=st.integers(1, 4),
+        max_vocab=st.integers(1, 10),
+        epochs=st.integers(1, 2),
+        learning_rate=st.sampled_from([0.05, 0.5]),
+        seed=st.integers(0, 1000),
+        update_block=st.sampled_from([1, 2, 3, 7, 32768]),
+    )
+    def test_random_corpora_match_reference_bit_for_bit(
+        self, sentences, variant, dim, window, max_vocab, epochs, learning_rate, seed,
+        update_block,
+    ):
+        config = EmbeddingConfig(variant=variant, dim=dim, window=window, epochs=epochs,
+                                 learning_rate=learning_rate, max_vocab=max_vocab, seed=seed)
+        vocab = vocabulary_from_sentences(sentences, max_vocab)
+        if not _training_pairs(sentences, vocab, variant, window):
+            # the reference has nothing to train on, and the trainer says so
+            with pytest.raises(DegenerateCorpus):
+                train_embedding(sentences, config)
+            return
+        # patched here, not with monkeypatch: hypothesis reuses one fixture
+        # across its examples
+        saved = embedding._UPDATE_BLOCK
+        embedding._UPDATE_BLOCK = update_block
+        try:
+            got = train_embedding(sentences, config)
+        finally:
+            embedding._UPDATE_BLOCK = saved
+        want = reference_train_embedding(sentences, config)
+        assert got.w_in.tobytes() == want.w_in.tobytes()
+        assert got.w_out.tobytes() == want.w_out.tobytes()
+
     def test_gathered_inputs_are_each_pairs_unique_ids_and_weights(self):
         pairs = [((4, 2, 4, 4), 1), ((3,), 0), ((1, 1), 2), ((2, 0, 5), 5)]
         inputs = _gather_inputs(pairs)
@@ -311,6 +374,20 @@ class TestPersistence:
         save_embedding(model, path)
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(MalformedRecord):
+            load_embedding(path)
+
+    @pytest.mark.parametrize("words, repeated", [
+        ("<oov> a a c", "'a'"),
+        ("<oov> a b <oov>", "'<oov>'"),
+    ])
+    def test_repeated_word_rejected(self, tmp_path, words, repeated):
+        model = train_embedding([["a", "b", "c"]] * 3, EmbeddingConfig(dim=2, epochs=1))
+        meta = _textio.config_meta(model.config)
+        meta["coverage"] = repr(model.vocab.coverage)
+        meta["words"] = words
+        path = tmp_path / "model.txt"
+        _textio.write_model(path, FORMAT_MARKER, meta, {"w_in": model.w_in})
+        with pytest.raises(MalformedRecord, match=re.escape(f"{path}: word {repeated} appears")):
             load_embedding(path)
 
     def test_wrong_format_marker_rejected(self, tmp_path):
