@@ -218,7 +218,7 @@ def cmd_complete(args) -> int:
     if entity not in completion:
         raise MissingArtifact("train-completer", entity)
     # a JSON object literal, or else a path to a file holding one
-    text = args.entities if args.entities.startswith("{") else read_text(args.entities)
+    text = args.entities if args.entities.lstrip().startswith("{") else read_text(args.entities)
     entity_set = EntitySet.from_dict({"cve_id": PLACEHOLDER_CVE_ID, "entities": parse_json(text)})
     features = build_feature_vector(entity_set, emb)
     for label, prob in predict_missing(completion[entity], features, args.top_k):

@@ -56,7 +56,6 @@ class RawVulnerability:
 class Token:
     surface: str
     norm: str
-    span: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -81,15 +80,12 @@ def normalize(word: str) -> str:
 
 
 def tokenize(text: str) -> list[Token]:
-    """Split free text into word tokens with character spans.
+    """Split free text into word tokens, each its surface form and its norm.
 
     Punctuation is dropped from the stream; version-like strings ("9.3.3",
     "9.x"), port numbers and CVE ids come out as single tokens.
     """
-    return [
-        Token(m.group(), normalize(m.group()), (m.start(), m.end()))
-        for m in _TOKEN_RE.finditer(text)
-    ]
+    return [Token(word, normalize(word)) for word in _TOKEN_RE.findall(text)]
 
 
 def norms(text: str) -> list[str]:
@@ -279,12 +275,8 @@ def load_labeled_dataset(path: str | Path) -> list[LabeledSentence]:
     def flush() -> None:
         if not surfaces:
             return
-        tokens: list[Token] = []
-        offset = 0
-        for surface in surfaces:
-            tokens.append(Token(surface, normalize(surface), (offset, offset + len(surface))))
-            offset += len(surface) + 1
-        sentences.append(LabeledSentence(tuple(tokens), tuple(tags)))
+        tokens = tuple(Token(surface, normalize(surface)) for surface in surfaces)
+        sentences.append(LabeledSentence(tokens, tuple(tags)))
         surfaces.clear()
         tags.clear()
 

@@ -28,7 +28,7 @@ from .rules.schema import (
 from .rules.datalog import parse_rule_file
 from .rules.synthesis import GeneratorModels
 from .rules.wiring import estimate_wiring_matrix, impute_matrix
-from .tagger import BlstmConfig, BlstmModel, EntitySet, parse_json, train_ner
+from .tagger import BlstmConfig, BlstmModel, EntitySet, extract_entities, parse_json, train_ner
 
 #: value variants per class; every value keeps the class keyword so that the
 #: succinct vectors of one class stay closer to each other than to others.
@@ -135,17 +135,11 @@ def generate_demo_records(n: int = 160, seed: int = 7) -> list[DemoRecord]:
         tokens, tags = _segment_tokens(segments)
         cve_id = f"CVE-2020-{10000 + i}"
         description = " ".join(s for s, _ in segments) + "."
-        entities = EntitySet(cve_id=cve_id)
-        for seg_text, seg_tag in segments:
-            if seg_tag != "O":
-                entities.entities[seg_tag].append(
-                    " ".join(t.norm for t in tokenize(seg_text))
-                )
         records.append(
             DemoRecord(
                 vulnerability=RawVulnerability(cve_id, description),
                 sentence=LabeledSentence(tuple(tokens), tuple(tags)),
-                entities=entities,
+                entities=extract_entities(zip(tokens, tags), cve_id),
             )
         )
     return records

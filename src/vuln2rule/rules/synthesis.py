@@ -348,8 +348,7 @@ def generate(
         tokens = tokenize(description)
         if tokens:
             tagged = tag_tokens(models.tagger, models.embedding, tokens)
-            pairs = list(zip(tokens, [t for t, _ in tagged]))
-            entity_set = extract_entities(pairs, cve_id)
+            entity_set = extract_entities(zip(tokens, [t for t, _ in tagged]), cve_id)
         else:
             entity_set = EntitySet(cve_id=cve_id)
 

@@ -18,13 +18,20 @@ positions get finite log-probabilities.  Gradients and trained weights
 differ from the full-batch loop's by rounding only: each step's
 ``dz @ wh^T`` covers only the live rows, and the weight gradients sum over
 all steps in one product, so they differ also when no row is padded.
+
+Tagging gives each token its most probable tag and that tag's probability,
+filled batch by batch from the forward pass; ``extract_entities`` groups
+each maximal run of one non-O tag into one entity value.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -425,9 +432,8 @@ def loss_and_grads(
     total = float(per_sentence.sum())
 
     dlogits = np.exp(log_probs)
-    one_hot_sub = np.zeros_like(dlogits)
-    one_hot_sub[rows] = 1.0
-    dlogits = (dlogits - one_hot_sub) * token_w[:, :, None]
+    dlogits[rows] -= 1.0
+    dlogits *= token_w[:, :, None]
 
     h_size = hs.shape[3]
     flat_concat = concat.reshape(-1, 2 * h_size)
@@ -538,9 +544,9 @@ def _length_buckets(chunks: list[tuple[int, int, list[str]]]):
 
 def tag_batch(
     model: BlstmModel, emb: EmbeddingModel, sentences: list[list[Token]]
-) -> list[list[tuple[str, np.ndarray]]]:
-    """Per sentence, per token: (predicted tag, probability vector over the
-    11 classes); an empty sentence gets an empty list.
+) -> list[list[tuple[str, float]]]:
+    """Per sentence, per token: (predicted tag, probability of that tag);
+    an empty sentence gets an empty list.
 
     Sentences are split at ``max_len`` into chunks, chunks of similar length
     are padded into one batch, and each batch is one forward pass.
@@ -549,32 +555,29 @@ def tag_batch(
     if emb.dim != config.dim:
         raise DimensionMismatch(f"embedding dim {emb.dim} != tagger dim {config.dim}")
     chunks = _chunks([[t.norm for t in sentence] for sentence in sentences], config.max_len)
-    probs = [np.empty((len(sentence), len(ALL_TAGS))) for sentence in sentences]
+    tagged = [[None] * len(sentence) for sentence in sentences]
     for batch in _length_buckets(chunks):
         x, lengths = _pad([_embed_norms(norms_, emb) for _, _, norms_ in batch])
         log_probs, _ = forward(model.params, x, lengths, keep_cache=False)
+        probs = np.exp(log_probs)
+        best, top = probs.argmax(axis=2).tolist(), probs.max(axis=2).tolist()
         for row, (i, start, norms_) in enumerate(batch):
-            probs[i][start : start + len(norms_)] = np.exp(log_probs[row, : len(norms_)])
-    return [[(ALL_TAGS[k], p[t]) for t, k in enumerate(p.argmax(axis=1))] for p in probs]
+            n = len(norms_)
+            tags = [ALL_TAGS[k] for k in best[row][:n]]
+            tagged[i][start : start + n] = zip(tags, top[row][:n])
+    return tagged
 
 
 def tag(
     model: BlstmModel, emb: EmbeddingModel, sentence: list[Token]
-) -> list[tuple[str, np.ndarray]]:
-    """Per-token (predicted tag, probability vector over the 11 classes)."""
+) -> list[tuple[str, float]]:
+    """Per-token (predicted tag, probability of that tag)."""
     if not sentence:
         raise EmptySentence("cannot tag an empty sentence")
     return tag_batch(model, emb, [sentence])[0]
 
 
 # --- entity grouping ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EntitySpan:
-    entity_type: str
-    value: str
-    token_range: tuple[int, int]
 
 
 @dataclass
@@ -634,27 +637,13 @@ def parse_json(text: str):
         raise MalformedRecord(f"bad JSON: {exc}") from exc
 
 
-def extract_spans(tagged: list[tuple[Token, str]]) -> list[EntitySpan]:
-    """Maximal runs of identical non-O tags become one span each."""
-    spans: list[EntitySpan] = []
-    run_start: int | None = None
-    run_tag: str | None = None
-    for idx, (_, tag_) in enumerate(tagged):
-        if tag_ != run_tag:
-            if run_tag is not None and run_tag != O_TAG:
-                value = " ".join(tok.norm for tok, _ in tagged[run_start:idx])
-                spans.append(EntitySpan(run_tag, value, (run_start, idx)))
-            run_start, run_tag = idx, tag_
-    if run_tag is not None and run_tag != O_TAG:
-        value = " ".join(tok.norm for tok, _ in tagged[run_start:])
-        spans.append(EntitySpan(run_tag, value, (run_start, len(tagged))))
-    return spans
-
-
-def extract_entities(tagged: list[tuple[Token, str]], cve_id: str) -> EntitySet:
+def extract_entities(tagged: Iterable[tuple[Token, str]], cve_id: str) -> EntitySet:
+    """Each maximal run of one non-O tag becomes one value of that entity:
+    the run's token norms joined by spaces, in text order."""
     entity_set = EntitySet(cve_id=cve_id)
-    for span in extract_spans(tagged):
-        entity_set.entities[span.entity_type].append(span.value)
+    for tag_, run in groupby(tagged, key=itemgetter(1)):
+        if tag_ != O_TAG:
+            entity_set.entities[tag_].append(" ".join(token.norm for token, _ in run))
     return entity_set
 
 
@@ -676,7 +665,7 @@ def tag_texts(
         texts, token_lists, tag_batch(model, emb, token_lists)
     ):
         tags = [t for t, _ in tagged]
-        out.append(TaggedText(tags, extract_entities(list(zip(tokens, tags)), cve_id)))
+        out.append(TaggedText(tags, extract_entities(zip(tokens, tags), cve_id)))
     return out
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from vuln2rule.corpus import (
     RawVulnerability,
+    Token,
     Vocabulary,
     sentences_of,
     tokenize,
@@ -41,7 +42,7 @@ from vuln2rule.rules.synthesis import (
     wire_variables,
 )
 from vuln2rule.rules.wiring import Slot, UnionFind, WiringMatrix
-from vuln2rule.tagger import LOSS_WEIGHTS, EntitySet, extract_entities, tag
+from vuln2rule.tagger import LOSS_WEIGHTS, O_TAG, EntitySet, extract_entities, tag
 
 
 def build_vocabulary(corpus: list[RawVulnerability], max_size: int) -> Vocabulary:
@@ -306,6 +307,24 @@ def blstm_loss_and_grads(
         d_hs_r, cache_r, named["bw_wx"], named["bw_wh"]
     )
     return total, grads, per_sentence
+
+
+def reference_extract_spans(tagged: list[tuple[Token, str]]) -> list[tuple[str, str, tuple]]:
+    """Maximal runs of identical non-O tags as (tag, value, token range),
+    found by the index loop that ``tagger.extract_entities`` replaced."""
+    spans = []
+    run_start: int | None = None
+    run_tag: str | None = None
+    for idx, (_, tag_) in enumerate(tagged):
+        if tag_ != run_tag:
+            if run_tag is not None and run_tag != O_TAG:
+                value = " ".join(tok.norm for tok, _ in tagged[run_start:idx])
+                spans.append((run_tag, value, (run_start, idx)))
+            run_start, run_tag = idx, tag_
+    if run_tag is not None and run_tag != O_TAG:
+        value = " ".join(tok.norm for tok, _ in tagged[run_start:])
+        spans.append((run_tag, value, (run_start, len(tagged))))
+    return spans
 
 
 # --- rule synthesis over skeleton objects ----------------------------------------

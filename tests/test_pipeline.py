@@ -161,6 +161,8 @@ class TestServeBytes:
 
     TAGGED_SHA256 = "cdccdd691a3df27bef2f30f4f61342ac040f34cf5f082122ce97e3a9816eaa13"
     MASKED_SHA256 = "a53b8481380d0aee1d7c3a9bdef874fa23b4fb21d9f7594813d49b26a71210d2"
+    #: the gold entity sets as ``make-demo`` writes them (demo_entities.jsonl)
+    ENTITIES_SHA256 = "3af6f049c11e2c30d012d5e154887033a860b744054dd0a92b44c57f6ed2c2b2"
 
     @staticmethod
     def served(models, gold):
@@ -176,6 +178,13 @@ class TestServeBytes:
         gold = masked_gold_sets(generate_demo_records(160, 7))
         text = self.served(fresh_generator(demo_models.generator), gold)
         assert hashlib.sha256(text).hexdigest() == self.MASKED_SHA256
+
+    def test_gold_entity_bytes_pinned(self, tmp_path):
+        from vuln2rule.demo import write_demo_entities
+
+        path = tmp_path / "demo_entities.jsonl"
+        write_demo_entities(generate_demo_records(160, 7), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.ENTITIES_SHA256
 
     def test_cold_and_warm_models_serve_the_same_bytes(self, demo_models):
         models = fresh_generator(demo_models.generator)
@@ -541,10 +550,17 @@ class TestEvalSuite:
         for entity, entry in report.metrics["completion"].items():
             assert set(entry) == {"precision@2", "recall@2", "precision@3", "recall@3"}
 
+    #: the metrics of ``eval --demo --seed 7``, which CI checks too
+    METRICS_SHA256 = "3a0c72fd7f7320525a4a7f77282c1fe30d1a5242d2890be93b5787ff2fafd57b"
+
     def test_metrics_deterministic_across_runs(self, demo_models, eval_data):
         first = eval_suite(demo_models.generator, eval_data, PipelineConfig())
         second = eval_suite(demo_models.generator, eval_data, PipelineConfig())
         assert first.metrics_json() == second.metrics_json()
+
+    def test_metrics_pinned(self, demo_models, eval_data):
+        text = eval_suite(demo_models.generator, eval_data, PipelineConfig()).metrics_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.METRICS_SHA256
 
 
 class TestPipelineConfig:

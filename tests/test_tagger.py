@@ -7,11 +7,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_embedding
-from helpers import blstm_forward, blstm_loss_and_grads, reverse_within_lengths
+from helpers import (
+    blstm_forward,
+    blstm_loss_and_grads,
+    reference_extract_spans,
+    reverse_within_lengths,
+)
 from vuln2rule.corpus import LabeledSentence, Token, tokenize
 from vuln2rule.errors import (
     DimensionMismatch,
@@ -24,6 +29,7 @@ from vuln2rule.tagger import (
     LOSS_WEIGHTS,
     BlstmConfig,
     BlstmModel,
+    EntitySet,
     _chunks,
     _embed_norms,
     _length_buckets,
@@ -36,7 +42,6 @@ from vuln2rule.tagger import (
     _sigmoid,
     evaluate_f1,
     extract_entities,
-    extract_spans,
     forward,
     init_params,
     load_ner,
@@ -76,6 +81,13 @@ def tokens_of(text: str) -> list[Token]:
 
 def sentence_from(text: str, tags: list[str]) -> LabeledSentence:
     return LabeledSentence(tuple(tokenize(text)), tuple(tags))
+
+
+def sentence_probs(model, emb, tokens) -> np.ndarray:
+    """The (tokens, classes) probabilities of one sentence tagged alone."""
+    x, lengths = _pad([_embed_norms([t.norm for t in tokens], emb)])
+    log_probs, _ = forward(model.params, x, lengths, keep_cache=False)
+    return np.exp(log_probs[0])
 
 
 class TestBpttGradients:
@@ -234,9 +246,14 @@ class TestTagging:
         config = BlstmConfig(max_len=10, dim=6, hidden=4, epochs=1,
                              batch_size=2, learning_rate=0.01, seed=3)
         model = train_ner(data, tiny_embedding, config)
-        for _, probs in tag(model, tiny_embedding, tokenize("adobe reader allows code")):
-            assert probs.shape == (11,)
-            assert probs.sum() == pytest.approx(1.0, abs=1e-6)
+        tokens = tokenize("adobe reader allows code")
+        probs = sentence_probs(model, tiny_embedding, tokens)
+        assert probs.shape == (4, 11)
+        assert probs.sum(axis=1) == pytest.approx(np.ones(4), abs=1e-6)
+        # tag gives each token the most probable class and that probability
+        assert tag(model, tiny_embedding, tokens) == [
+            (ALL_TAGS[k], p[k]) for p, k in zip(probs, probs.argmax(axis=1))
+        ]
 
     def test_empty_sentence_rejected(self, tiny_embedding):
         data = [sentence_from("buffer", ["MEANS"])]
@@ -254,8 +271,8 @@ class TestTagging:
         model = train_ner(data, tiny_embedding, config)
         forward_tokens = tokenize("buffer overflow in adobe reader")
         backward_tokens = list(reversed(forward_tokens))
-        forward_first = tag(model, tiny_embedding, forward_tokens)[0][1]
-        backward_last = tag(model, tiny_embedding, backward_tokens)[-1][1]
+        forward_first = sentence_probs(model, tiny_embedding, forward_tokens)[0]
+        backward_last = sentence_probs(model, tiny_embedding, backward_tokens)[-1]
         assert not np.allclose(forward_first, backward_last)
 
 
@@ -461,6 +478,26 @@ def reference_tag_batch(model, emb, sentences):
     return probs
 
 
+def assert_tags_match_reference(tagged, probs):
+    """Each token's tag and probability, bit for bit, against the argmax
+    and the max of the reference's probability vectors."""
+    for got, want in zip(tagged, probs, strict=True):
+        assert [t for t, _ in got] == [ALL_TAGS[k] for k in want.argmax(axis=1)]
+        assert bits(np.array([p for _, p in got], dtype=float)) == bits(want.max(axis=1))
+
+
+def assert_buckets_match_reference(model, emb, sentences):
+    """The log-probabilities of each of tagging's batches at its real
+    positions, all 11 classes, bit for bit against the per-direction BLSTM."""
+    chunks = _chunks([[t.norm for t in sentence] for sentence in sentences], model.config.max_len)
+    for batch in _length_buckets(chunks):
+        x, lengths = _pad([_embed_norms(norms, emb) for _, _, norms in batch])
+        got, _ = forward(model.params, x, lengths, keep_cache=False)
+        want, _ = blstm_forward(split_directions(model.params), x, lengths)
+        real = np.arange(x.shape[1])[None, :] < lengths[:, None]
+        assert bits(got[real]) == bits(want[real])
+
+
 class TestBatchBuilding:
     """Training and tagging cut sentences with ``_chunks`` and pad them with
     ``_pad``; tagging gives the bits of the earlier hand-written loops, and
@@ -491,9 +528,8 @@ class TestBatchBuilding:
         model = train_ner(data, tiny_embedding, RAGGED_CONFIG)
         sentences = [list(s.tokens) for s in data] + [[]]
         got = tag_batch(model, tiny_embedding, sentences)
-        for tagged, probs in zip(got, reference_tag_batch(model, tiny_embedding, sentences)):
-            assert [t for t, _ in tagged] == [ALL_TAGS[k] for k in probs.argmax(axis=1)]
-            assert np.array_equal(np.array([p for _, p in tagged]).reshape(probs.shape), probs)
+        assert_tags_match_reference(got, reference_tag_batch(model, tiny_embedding, sentences))
+        assert_buckets_match_reference(model, tiny_embedding, sentences)
 
     def test_values_recorded_before_the_shared_builder(self, tiny_embedding):
         # recorded with the hand-written loops; sums are compared to 1e-9
@@ -510,13 +546,16 @@ class TestBatchBuilding:
         }
         for name, total in sums.items():
             assert named[name].sum() == pytest.approx(total, rel=1e-9), name
-        tagged = tag_batch(model, tiny_embedding, [list(s.tokens) for s in data])
+        sentences = [list(s.tokens) for s in data]
+        tagged = tag_batch(model, tiny_embedding, sentences)
+        probs = reference_tag_batch(model, tiny_embedding, sentences)
+        assert_tags_match_reference(tagged, probs)
         assert ["".join("0123456789a"[ALL_TAGS.index(t)] for t, _ in s) for s in tagged] == [
             "833333333333838", "0083333833333388883", "8", "833308883333333833",
             "33229938888", "338833388888838883883888", "8", "88", "833333333338",
             "838333333333338888", "88", "333333888888883333833888",
         ]
-        mean_class = sum(float(p @ np.arange(11.0)) for s in tagged for _, p in s)
+        mean_class = sum(float(p @ np.arange(11.0)) for s in probs for p in s)
         assert mean_class == pytest.approx(688.0062129735238, rel=1e-9)
 
 
@@ -703,8 +742,8 @@ class TestStackedDirections:
         assert_close(split_directions(model.params), reference_train_ner(data, emb, config))
         sentences = [list(s.tokens) for s in data]
         tagged = tag_batch(demo_models.tagger, emb, sentences)
-        for got, want in zip(tagged, reference_tag_batch(demo_models.tagger, emb, sentences)):
-            assert bits(np.array([p for _, p in got])) == bits(want)
+        assert_tags_match_reference(tagged, reference_tag_batch(demo_models.tagger, emb, sentences))
+        assert_buckets_match_reference(demo_models.tagger, emb, sentences)
 
     def test_paper_like_shape_over_max_len(self):
         # dim and hidden 100 as in the paper; sentences up to 2.5 x max_len
@@ -721,8 +760,8 @@ class TestStackedDirections:
         assert_close(split_directions(model.params), reference_train_ner(data, emb, config))
         sentences = [list(s.tokens) for s in data]
         tagged = tag_batch(model, emb, sentences)
-        for got, want in zip(tagged, reference_tag_batch(model, emb, sentences)):
-            assert bits(np.array([p for _, p in got])) == bits(want)
+        assert_tags_match_reference(tagged, reference_tag_batch(model, emb, sentences))
+        assert_buckets_match_reference(model, emb, sentences)
 
 
 class TestConfigRanges:
@@ -772,10 +811,30 @@ class TestEntityExtraction:
         assert entities.values_for("MEANS") == ["buffer", "overflow"]
 
     def test_span_ranges(self):
-        tokens = tokenize("buffer overflow here")
-        spans = extract_spans(list(zip(tokens, ["MEANS", "MEANS", "O"])))
-        assert len(spans) == 1
-        assert spans[0].token_range == (0, 2)
+        # a run ends where its tag changes, at an O or at another entity tag;
+        # the pairs may come as a one-pass iterator
+        tokens = tokenize("buffer overflow here adobe reader 9.3.3")
+        tags = ["MEANS", "MEANS", "O", "PLATFORM", "PLATFORM", "VERSION"]
+        entities = extract_entities(zip(tokens, tags), "CVE-2020-0003")
+        assert entities.values_for("MEANS") == ["buffer overflow"]
+        assert entities.values_for("PLATFORM") == ["adobe reader"]
+        assert entities.values_for("VERSION") == ["9.3.3"]
+        assert sum(map(len, entities.entities.values())) == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["buffer", "Overflow", "9.3.3", "x"]),
+                              st.sampled_from(["O", "MEANS", "IMPACT", "VERSION"]))))
+    @example([])
+    @example([("buffer", "O"), ("x", "O")])
+    @example([("buffer", "MEANS"), ("x", "IMPACT"), ("9.3.3", "VERSION")])
+    @example([("buffer", "MEANS"), ("x", "MEANS"), ("x", "O"), ("Overflow", "MEANS"),
+              ("x", "MEANS"), ("buffer", "IMPACT"), ("x", "MEANS")])
+    def test_matches_the_reference_run_grouping(self, pairs):
+        tagged = [(Token(w, w.lower()), t) for w, t in pairs]
+        want = EntitySet(cve_id="CVE-2020-0004")
+        for tag_, value, _ in reference_extract_spans(tagged):
+            want.entities[tag_].append(value)
+        assert extract_entities(iter(tagged), "CVE-2020-0004") == want
 
 
 class TestEvaluateF1:
