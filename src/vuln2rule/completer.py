@@ -1,10 +1,12 @@
 """Missing-entity completion.
 
-Entity values become succinct vectors (normalized-average embeddings); nine
-entity blocks concatenate into one feature vector; k-means discretizes the
-free-text values of an entity into predicate-labeled clusters; a multinomial
-logistic model predicts the cluster of a masked entity from the remaining
-blocks, with an exact nearest-neighbor completer as the baseline.
+Entity values become succinct vectors (normalized-average embeddings, plain
+``(dim,)`` arrays); nine entity blocks concatenate into one ``(9 * dim,)``
+feature array; k-means discretizes the free-text values of an entity into
+predicate-labeled clusters; a multinomial logistic model predicts the
+cluster of a masked entity from the remaining blocks, with an exact
+nearest-neighbor completer as the baseline.  Training, ``eval`` and serving
+agree on an entity's label: the cluster of its first value.
 """
 
 from __future__ import annotations
@@ -47,71 +49,43 @@ DISC_MARKER = "# vuln2rule-discretization 2"
 COMPLETION_MARKER = "# vuln2rule-completion 2"
 
 
-@dataclass(frozen=True)
-class SuccinctVector:
-    """Normalized-average embedding of a word list; zero when no word has a
-    nonzero embedding."""
-
-    values: np.ndarray
-    count: int
-
-
-def _add_unit_rows(words: list[str], emb: EmbeddingModel, acc: np.ndarray) -> int:
-    """Add each word's unit row to ``acc`` in word order, skipping zero
-    rows; the number of rows added."""
+def _mean_unit_rows(words: list[str], emb: EmbeddingModel, out: np.ndarray) -> np.ndarray:
+    """``out``, all zeros on entry, set to the mean of the words' unit rows
+    (summed in word order, zero rows skipped); it stays zero when no word
+    has a nonzero row."""
     count = 0
     for word in words:
         row = emb.unit_row(word)
         if row is not None:
-            acc += row
+            out += row
             count += 1
-    return count
-
-
-def succinct_vector(words: list[str], emb: EmbeddingModel) -> SuccinctVector:
-    acc = np.zeros(emb.dim)
-    count = _add_unit_rows(words, emb, acc)
     if count:
-        acc /= count
-    return SuccinctVector(acc, count)
+        out /= count
+    return out
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Concatenation of one succinct vector per feature entity; absent
-    entities leave their block at zero."""
-
-    values: np.ndarray
-    block_dim: int
-
-    def __post_init__(self):
-        if self.values.shape != (len(FEATURE_ENTITIES) * self.block_dim,):
-            raise ValueError(
-                f"feature vector must have {len(FEATURE_ENTITIES)}*{self.block_dim} entries"
-            )
-
-    def block(self, entity_type: str) -> np.ndarray:
-        i = BLOCK_INDEX[entity_type]
-        return self.values[i * self.block_dim : (i + 1) * self.block_dim]
-
-    def with_zeroed(self, entity_type: str) -> FeatureVector:
-        masked = self.values.copy()
-        i = BLOCK_INDEX[entity_type]
-        masked[i * self.block_dim : (i + 1) * self.block_dim] = 0.0
-        return FeatureVector(masked, self.block_dim)
+def succinct_vector(words: list[str], emb: EmbeddingModel) -> np.ndarray:
+    """The ``(dim,)`` normalized-average embedding of a word list; zero when
+    no word has a nonzero embedding."""
+    return _mean_unit_rows(words, emb, np.zeros(emb.dim))
 
 
-def build_feature_vector(entities: EntitySet, emb: EmbeddingModel) -> FeatureVector:
-    dim = emb.dim
-    values = np.zeros(len(FEATURE_ENTITIES) * dim)
-    for i, entity_type in enumerate(FEATURE_ENTITIES):
+def _block(features: np.ndarray, entity_type: str) -> np.ndarray:
+    """The view of a feature vector that holds ``entity_type``'s block."""
+    dim = len(features) // len(FEATURE_ENTITIES)
+    i = BLOCK_INDEX[entity_type]
+    return features[i * dim : (i + 1) * dim]
+
+
+def build_feature_vector(entities: EntitySet, emb: EmbeddingModel) -> np.ndarray:
+    """The ``(9 * dim,)`` concatenation of one succinct vector per feature
+    entity, in ``FEATURE_ENTITIES`` order; an absent entity's block is zero."""
+    values = np.zeros(len(FEATURE_ENTITIES) * emb.dim)
+    for entity_type in FEATURE_ENTITIES:
         words = entities.words_for(entity_type)
         if words:
-            block = values[i * dim : (i + 1) * dim]
-            count = _add_unit_rows(words, emb, block)
-            if count:
-                block /= count
-    return FeatureVector(values, dim)
+            _mean_unit_rows(words, emb, _block(values, entity_type))
+    return values
 
 
 # --- k-means discretization ---------------------------------------------------
@@ -184,7 +158,7 @@ def fit_discretization(
     Cluster labels default to ``cluster<i>``; attach predicate labels with
     :func:`label_clusters` or :func:`label_clusters_by_exemplars`.
     """
-    points = np.stack([succinct_vector(v.split(), emb).values for v in values]) if values else np.empty((0, emb.dim))
+    points = np.stack([succinct_vector(v.split(), emb) for v in values]) if values else np.empty((0, emb.dim))
     distinct = {tuple(p) for p in points}
     if len(distinct) < k_clusters:
         raise TooFewPoints(
@@ -243,7 +217,7 @@ def label_clusters_by_exemplars(
     """Give each cluster the label whose exemplar phrase lies nearest to the
     cluster centroid."""
     vectors = [
-        (label, succinct_vector(phrase.split(), emb).values)
+        (label, succinct_vector(phrase.split(), emb))
         for label, phrases in exemplars.items() for phrase in phrases
     ]
     labeled: dict[int, str] = {}
@@ -264,8 +238,7 @@ def map_to_cluster(
     to the lower cluster id."""
     if not words:
         raise EmptyValue("no words to map")
-    sv = succinct_vector(words, emb)
-    cid = _nearest_centroid(sv.values, model.centroids)
+    cid = _nearest_centroid(succinct_vector(words, emb), model.centroids)
     return cid, model.labels[cid]
 
 
@@ -311,6 +284,23 @@ def logistic_objective(
     return loss, np.concatenate([dweights.ravel(), dbiases])
 
 
+def completion_example(
+    record: EntitySet, entity_type: str, emb: EmbeddingModel, disc: DiscretizationModel
+) -> tuple[np.ndarray, int] | None:
+    """The record's feature vector with the ``entity_type`` block zeroed in
+    place (the record scored as if the entity were missing), and the cluster
+    id of the entity's first value, the one ``generate`` maps; None when
+    the record has no such value or it holds no word."""
+    values = record.values_for(entity_type)
+    words = values[0].split() if values else []
+    if not words:
+        return None
+    cid, _ = map_to_cluster(disc, words, emb)
+    features = build_feature_vector(record, emb)
+    _block(features, entity_type)[:] = 0.0
+    return features, cid
+
+
 def train_completion(
     dataset: list[EntitySet],
     emb: EmbeddingModel,
@@ -319,32 +309,19 @@ def train_completion(
     l2: float = COMPLETION_L2,
     iterations: int = COMPLETION_ITERATIONS,
 ) -> CompletionModel:
-    """Fit the masked-entity predictor.
-
-    The class of each record is the cluster of its target-entity value; the
-    target block of each feature vector is zeroed (the record is scored as
-    if the entity were missing).  Optimization is limited-memory BFGS on the
-    regularized cross-entropy.
-    """
-    rows: list[np.ndarray] = []
-    cluster_ids: list[int] = []
-    for record in dataset:
-        words = record.words_for(entity_type)
-        if not words:
-            continue
-        cid, _ = map_to_cluster(disc, words, emb)
-        features = build_feature_vector(record, emb).with_zeroed(entity_type)
-        rows.append(features.values)
-        cluster_ids.append(cid)
-    if not rows:
+    """Fit the masked-entity predictor on each record's
+    :func:`completion_example`; optimization is limited-memory BFGS on the
+    regularized cross-entropy."""
+    examples = [ex for r in dataset if (ex := completion_example(r, entity_type, emb, disc))]
+    if not examples:
         raise EmptyDataset(f"no training records carry {entity_type}")
-    class_ids = sorted(set(cluster_ids))
+    class_ids = sorted({cid for _, cid in examples})
     if len(class_ids) < 2:
         raise SingleClass(f"only {len(class_ids)} class present for {entity_type}")
     class_index = {cid: i for i, cid in enumerate(class_ids)}
 
-    x = np.stack(rows)
-    y = np.array([class_index[c] for c in cluster_ids])
+    x = np.stack([features for features, _ in examples])
+    y = np.array([class_index[cid] for _, cid in examples])
     n_classes, n_features = len(class_ids), x.shape[1]
     flat0 = np.zeros(n_classes * n_features + n_classes)
     initial_loss, _ = logistic_objective(flat0, x, y, n_classes, l2)
@@ -373,23 +350,18 @@ def train_completion(
     )
 
 
-def completion_logits(model: CompletionModel, features: FeatureVector) -> np.ndarray:
-    """The model's logits on ``features`` with the target block zeroed; a
-    block that holds no nonzero entry (an absent entity's) is used as it
-    is, without a copy."""
-    if features.block(model.entity_type).any():
-        features = features.with_zeroed(model.entity_type)
-    return model.weights @ features.values + model.biases
-
-
 def predict_missing(
-    model: CompletionModel, features: FeatureVector, top_k: int | None = None
+    model: CompletionModel, features: np.ndarray, top_k: int | None = None
 ) -> list[tuple[str, float]]:
     """Ranked (label, probability) for the masked entity.
 
     The target block is zeroed before scoring, so only the other blocks can
-    influence the prediction."""
-    logits = completion_logits(model, features)
+    influence the prediction; a block that holds no nonzero entry (an absent
+    entity's) is scored as it is, without a copy."""
+    if _block(features, model.entity_type).any():
+        features = features.copy()
+        _block(features, model.entity_type)[:] = 0.0
+    logits = model.weights @ features + model.biases
     exp = np.exp(logits - logits.max())
     probs = exp / exp.sum()
     order = np.argsort(-probs, kind="stable")[:top_k].tolist()
@@ -398,8 +370,8 @@ def predict_missing(
 
 
 def knn_complete(
-    train: list[tuple[FeatureVector, str]],
-    query: FeatureVector,
+    train: list[tuple[np.ndarray, str]],
+    query: np.ndarray,
     k: int = 1,
 ) -> str:
     """Exact Euclidean nearest-neighbor completion; equidistant neighbors go
@@ -407,7 +379,7 @@ def knn_complete(
     nearest (ties broken by the nearest member of the tied values)."""
     if not train:
         raise EmptyTrainingSet("no training examples")
-    sq = [float(((fv.values - query.values) ** 2).sum()) for fv, _ in train]
+    sq = [float(((features - query) ** 2).sum()) for features, _ in train]
     order = sorted(range(len(train)), key=lambda i: (sq[i], i))
     if k == 1:
         return train[order[0]][1]

@@ -18,12 +18,11 @@ from .completer import (
     COMPLETION_L2,
     CompletionModel,
     DiscretizationModel,
-    build_feature_vector,
+    completion_example,
     fit_discretization,
     label_clusters_by_exemplars,
     load_completion,
     load_discretization,
-    map_to_cluster,
     mean_precision_recall_at_k,
     predict_missing,
     save_completion,
@@ -168,7 +167,8 @@ def load_completer(
     """The discretization and the completion model of every completable
     entity, from the model directory; raises MissingArtifact naming the
     stage whose file is absent, and MismatchedArtifacts when a file was
-    trained for another embedding dimension than ``dim``."""
+    trained for another embedding dimension than ``dim``, or a completion
+    class is not a cluster of its discretization under that cluster's label."""
     discretization = {}
     completion = {}
     for entity in COMPLETABLE_ENTITIES:
@@ -180,6 +180,13 @@ def load_completer(
         comp = completion[entity] = load_completion(comp_path)
         # load_completion has checked weights against block_dim
         _check_dim(config, dim, comp_path, comp.block_dim == dim, f"block_dim {comp.block_dim}")
+        # train_completion writes each class as (cid, disc.labels[cid])
+        for cid, label in comp.classes:
+            if disc.labels.get(cid) != label:
+                raise MismatchedArtifacts(
+                    f"{comp_path} has class {cid}:{label}, but {disc_path} has no "
+                    f"cluster {cid} labeled {label}"
+                )
     return discretization, completion
 
 
@@ -238,18 +245,14 @@ def load_models(config: PipelineConfig, need_tagger: bool = True) -> GeneratorMo
         except ConfigError as exc:
             raise ConfigError(f"{mapping_source}: {exc}") from exc
     mapped = mapping.labels()
+    # load_completer has checked each completion class against these labels
     for entity in COMPLETABLE_ENTITIES:
-        sources = [
-            (DISC_TEMPLATE, discretization[entity].labels.values()),
-            (COMPLETION_TEMPLATE, [label for _, label in completion[entity].classes]),
-        ]
-        for template, labels in sources:
-            unmapped = sorted(set(labels) - set(mapped[entity]))
-            if unmapped:
-                path = Path(config.model_dir) / template.format(entity.lower())
-                raise MismatchedArtifacts(
-                    f"{path} has {entity} labels {unmapped} that {mapping_source} do not map"
-                )
+        unmapped = sorted(set(discretization[entity].labels.values()) - set(mapped[entity]))
+        if unmapped:
+            path = Path(config.model_dir) / DISC_TEMPLATE.format(entity.lower())
+            raise MismatchedArtifacts(
+                f"{path} has {entity} labels {unmapped} that {mapping_source} do not map"
+            )
     return GeneratorModels(
         embedding=emb,
         discretization=discretization,
@@ -321,7 +324,8 @@ def run_pipeline(
     out_path: str | Path | None = None,
 ) -> tuple[RunReport, list[InteractionRule]]:
     """One rule or one failure reason per input; optionally write the rules
-    to ``out_path`` in the canonical file format.
+    to ``out_path`` in the canonical file format (an empty file when no rule
+    was made).
 
     Records without gold entities are tokenized, tagged and their entities
     extracted first, all of them in one batched tagger call (length-bucketed
@@ -362,8 +366,8 @@ def run_pipeline(
     report.timings["generate"] = time.perf_counter() - start
     report.counts["inputs"] = len(inputs)
     report.counts["rules"] = len(rules)
-    if out_path is not None and rules:
-        _textio.write_text(out_path, emit_rules(rules))
+    if out_path is not None:
+        _textio.write_text(out_path, emit_rules(rules) if rules else "")
     return report, rules
 
 
@@ -506,13 +510,11 @@ def eval_suite(models: GeneratorModels, data: EvalInputs, config: PipelineConfig
         disc = models.discretization[entity]
         queries = []
         for entity_set in data.entity_sets:
-            if not entity_set.present(entity):
-                continue
-            value = entity_set.values_for(entity)[0]
-            _, gold_label = map_to_cluster(disc, value.split(), models.embedding)
-            features = build_feature_vector(entity_set, models.embedding)
-            ranked = [lbl for lbl, _ in predict_missing(model, features)]
-            queries.append((ranked, gold_label))
+            example = completion_example(entity_set, entity, models.embedding, disc)
+            if example is not None:
+                features, cid = example
+                ranked = [lbl for lbl, _ in predict_missing(model, features)]
+                queries.append((ranked, disc.labels[cid]))
         if not queries:
             continue
         entry = {}

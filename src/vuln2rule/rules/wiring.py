@@ -241,7 +241,8 @@ def wiring_to_csv(matrix: WiringMatrix) -> str:
 
 
 def wiring_from_csv(text: str) -> WiringMatrix:
-    """Inverse of ``wiring_to_csv``; a bad slot label, a cell that is not a
+    """Inverse of ``wiring_to_csv``; a bad slot label (one whose position is
+    outside [0, arity) too), a header that repeats a slot, a cell that is not a
     float or ``?``, anything but one row of one cell per slot for each
     header slot, in header order, a known cell outside [0, 1], or an (i, j)
     cell whose value or whose Unknown differs from (j, i), raises
@@ -252,6 +253,12 @@ def wiring_from_csv(text: str) -> WiringMatrix:
     try:
         labels = lines[0].split(",")[1:]
         slots = tuple(Slot.from_label(label) for label in labels)
+        for slot in slots:
+            if not 0 <= slot.pos < slot.arity:
+                raise ValueError(f"slot {slot.label!r} has no position {slot.pos}")
+        if len(set(slots)) < len(slots):
+            repeated = next(s for i, s in enumerate(slots) if s in slots[:i])
+            raise ValueError(f"header repeats slot {repeated.label!r}")
         if len(lines) - 1 != len(slots):
             raise ValueError(f"{len(lines) - 1} rows for {len(slots)} slots")
         probs = np.full((len(slots), len(slots)), np.nan)

@@ -18,8 +18,6 @@ from vuln2rule.corpus import (
 )
 from vuln2rule.completer import (
     FEATURE_ENTITIES,
-    FeatureVector,
-    SuccinctVector,
     build_feature_vector,
     map_to_cluster,
     predict_missing,
@@ -488,7 +486,7 @@ def reference_normalize(word: str) -> str:
     return word.lower()
 
 
-def reference_succinct_vector(words: list[str], emb: EmbeddingModel) -> SuccinctVector:
+def reference_succinct_vector(words: list[str], emb: EmbeddingModel) -> np.ndarray:
     acc = np.zeros(emb.dim)
     count = 0
     for word in words:
@@ -499,15 +497,23 @@ def reference_succinct_vector(words: list[str], emb: EmbeddingModel) -> Succinct
         acc = acc + vec / norm
         count += 1
     if count == 0:
-        return SuccinctVector(np.zeros(emb.dim), 0)
-    return SuccinctVector(acc / count, count)
+        return np.zeros(emb.dim)
+    return acc / count
 
 
-def reference_build_feature_vector(entities: EntitySet, emb: EmbeddingModel) -> FeatureVector:
-    blocks = [
-        reference_succinct_vector(entities.words_for(t), emb).values for t in FEATURE_ENTITIES
-    ]
-    return FeatureVector(np.concatenate(blocks), emb.dim)
+def reference_build_feature_vector(entities: EntitySet, emb: EmbeddingModel) -> np.ndarray:
+    return np.concatenate(
+        [reference_succinct_vector(entities.words_for(t), emb) for t in FEATURE_ENTITIES]
+    )
+
+
+def with_zeroed(features: np.ndarray, entity_type: str) -> np.ndarray:
+    """A copy of a feature vector with ``entity_type``'s block zeroed."""
+    dim = len(features) // len(FEATURE_ENTITIES)
+    i = FEATURE_ENTITIES.index(entity_type)
+    masked = features.copy()
+    masked[i * dim : (i + 1) * dim] = 0.0
+    return masked
 
 
 def reference_prob(matrix: WiringMatrix, a: Slot, b: Slot) -> float | None:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import make_embedding
-from helpers import build_vocabulary, example_loss_and_grads, synthesize_wiring_corpus
+from helpers import build_vocabulary, example_loss_and_grads, synthesize_wiring_corpus, with_zeroed
 from vuln2rule.completer import (
     build_feature_vector,
     fit_discretization,
@@ -144,15 +144,15 @@ class TestCriterion2SuccinctVector:
             "e1": basis[0], "e2": basis[1], "double": 2 * basis[0],
         })
         empty = succinct_vector([], emb)
-        assert empty.count == 0
-        assert np.abs(empty.values).max() <= 1e-12
+        assert empty.shape == (4,)
+        assert np.abs(empty).max() <= 1e-12
 
         single = succinct_vector(["double"], emb)
-        assert np.abs(single.values - basis[0]).max() <= 1e-12
+        assert np.abs(single - basis[0]).max() <= 1e-12
 
         pair = succinct_vector(["e1", "e2"], emb)
-        assert np.abs(pair.values - np.array([0.5, 0.5, 0, 0])).max() <= 1e-12
-        assert abs(np.linalg.norm(pair.values) - np.sqrt(2) / 2) <= 1e-12
+        assert np.abs(pair - np.array([0.5, 0.5, 0, 0])).max() <= 1e-12
+        assert abs(np.linalg.norm(pair) - np.sqrt(2) / 2) <= 1e-12
 
         rng = np.random.default_rng(102)
         vocab = {f"w{i}": rng.normal(size=8) for i in range(60)}
@@ -162,7 +162,7 @@ class TestCriterion2SuccinctVector:
             count = int(rng.integers(0, 9))
             words = [names[int(rng.integers(len(names)))] for _ in range(count)]
             sv = succinct_vector(words, big)
-            assert np.linalg.norm(sv.values) <= 1 + 1e-9
+            assert np.linalg.norm(sv) <= 1 + 1e-9
         report(2, "succinct vector exact values + norm bound over 10k trials")
 
 
@@ -206,7 +206,7 @@ class TestCriterion3OracleEquivalence:
             )
             words = [names[int(rng.integers(len(names)))] for _ in range(int(rng.integers(1, 4)))]
             got, _ = map_to_cluster(model, words, emb)
-            sv = succinct_vector(words, emb).values
+            sv = succinct_vector(words, emb)
             best, best_d = 0, np.inf
             for c in range(k):
                 d = float(((model.centroids[c] - sv) ** 2).sum())
@@ -230,7 +230,7 @@ class TestCriterion3OracleEquivalence:
             train = [(random_features(), f"v{i}") for i in range(int(rng.integers(2, 10)))]
             query = random_features()
             got = knn_complete(train, query)
-            distances = [float(((fv.values - query.values) ** 2).sum()) for fv, _ in train]
+            distances = [float(((fv - query) ** 2).sum()) for fv, _ in train]
             best = min(range(len(train)), key=lambda i: (distances[i], i))
             assert got == train[best][1]
         report(3, "oracle equivalence: knn_complete x1000")
@@ -253,7 +253,7 @@ class TestCriterion3OracleEquivalence:
             es.entities["PLATFORM"].append(names[int(rng.integers(len(names)))])
             features = build_feature_vector(es, emb)
             got = predict_missing(model, features, 1)[0][0]
-            masked = features.with_zeroed("VECTOR").values
+            masked = with_zeroed(features, "VECTOR")
             logits = [float(model.weights[c] @ masked + model.biases[c]) for c in range(k)]
             best = max(range(k), key=lambda c: (logits[c], -c))
             assert got == f"c{best}"
@@ -401,7 +401,7 @@ class TestCriterion7CompletionLearnability:
         held_out = [record(160 + i, i % 3) for i in range(48)]
         noisy_model = train_completion(noisy, emb, disc, "VECTOR")
         knn_train = [
-            (build_feature_vector(es, emb).with_zeroed("VECTOR"), es.values_for("VECTOR")[0])
+            (with_zeroed(build_feature_vector(es, emb), "VECTOR"), es.values_for("VECTOR")[0])
             for es in noisy
         ]
         lr_hits = knn_hits = 0
@@ -409,7 +409,7 @@ class TestCriterion7CompletionLearnability:
             gold = map_to_cluster(disc, es.words_for("VECTOR"), emb)[1]
             features = build_feature_vector(es, emb)
             lr_hits += predict_missing(noisy_model, features, 1)[0][0] == gold
-            neighbor_value = knn_complete(knn_train, features.with_zeroed("VECTOR"))
+            neighbor_value = knn_complete(knn_train, with_zeroed(features, "VECTOR"))
             knn_hits += map_to_cluster(disc, neighbor_value.split(), emb)[1] == gold
         assert lr_hits > knn_hits
         report(7, f"completion: precision@1 {precision1:.2f}, recall@3 {recall3:.2f}; "

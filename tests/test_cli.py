@@ -484,6 +484,23 @@ def test_pipeline_subcommand(model_dir, demo_corpus, tmp_path, capsys):
     assert "success ratio" in stdout
 
 
+def test_pipeline_with_no_rule_empties_a_stale_out_file(model_dir, tmp_path, capsys):
+    corpus = tmp_path / "unspecified.tsv"
+    corpus.write_text(
+        "CVE-2099-0001\tUnspecified vulnerability in adobe reader allows remote attackers"
+        " to execute arbitrary code.\n"
+        "CVE-2099-0002\tUnspecified vulnerabilities in linux kernel allow local users"
+        " to cause a denial of service.\n", "utf-8")
+    out = tmp_path / "rules.P"
+    out.write_text("stale(rule).\n", "utf-8")
+    assert main(["pipeline", "--model-dir", str(model_dir), "--input", str(corpus),
+                 "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "failure UnspecifiedVulnerability: 2" in stdout
+    assert f"rules emitted: 0 -> {out}" in stdout
+    assert out.read_bytes() == b""
+
+
 def test_eval_ner(model_dir, tmp_path, demo_models, capsys):
     from vuln2rule.demo import write_demo_labeled
 
@@ -673,17 +690,18 @@ def test_labels_missing_from_mapping_rejected_at_load(model_dir, demo_models, tm
         classes = [(comp.classes[0][0], "unmappedMeans"), *comp.classes[1:]]
         path = models / COMPLETION_TEMPLATE.format("means")
         save_completion(replace(comp, classes=classes), path)
-        tables = "the packaged mapping tables"
+        # a completion label is its cluster's label, so the clusters disagree first
+        named = models / DISC_TEMPLATE.format("means")
     else:
         label = demo_models.discretization["MEANS"].labels[0]
-        tables = tmp_path / "mapping.txt"
+        named = tmp_path / "mapping.txt"
         lines = read_data("mapping_tables.txt").splitlines()
-        tables.write_text("\n".join(x for x in lines if not x.startswith(f"means {label} ")), "utf-8")
-        config.mapping_path = tables
+        named.write_text("\n".join(x for x in lines if not x.startswith(f"means {label} ")), "utf-8")
+        config.mapping_path = named
         path = models / DISC_TEMPLATE.format("means")
     with pytest.raises(MismatchedArtifacts) as excinfo:
         load_models(config)
-    assert str(path) in str(excinfo.value) and str(tables) in str(excinfo.value)
+    assert str(path) in str(excinfo.value) and str(named) in str(excinfo.value)
 
 
 @pytest.mark.parametrize(
@@ -742,6 +760,27 @@ def test_artifacts_of_another_dim_rejected_at_load(model_dir, demo_models, tmp_p
         load_models(PipelineConfig(model_dir=models))
     assert str(path) in str(excinfo.value)
     assert str(models / ARTIFACTS["embedding"]) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("change", ["reversed labels", "shifted ids"])
+def test_completion_classes_that_disagree_with_the_clusters_rejected_at_load(
+    model_dir, demo_models, tmp_path, change
+):
+    models = tmp_path / "models"
+    shutil.copytree(model_dir, models)
+    comp = demo_models.completion["VECTOR"]
+    if change == "reversed labels":
+        labels = [label for _, label in reversed(comp.classes)]
+        classes = [(cid, label) for (cid, _), label in zip(comp.classes, labels)]
+    else:
+        classes = [(cid + 7, label) for cid, label in comp.classes]
+    assert classes != comp.classes
+    path = models / COMPLETION_TEMPLATE.format("vector")
+    save_completion(replace(comp, classes=classes), path)
+    with pytest.raises(MismatchedArtifacts) as excinfo:
+        load_models(PipelineConfig(model_dir=models))
+    assert str(path) in str(excinfo.value)
+    assert str(models / DISC_TEMPLATE.format("vector")) in str(excinfo.value)
 
 
 @pytest.mark.parametrize(

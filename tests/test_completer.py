@@ -11,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_embedding
-from helpers import reference_build_feature_vector, reference_succinct_vector
+from helpers import reference_build_feature_vector, reference_succinct_vector, with_zeroed
 from vuln2rule.completer import (
     BLOCK_INDEX,
     FEATURE_ENTITIES,
     CompletionModel,
-    FeatureVector,
     build_feature_vector,
-    completion_logits,
+    completion_example,
     fit_discretization,
     kmeans,
     knn_complete,
@@ -62,24 +61,21 @@ def entity_set(cve_id="CVE-2020-0100", **values) -> EntitySet:
 class TestSuccinctVector:
     def test_empty_input_is_zero(self, ortho_embedding):
         sv = succinct_vector([], ortho_embedding)
-        assert sv.count == 0
-        assert np.array_equal(sv.values, np.zeros(4))
+        assert np.array_equal(sv, np.zeros(4))
 
     def test_single_word_is_normalized_row(self, ortho_embedding):
         sv = succinct_vector(["double"], ortho_embedding)
-        assert sv.count == 1
-        assert np.allclose(sv.values, [1, 0, 0, 0], atol=1e-12)
+        assert np.allclose(sv, [1, 0, 0, 0], atol=1e-12)
 
     def test_two_orthonormal_words(self, ortho_embedding):
         sv = succinct_vector(["e1", "e2"], ortho_embedding)
-        assert np.allclose(sv.values, [0.5, 0.5, 0, 0], atol=1e-12)
-        assert np.linalg.norm(sv.values) == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
+        assert np.allclose(sv, [0.5, 0.5, 0, 0], atol=1e-12)
+        assert np.linalg.norm(sv) == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
 
     def test_zero_embedding_words_skipped(self, ortho_embedding):
-        # the OOV row is all-zero in this fixture
+        # the OOV row is all-zero in this fixture; counted, it would halve e1
         sv = succinct_vector(["unknown-word", "e1"], ortho_embedding)
-        assert sv.count == 1
-        assert np.allclose(sv.values, [1, 0, 0, 0], atol=1e-12)
+        assert np.allclose(sv, [1, 0, 0, 0], atol=1e-12)
 
     def test_norm_bounded_by_one(self):
         rng = np.random.default_rng(31)
@@ -90,25 +86,24 @@ class TestSuccinctVector:
             size = int(rng.integers(1, 8))
             chosen = [names[int(rng.integers(len(names)))] for _ in range(size)]
             sv = succinct_vector(chosen, emb)
-            assert np.linalg.norm(sv.values) <= 1 + 1e-9
+            assert np.linalg.norm(sv) <= 1 + 1e-9
 
     def test_norm_equals_one_iff_identical_directions(self, ortho_embedding):
         same = succinct_vector(["e1", "double"], ortho_embedding)
-        assert np.linalg.norm(same.values) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(same) == pytest.approx(1.0, abs=1e-12)
         mixed = succinct_vector(["e1", "e2"], ortho_embedding)
-        assert np.linalg.norm(mixed.values) < 1 - 1e-6
+        assert np.linalg.norm(mixed) < 1 - 1e-6
 
 
 class TestFeatureVector:
     def test_empty_entity_set_is_zero(self, ortho_embedding):
         fv = build_feature_vector(entity_set(), ortho_embedding)
-        assert fv.values.shape == (9 * 4,)
-        assert not fv.values.any()
+        assert fv.shape == (9 * 4,)
+        assert not fv.any()
 
     def test_only_means_block_nonzero(self, ortho_embedding):
         fv = build_feature_vector(entity_set(means=["e1 e2"]), ortho_embedding)
-        for entity in FEATURE_ENTITIES:
-            block = fv.block(entity)
+        for entity, block in zip(FEATURE_ENTITIES, fv.reshape(9, 4)):
             assert bool(block.any()) == (entity == "MEANS")
 
     def test_block_order_fixed(self):
@@ -121,13 +116,24 @@ class TestFeatureVector:
         rng = np.random.default_rng(32)
         emb = make_embedding({"w": rng.normal(size=100)})
         fv = build_feature_vector(entity_set(means=["w"]), emb)
-        assert fv.values.shape == (900,)
+        assert fv.shape == (900,)
 
-    def test_zeroing_a_block(self, ortho_embedding):
-        fv = build_feature_vector(entity_set(means=["e1"], os=["e2"]), ortho_embedding)
-        masked = fv.with_zeroed("MEANS")
-        assert not masked.block("MEANS").any()
-        assert np.array_equal(masked.block("OS"), fv.block("OS"))
+    def test_completion_example_zeroes_the_target_block(self, ortho_embedding):
+        record = entity_set(means=["e1"], os=["e2"])
+        disc = fit_discretization(["e1", "e3"], ortho_embedding, 2, seed=0, entity_type="MEANS")
+        masked, cid = completion_example(record, "MEANS", ortho_embedding, disc)
+        fv = build_feature_vector(record, ortho_embedding)
+        blocks, fv_blocks = masked.reshape(9, 4), fv.reshape(9, 4)
+        assert not blocks[BLOCK_INDEX["MEANS"]].any()
+        assert np.array_equal(blocks[BLOCK_INDEX["OS"]], fv_blocks[BLOCK_INDEX["OS"]])
+        assert masked.tobytes() == with_zeroed(fv, "MEANS").tobytes()
+        assert cid == map_to_cluster(disc, ["e1"], ortho_embedding)[0]
+
+    @pytest.mark.parametrize("means", [[], [" "]])
+    def test_no_completion_example_without_a_first_word(self, ortho_embedding, means):
+        disc = fit_discretization(["e1", "e3"], ortho_embedding, 2, seed=0, entity_type="MEANS")
+        record = entity_set(means=means, os=["e2"])
+        assert completion_example(record, "MEANS", ortho_embedding, disc) is None
 
 
 @st.composite
@@ -167,12 +173,12 @@ def test_serve_vectors_match_the_per_word_reference(case):
     bits of the reference's per-word ``vec / norm`` sums, cold and warm."""
     emb, entities = case
     for _ in range(2):
-        want = reference_build_feature_vector(entities, emb).values
-        assert build_feature_vector(entities, emb).values.tobytes() == want.tobytes()
+        want = reference_build_feature_vector(entities, emb)
+        assert build_feature_vector(entities, emb).tobytes() == want.tobytes()
         for tag in FEATURE_ENTITIES:
             words = entities.words_for(tag)
             got, ref = succinct_vector(words, emb), reference_succinct_vector(words, emb)
-            assert (got.count, got.values.tobytes()) == (ref.count, ref.values.tobytes())
+            assert got.tobytes() == ref.tobytes()
     assert len(emb._unit_rows) <= len(emb.vocab)
 
 
@@ -234,7 +240,7 @@ class TestKmeans:
             groups.setdefault(cid, set()).add(value)
         # verify against the pairwise distance structure: the two remote
         # values must land together whenever they are mutually closest
-        sv = {v: succinct_vector(v.split(), emb).values for v in values}
+        sv = {v: succinct_vector(v.split(), emb) for v in values}
         d_remote = np.linalg.norm(sv["remote"] - sv["remote attackers"])
         d_cross = min(
             np.linalg.norm(sv["remote"] - sv["local"]),
@@ -285,7 +291,7 @@ class TestMapToCluster:
         )
         for word in ("e1", "e2", "e3", "e4"):
             cid, _ = map_to_cluster(model, [word], ortho_embedding)
-            sv = succinct_vector([word], ortho_embedding).values
+            sv = succinct_vector([word], ortho_embedding)
             distances = [float(((centroids[i] - sv) ** 2).sum()) for i in range(5)]
             assert cid == min(range(5), key=lambda i: (distances[i], i))
 
@@ -326,6 +332,24 @@ class TestCompletionTraining:
             _, gold = map_to_cluster(disc, record.words_for("VECTOR"), ortho_embedding)
             hits += predicted == gold
         assert hits == len(records)
+
+    def test_two_values_train_on_the_first_values_cluster(self, ortho_embedding):
+        """A record whose MEANS has two values is labeled with the cluster of
+        the first, the value ``generate`` maps; all its words together lie
+        nearer the other cluster."""
+        disc = fit_discretization(["e1", "e3"], ortho_embedding, 2, seed=0, entity_type="MEANS")
+        disc = label_clusters(disc, {0: "m0", 1: "m1"})
+        two = entity_set(vector=["e2"], means=["e1", "e3 e3"])
+        one = entity_set(vector=["e4"], means=["e3"])
+        first, _ = map_to_cluster(disc, ["e1"], ortho_embedding)
+        other, _ = map_to_cluster(disc, ["e3"], ortho_embedding)
+        assert first != other
+        assert map_to_cluster(disc, two.words_for("MEANS"), ortho_embedding)[0] == other
+        assert completion_example(two, "MEANS", ortho_embedding, disc)[1] == first
+        model = train_completion([two, one] * 10, ortho_embedding, disc, "MEANS")
+        assert model.classes == [(c, disc.labels[c]) for c in sorted((first, other))]
+        query = build_feature_vector(entity_set(vector=["e2"]), ortho_embedding)
+        assert predict_missing(model, query, 1)[0][0] == disc.labels[first]
 
     def test_training_reduces_loss(self, fitted):
         _, _, model = fitted
@@ -406,7 +430,7 @@ class TestPredictMissing:
                 entity_set(means=["e1"], os=["e2 e3"], platform=["e4"]),
                 ortho_embedding,
             )
-            masked = fv.with_zeroed("VECTOR").values
+            masked = with_zeroed(fv, "VECTOR")
             logits = [float(model.weights[k] @ masked + model.biases[k]) for k in range(5)]
             expected = max(range(5), key=lambda k: (logits[k], -k))
             assert predict_missing(model, fv, 1)[0][0] == f"c{expected}"
@@ -415,17 +439,17 @@ class TestPredictMissing:
         rng = np.random.default_rng(42)
         model = self.make_model(rng.normal(size=(3, 36)), rng.normal(size=3))
         fv = build_feature_vector(entity_set(means=["e1"], os=["e2"]), ortho_embedding)
-        tampered_values = fv.values.copy()
+        tampered = fv.copy()
         block = BLOCK_INDEX["VECTOR"]
-        tampered_values[block * 4 : (block + 1) * 4] = 99.0
-        tampered = FeatureVector(tampered_values, 4)
+        tampered[block * 4 : (block + 1) * 4] = 99.0
         assert predict_missing(model, fv) == predict_missing(model, tampered)
 
     @pytest.mark.parametrize("target", ["zero", "negative zero", "mixed zeros", "nonzero"])
     @pytest.mark.parametrize("others", ["zero", "random"])
-    def test_logits_match_the_zeroed_copy(self, target, others):
+    def test_probabilities_match_the_zeroed_copy(self, target, others):
         """An all-zero target block, with +0.0 or -0.0 entries, is scored
-        without a copy; the logits are the bits of the zeroed copy's."""
+        without a copy; the probabilities are the bits of the zeroed copy's,
+        and the features are left as they were."""
         rng = np.random.default_rng(44)
         model = self.make_model(rng.normal(size=(5, 36)), rng.normal(size=5))
         values = rng.normal(size=36) if others == "random" else np.zeros(36)
@@ -436,11 +460,16 @@ class TestPredictMissing:
             "mixed zeros": [-0.0, 0.0, -0.0, 0.0],
             "nonzero": [0.0, -1.5, 0.0, 2.0],
         }[target]
-        fv = FeatureVector(values, 4)
         before = values.tobytes()
-        want = model.weights @ fv.with_zeroed("VECTOR").values + model.biases
-        assert completion_logits(model, fv).tobytes() == want.tobytes()
-        assert fv.values.tobytes() == before
+        logits = model.weights @ with_zeroed(values, "VECTOR") + model.biases
+        exp = np.exp(logits - logits.max())
+        want = {f"c{i}": p for i, p in enumerate((exp / exp.sum()).tolist())}
+        got = predict_missing(model, values)
+        assert [np.float64(p).tobytes() for _, p in got] == [
+            np.float64(want[label]).tobytes() for label, _ in got
+        ]
+        assert sorted(label for label, _ in got) == sorted(want)
+        assert values.tobytes() == before
 
     def test_argmax_invariant_under_uniform_weight_scale(self, ortho_embedding):
         rng = np.random.default_rng(43)
@@ -478,7 +507,7 @@ class TestKnnComplete:
         for j in range(15, 20):
             query = build_feature_vector(entity_set(means=[f"w{j}"]), emb)
             got = knn_complete(train, query)
-            distances = [float(((fv.values - query.values) ** 2).sum()) for fv, _ in train]
+            distances = [float(((fv - query) ** 2).sum()) for fv, _ in train]
             best = min(range(len(train)), key=lambda i: (distances[i], i))
             assert got == train[best][1]
 
@@ -490,7 +519,7 @@ class TestKnnComplete:
         def fv(x):
             values = np.zeros(9)
             values[0] = x
-            return FeatureVector(values, 1)
+            return values
 
         # nearest single point says "b", but two of the three nearest say "a"
         train = [(fv(1.0), "b"), (fv(2.0), "a"), (fv(3.0), "a"), (fv(9.0), "c")]

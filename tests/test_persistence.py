@@ -386,6 +386,9 @@ class TestReaderErrors:
         "text, match",
         [("slot,a/1#0\na/1#0,x\n", "'x'"), ("slot,a/1#0\na/1#0,?,0.5\n", "out of bounds"),
          ("slot,a/1\n", "invalid literal"),
+         ("slot,a/1#0,a/1#0\na/1#0,?,?\na/1#0,?,?\n", "repeats slot 'a/1#0'"),
+         ("slot,a/1#5\na/1#5,?\n", "'a/1#5' has no position 5"),
+         ("slot,b/2#-1\nb/2#-1,?\n", "'b/2#-1' has no position -1"),
          ("slot,a/1#0,b/1#0\na/1#0,?,inf\nb/1#0,-3.5,?\n", "outside"),
          ("slot,a/1#0,b/1#0\na/1#0,?,0.5\nb/1#0,0.25,?\n", "differ"),
          ("slot,a/1#0,b/1#0\na/1#0,?,0.5\nb/1#0,?,?\n", "differ")],
