@@ -8,16 +8,20 @@ gets weight 1, the ten entity classes get weight 10.
 
 The time loop runs on the rows of a batch sorted longest first, and each
 step only on the rows still inside their sentence (at least two).  The
-inputs, their products and the gates are packed: one row per such live
-(step, row) position, time-major.  The input GEMM runs over those rows
-only, and backpropagation forms the weight gradients after its time loop,
-one product per direction over them.  Real positions get the bits of running
-the directions one after the other over the whole padded batch, and a row's
-states have the same bits in any batch of two rows or more; padded
-positions get finite log-probabilities.  Gradients and trained weights
-differ from the full-batch loop's by rounding only: each step's
-``dz @ wh^T`` covers only the live rows, and the weight gradients sum over
-all steps in one product, so they differ also when no row is padded.
+inputs, their products, the gates, the states, the cells and the state
+gradients are packed: one row per such live (step, row) position,
+time-major, with a zero block of initial states and cells first.  The input
+GEMM runs over those rows only, and backpropagation forms the weight
+gradients after its time loop, one product per direction over them.  Only
+the dense head works on the padded batch, which one scatter fills from the
+packed states and one gather reads the state gradients back from.  Real
+positions get the bits of running the directions one after the other over
+the whole padded batch, and a row's states have the same bits in any batch
+of two rows or more; padded positions get finite log-probabilities.
+Gradients and trained weights differ from the full-batch loop's by rounding
+only: each step's ``dz @ wh^T`` covers only the live rows, and the weight
+gradients sum over all steps in one product, so they differ also when no
+row is padded.
 
 Tagging gives each token its most probable tag and that tag's probability,
 filled batch by batch from the forward pass; ``extract_entities`` groups
@@ -30,7 +34,7 @@ import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
 from pathlib import Path
 
@@ -205,6 +209,16 @@ def _run_views(packed: np.ndarray, runs: list[tuple[int, int, int]]) -> list[np.
     return views
 
 
+def _state_starts(runs: list[tuple[int, int, int]]) -> list[int]:
+    """The first row of each block of a batch's states: a zero block of
+    initial states, one per row of the first step, then one block per
+    step in the layout of ``_packed_index``, and last the number of rows.
+    Step ``t`` reads its previous states from the first rows of block
+    ``t`` and writes its own to block ``t + 1``."""
+    rows = [n for start, stop, n in runs for _ in range(start, stop)]
+    return list(accumulate(rows[:1] + rows, initial=0))
+
+
 def _lstm_forward(
     xw: np.ndarray,
     wh: np.ndarray,
@@ -213,6 +227,7 @@ def _lstm_forward(
     cs: np.ndarray,
     tanh_cs: np.ndarray,
     runs: list[tuple[int, int, int]],
+    kept: bool,
 ) -> None:
     """Both LSTM directions in one time loop, from the packed input products
     ``xw`` (2, positions, 4 * hidden) of ``_packed_index``, with each step's
@@ -220,35 +235,43 @@ def _lstm_forward(
     longest first, and each step of a run of ``_live_runs`` computes its
     first ``rows`` rows only: the step's block of ``xw``.
 
-    Fills ``hs`` (steps + 1, 2, batch, hidden) with the states, zero initial
-    state first and zeros for the rows a step skips, and overwrites ``xw``
-    with the gates.  ``cs`` gets the cells, zero initial cell first, and
-    ``tanh_cs`` their tanh: for every step (steps + 1 and steps rows), or in
-    rings of two and one rows when nothing is kept for backpropagation; the
-    rows a step skips are left as they are.  States and cells are
-    time-major, so that each step's slice of a row range is contiguous."""
+    Fills ``hs`` (2, zero + positions, hidden) with a zero block of initial
+    states, one per row of the first step, then the states in the layout of
+    ``xw`` (the blocks of ``_state_starts``), and overwrites ``xw`` with the
+    gates.  When ``kept``, ``cs`` gets the cells in the layout of ``hs`` and
+    ``tanh_cs`` their tanh in that of ``xw``; else each is one block of the
+    first step's rows, which every step overwrites.  A step's previous
+    states and cells are the first rows of the step before's."""
     h_size = wh.shape[1]
-    rows, kept = len(cs), len(tanh_cs)
+    zero = hs.shape[1] - xw.shape[1]
     b = b[:, None, :]
-    hs[0] = cs[0] = 0.0
-    z_all = np.empty((2, hs.shape[2], 4 * h_size))
+    hs[:, :zero] = cs[:, :zero] = 0.0
+    h_prev, c = hs[:, :zero], cs[:, :zero]
+    z_all = np.empty((2, zero, 4 * h_size))
     g_block = slice(2 * h_size, 3 * h_size)
-    for (start, stop, n), xw_n in zip(runs, _run_views(xw, runs)):
-        hs[start + 1 : stop + 1, :, n:] = 0.0
+    packed = [xw, hs[:, zero:]] + ([cs[:, zero:], tanh_cs] if kept else [])
+    for (start, stop, n), xw_n, hs_n, *cells in zip(
+        runs, *(_run_views(a, runs) for a in packed)
+    ):
         z = z_all[:, :n]
-        hs_n, cs_n, tanh_n = hs[:, :, :n], cs[:, :, :n], tanh_cs[:, :, :n]
-        for t in range(start, stop):
+        h_prev, c, tanh_c = h_prev[:, :n], c[:, :n], tanh_cs[:, :n]
+        for k in range(stop - start):
+            c_prev = c
+            if kept:
+                c, tanh_c = cells[0][:, k], cells[1][:, k]
             # z = xw + h @ wh + b, summed in that order
-            gates = xw_n[:, t - start]
-            np.matmul(hs_n[t], wh, out=z)
+            gates, h = xw_n[:, k], hs_n[:, k]
+            np.matmul(h_prev, wh, out=z)
             z += gates
             z += b
             # gate blocks i, f, g, o: one sigmoid call, then tanh over the g block
             _sigmoid(z, out=gates)
             np.tanh(z[..., g_block], out=gates[..., g_block])
-            gi, gf, gg, go = (gates[..., k * h_size : (k + 1) * h_size] for k in range(4))
-            c = np.add(gf * cs_n[t % rows], gi * gg, out=cs_n[(t + 1) % rows])
-            np.multiply(go, np.tanh(c, out=tanh_n[t % kept]), out=hs_n[t + 1])
+            gi, gf, gg, go = (gates[..., i * h_size : (i + 1) * h_size] for i in range(4))
+            # without the cache c is c_prev, which gf * c_prev has read by now
+            np.add(gf * c_prev, gi * gg, out=c)
+            np.multiply(go, np.tanh(c, out=tanh_c), out=h)
+            h_prev = h
 
 
 def _lstm_backward(
@@ -262,10 +285,10 @@ def _lstm_backward(
     runs: list[tuple[int, int, int]],
     positions: tuple[np.ndarray, np.ndarray],
 ):
-    """Gradients of ``wx``, ``wh`` and ``b`` from the state gradients
-    ``d_hs`` (steps, 2, batch, hidden), through both directions in one
-    time loop over the runs of ``_live_runs``.  ``xp`` (2, positions, dim)
-    are the packed inputs, ``positions`` the (step, row) of each packed
+    """Gradients of ``wx``, ``wh`` and ``b`` from the packed state
+    gradients ``d_hs`` (2, positions, hidden), through both directions in
+    one time loop over the runs of ``_live_runs``.  ``xp`` (2, positions,
+    dim) are the packed inputs, ``positions`` the (step, row) of each packed
     position, and the states, packed gates, cells and their tanh are those
     ``_lstm_forward`` kept.  A skipped row's gradients are zero, so each
     step works on its live rows alone.
@@ -274,30 +297,34 @@ def _lstm_backward(
     just read; after the loop the weight gradients are one product (or sum)
     per direction over the packed positions: ``xp^T dz``, ``h_prev^T dz``
     with the previous states gathered in packed order, and ``sum(dz)``."""
-    batch, h_size = d_hs.shape[2:]
+    h_size = wh.shape[1]
+    zero = hs.shape[1] - xp.shape[1]
+    starts = _state_starts(runs)
     wh_t = wh.transpose(0, 2, 1)
     # rows join as the loop walks back in time, with the zero gradients
     # these buffers hold until then
-    dh_all = np.zeros((2, batch, h_size))
-    dc_all = np.zeros((2, batch, h_size))
-    dz_all = np.zeros((2, batch, 4 * h_size))
+    dh_all = np.zeros((2, zero, h_size))
+    dc_all = np.zeros((2, zero, h_size))
+    dz_all = np.zeros((2, zero, 4 * h_size))
     one_minus_all = np.empty_like(dz_all)
-    for (start, stop, n), gates_n in reversed(list(zip(runs, _run_views(gates_all, runs)))):
+    views = zip(runs, *(_run_views(a, runs) for a in (gates_all, cs[:, zero:], tanh_cs, d_hs)))
+    for (start, stop, n), gates_n, cs_n, tanh_n, d_hs_n in reversed(list(views)):
         dh_next, dc_next = dh_all[:, :n], dc_all[:, :n]
         dz, one_minus = dz_all[:, :n], one_minus_all[:, :n]
         d_gi, d_gf, d_gg, d_go = (dz[..., k * h_size : (k + 1) * h_size] for k in range(4))
-        cs_n, tanh_n, d_hs_n = cs[:, :, :n], tanh_cs[:, :, :n], d_hs[:, :, :n]
-        for t in reversed(range(start, stop)):
-            gates, tanh_c = gates_n[:, t - start], tanh_n[t]
-            gi, gf, gg, go = (gates[..., k * h_size : (k + 1) * h_size] for k in range(4))
-            dh = d_hs_n[t] + dh_next
+        # the cells before the run's first step: the first rows of the block before
+        c_first = cs[:, starts[start] : starts[start] + n]
+        for k in reversed(range(stop - start)):
+            gates, tanh_c = gates_n[:, k], tanh_n[:, k]
+            gi, gf, gg, go = (gates[..., i * h_size : (i + 1) * h_size] for i in range(4))
+            dh = d_hs_n[:, k] + dh_next
             dc = dc_next + dh * go * (1.0 - tanh_c**2)
             np.multiply(dc, gf, out=dc_next)
             # each gate's gradient through its activation: the i, f and o blocks
             # as (upstream * gate) * (1 - gate) over the whole row, then the g
             # block over its own
             np.multiply(dc, gg, out=d_gi)
-            np.multiply(dc, cs_n[t], out=d_gf)
+            np.multiply(dc, cs_n[:, k - 1] if k else c_first, out=d_gf)
             np.multiply(dh, tanh_c, out=d_go)
             dz *= gates
             dz *= np.subtract(1.0, gates, out=one_minus)
@@ -305,29 +332,51 @@ def _lstm_backward(
             np.matmul(dz, wh_t, out=dh_next)
             gates[...] = dz
     t, j = positions
-    # h_prev of (step t, row j) in direction d is hs[t, d, j]
-    flat = t * (2 * batch) + j
-    h_prev = hs.reshape(-1, h_size)[np.stack([flat, flat + batch])]
+    # h_prev of (step t, row j) is row j of block t
+    h_prev = np.take(hs, np.asarray(starts)[t] + j, axis=1)
     dz = gates_all
     dwx = np.matmul(xp.transpose(0, 2, 1), dz)
     dwh = np.matmul(h_prev.transpose(0, 2, 1), dz)
     return dwx, dwh, dz.sum(axis=1)
 
 
-def _reversal(lengths: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The gather index that reverses each row of a (batch, steps, ...)
-    array within its length, and the mask of real steps; a padded step
-    reads itself."""
-    t = np.arange(steps)
-    mask = t < lengths[:, None]
-    return np.where(mask, lengths[:, None] - 1 - t, t), mask
+def _head_rows(
+    ordered: np.ndarray,
+    order: np.ndarray,
+    positions: tuple[np.ndarray, np.ndarray],
+    steps: int,
+) -> np.ndarray:
+    """Each packed position's row among the head's batch * steps rows,
+    (row, step) in the caller's order, as a (2, positions) array: the
+    forward direction's at its step, the backward one's at its step
+    reversed within the row's length.  A padded position's is the spare
+    row ``batch * steps``.  ``order`` sorts the rows longest first, and
+    ``ordered`` holds their lengths in that order."""
+    t, j = positions
+    base = order[j] * steps
+    return np.where(t < ordered[j], [base + t, base + ordered[j] - 1 - t], len(order) * steps)
 
 
-def _reverse_within_lengths(x: np.ndarray, reversal) -> np.ndarray:
-    """``x`` (batch, steps, features) with each row reversed within its
-    length by one gather, and exact zeros at the padded steps."""
-    index, mask = reversal
-    return np.where(mask[:, :, None], x[np.arange(len(x))[:, None], index], 0.0)
+def _to_head(packed: np.ndarray, head: np.ndarray, batch: int, steps: int) -> np.ndarray:
+    """The (batch, steps, 2 * features) head input from the packed (2,
+    positions, features), by one scatter through ``head`` (``_head_rows``):
+    the two directions side by side, and zeros at the padded positions."""
+    features = packed.shape[2]
+    out = np.zeros((batch * steps + 1, 2, features))
+    # as rows of ``features``, (row, step) holds its forward state at 2 *
+    # (row * steps + step) and its backward state after it
+    out.reshape(-1, features)[2 * head + [[0], [1]]] = packed
+    return out[:-1].reshape(batch, steps, 2 * features)
+
+
+def _from_head(padded: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """The inverse of ``_to_head``: the packed (2, positions, features) from
+    the contiguous (batch, steps, 2 * features), by one gather, with zeros
+    at the padded positions."""
+    flat = padded.reshape(-1, padded.shape[2] // 2)
+    packed = np.take(flat, 2 * head + [[0], [1]], axis=0, mode="clip")
+    packed[head == len(flat) // 2] = 0.0
+    return packed
 
 
 def _carve(*shapes: tuple[int, ...]) -> list[np.ndarray]:
@@ -339,10 +388,9 @@ def _carve(*shapes: tuple[int, ...]) -> list[np.ndarray]:
     the next batch reuses.  As separate arrays, their pages went back to the
     system after many training batches, and the next batch faulted them in
     again: about 1,100 page faults for such a batch at demo shape."""
-    sizes = [math.prod(shape) for shape in shapes]
-    block = np.empty(sum(sizes))
-    parts = np.split(block, np.cumsum(sizes)[:-1])
-    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    starts = list(accumulate((math.prod(shape) for shape in shapes), initial=0))
+    block = np.empty(starts[-1])
+    return [block[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], shapes)]
 
 
 def forward(
@@ -358,57 +406,53 @@ def forward(
     The backward LSTM consumes each sentence reversed within its true length,
     so trailing padding never influences real positions.  The loop runs on
     the rows sorted longest first, and each step only on the rows still
-    inside their sentence (``_live_runs``); the head gets the rows back in
-    the caller's order.  The inputs are gathered into the packed layout of
-    ``_packed_index``, one row per live (step, row) position, and the input
-    products are one GEMM per direction over those rows alone; the cache
-    keeps the packed inputs and gates.  A row's states have the bits they
-    have in any other batch of two rows or more (the head's product over a
-    row's positions may round otherwise at another padded length); a
-    padded position's log-probabilities are finite.
+    inside their sentence (``_live_runs``).  The inputs, their products,
+    the gates, the states and the cells are packed (``_packed_index``), one
+    row per live (step, row) position, and the input products are one GEMM
+    per direction over those rows alone.  Only the head works on the padded
+    batch: one scatter puts each real position's two states at its (row,
+    step) in the caller's order, with zeros at the padded positions.  A
+    row's states have the bits they have in any other batch of two rows or
+    more (the head's product over a row's positions may round otherwise at
+    another padded length).
     """
     batch, steps, dim = x.shape
     h_size = params["wh"].shape[1]
     order = np.argsort(-lengths, kind="stable")
-    reversal = _reversal(lengths, steps)
-    packed_reversal = reversal[0][order], reversal[1][order]
-    runs = _live_runs(lengths[order].tolist(), steps)
+    ordered = lengths[order]
+    runs = _live_runs(ordered.tolist(), steps)
     positions = _packed_index(runs, batch)
-    t, j = positions
-    kept = steps if keep_cache else 1
-    hs = np.empty((steps + 1, 2, batch, h_size))
+    live = len(positions[0])
+    # the states and cells start with a zero block, one row per row of the
+    # first step
+    zero = runs[0][2] if runs else 0
+    rows = zero + live
+    hs = np.empty((2, rows, h_size))
     xp, xw, cs, tanh_cs = _carve(
-        (2, len(t), dim),
-        (2, len(t), 4 * h_size),
-        (kept + 1, 2, batch, h_size),
-        (kept, 2, batch, h_size),
+        (2, live, dim),
+        (2, live, 4 * h_size),
+        (2, rows if keep_cache else zero, h_size),
+        (2, live if keep_cache else zero, h_size),
     )
-    # each packed position reads its row's input at its step, and in the
-    # backward direction at its step reversed within the row's length, with
-    # exact zeros at a padded step; every index is in range, and "clip"
-    # writes into xp directly where the default mode buffers a copy of it
-    base = order[j] * steps
-    src = np.array([base + t, base + packed_reversal[0][j, t]])
-    np.take(x.reshape(-1, dim), src, axis=0, out=xp, mode="clip")
-    xp[1, ~packed_reversal[1][j, t]] = 0.0
+    head = _head_rows(ordered, order, positions, steps)
+    # each packed position reads its input at its head row, and exact zeros
+    # where it is padded; "clip" keeps the spare row in range, and writes
+    # into xp directly where the default mode buffers a copy of it
+    np.take(x.reshape(-1, dim), head, axis=0, out=xp, mode="clip")
+    xp[head == batch * steps] = 0.0
     # each row of a GEMM is its own dot products, so the packed row order
     # leaves the bits as they are
     np.matmul(xp, params["wx"], out=xw)
-    _lstm_forward(xw, params["wh"], params["b"], hs, cs, tanh_cs, runs)
+    _lstm_forward(xw, params["wh"], params["b"], hs, cs, tanh_cs, runs, keep_cache)
     if not keep_cache:
         del xp, xw, cs, tanh_cs
-    concat = np.empty((batch, steps, 2 * h_size))
-    concat[order, :, :h_size] = hs[1:, 0].transpose(1, 0, 2)
-    concat[order, :, h_size:] = _reverse_within_lengths(
-        hs[1:, 1].transpose(1, 0, 2), packed_reversal
-    )
+    concat = _to_head(hs[:, zero:], head, batch, steps)
     logits = concat @ params["dense_w"] + params["dense_b"]
     shifted = logits - logits.max(axis=2, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
     if not keep_cache:
         return log_probs, None
-    packing = order, packed_reversal, runs, positions
-    return log_probs, (xp, hs, xw, cs, tanh_cs, concat, reversal[1], packing)
+    return log_probs, (xp, hs, xw, cs, tanh_cs, concat, (runs, positions, head))
 
 
 def loss_and_grads(
@@ -422,8 +466,9 @@ def loss_and_grads(
     gradients (under the names of ``params``), and the per-sentence loss
     vector."""
     batch, steps, _ = x.shape
-    log_probs, (xp, hs, gates, cs, tanh_cs, concat, mask, packing) = forward(params, x, lengths)
-    order, packed_reversal, runs, positions = packing
+    log_probs, (xp, hs, gates, cs, tanh_cs, concat, packing) = forward(params, x, lengths)
+    runs, positions, head = packing
+    mask = np.arange(steps) < lengths[:, None]
     safe_ids = np.where(mask, tag_ids, 0)
     token_w = np.where(mask, class_weights[safe_ids], 0.0)
     rows = np.arange(batch)[:, None], np.arange(steps)[None, :], safe_ids
@@ -435,7 +480,7 @@ def loss_and_grads(
     dlogits[rows] -= 1.0
     dlogits *= token_w[:, :, None]
 
-    h_size = hs.shape[3]
+    h_size = hs.shape[2]
     flat_concat = concat.reshape(-1, 2 * h_size)
     flat_dlogits = dlogits.reshape(-1, dlogits.shape[2])
     grads: dict[str, np.ndarray] = {
@@ -444,12 +489,8 @@ def loss_and_grads(
     }
     # the head's activations and gradient are freed before backpropagation
     del concat, flat_concat
-    # the state gradients in the loop's row order
-    dconcat = dlogits[order] @ params["dense_w"].T
-    d_hs = np.empty((steps, 2, batch, h_size))
-    d_hs[:, 0] = dconcat[:, :, :h_size].transpose(1, 0, 2)
-    d_hs[:, 1] = _reverse_within_lengths(dconcat[:, :, h_size:], packed_reversal).transpose(1, 0, 2)
-    del dconcat
+    # the state gradients in the packed layout
+    d_hs = _from_head(dlogits @ params["dense_w"].T, head)
     grads["wx"], grads["wh"], grads["b"] = _lstm_backward(
         d_hs, xp, hs, gates, cs, tanh_cs, params["wh"], runs, positions
     )
@@ -457,7 +498,7 @@ def loss_and_grads(
 
 
 def _embed_norms(norms: list[str], emb: EmbeddingModel) -> np.ndarray:
-    return np.stack([emb.w_in[emb.vocab.id_for(w)] for w in norms])
+    return emb.w_in[[emb.vocab.id_for(w) for w in norms]]
 
 
 def _chunks(sentences: list, max_len: int) -> list[tuple[int, int, list]]:
@@ -498,7 +539,8 @@ def train_ner(
         raise DimensionMismatch(
             f"embedding dim {emb.dim} != tagger dim {config.dim}"
         )
-    xs = [_embed_norms(norms_, emb) for _, _, norms_ in chunks]
+    # word ids, not embedded rows: a mini-batch gathers its rows as it pads
+    ids = [np.array([emb.vocab.id_for(w) for w in norms_]) for _, _, norms_ in chunks]
     ys = [
         np.array([TAG_INDEX[t] for t in data[i].tags[start : start + len(norms_)]])
         for i, start, norms_ in chunks
@@ -511,7 +553,7 @@ def train_ner(
         order = rng.permutation(len(chunks))
         for start in range(0, len(order), config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            x, lengths = _pad([xs[i] for i in batch_idx])
+            x, lengths = _pad([emb.w_in[ids[i]] for i in batch_idx])
             tag_ids, _ = _pad([ys[i] for i in batch_idx])
             _, grads, _ = loss_and_grads(params, x, tag_ids, lengths)
             scale = 1.0 / len(batch_idx)

@@ -3,7 +3,9 @@ F-score evaluation."""
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from conftest import make_embedding
 from helpers import (
     blstm_forward,
     blstm_loss_and_grads,
+    lstm_forward,
     reference_extract_spans,
     reverse_within_lengths,
 )
+from vuln2rule import tagger as tagger_module
 from vuln2rule.corpus import LabeledSentence, Token, tokenize
 from vuln2rule.errors import (
     DimensionMismatch,
@@ -32,14 +36,15 @@ from vuln2rule.tagger import (
     EntitySet,
     _chunks,
     _embed_norms,
+    _from_head,
+    _head_rows,
     _length_buckets,
     _live_runs,
     _packed_index,
     _pad,
-    _reversal,
-    _reverse_within_lengths,
-    _run_views,
     _sigmoid,
+    _state_starts,
+    _to_head,
     evaluate_f1,
     extract_entities,
     forward,
@@ -691,20 +696,87 @@ class TestStackedDirections:
         assert list(zip(t.tolist(), j.tolist())) == sorted(live)
         assert len(set(live)) == len(live)
         assert {(s, r) for r, n in enumerate(ordered) for s in range(n)} <= set(live)
-        # each run reads its own block of the layout
-        packed = np.stack([np.stack([t, j], axis=1)] * 2)
-        for (start, stop, n), view in zip(runs, _run_views(packed, runs)):
-            assert view.shape == (2, stop - start, n, 2)
-            assert (view[..., 0] == np.arange(start, stop)[:, None]).all()
-            assert (view[..., 1] == np.arange(n)).all()
-        # the cache holds the input products of those positions alone
+        # the states hold a zero block of the first step's rows, then one
+        # block per step, each no longer than the one before
+        starts = _state_starts(runs)
+        zero = runs[0][2]
+        assert starts[:2] == [0, zero] and starts[-1] == zero + len(t)
+        for s in range(steps):
+            block = slice(starts[s + 1] - zero, starts[s + 2] - zero)
+            assert (t[block] == s).all()
+            assert (j[block] == np.arange(block.stop - block.start)).all()
+            assert starts[s + 2] - starts[s + 1] <= starts[s + 1] - starts[s]
+        # the cache holds the inputs, their products, the states, the cells
+        # and their tanh of those positions alone (the states and cells
+        # after the zero block), and so do the state gradients
         dim, hidden = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
         params = toy_params(np.random.default_rng(47), dim, hidden, len(ALL_TAGS))
         x = np.random.default_rng(48).normal(size=(batch, steps, dim))
-        _, (xp, _, gates, *_) = forward(params, x, lengths, keep_cache=True)
+        _, (xp, hs, gates, cs, tanh_cs, *_) = forward(params, x, lengths, keep_cache=True)
         positions = sum((stop - start) * n for start, stop, n in runs)
         assert xp.shape == (2, positions, dim)
         assert gates.shape == (2, positions, 4 * hidden)
+        assert hs.shape == cs.shape == (2, zero + positions, hidden)
+        assert tanh_cs.shape == (2, positions, hidden)
+        backward = tagger_module._lstm_backward
+        with patch.object(tagger_module, "_lstm_backward", wraps=backward) as spy:
+            loss_and_grads(params, x, np.zeros((batch, steps), dtype=int), lengths)
+        assert spy.call_args.args[0].shape == (2, positions, hidden)
+
+    @settings(max_examples=150, deadline=None)
+    @given(blstm_batches())
+    def test_packed_states_match_the_per_direction_loops(self, case):
+        # every live position, a floor row past its end included, against
+        # the per-direction loop over the whole padded batch
+        named, x, _, lengths = case
+        params = stack_directions(named)
+        log_probs, cache = forward(params, x, lengths)
+        _, hs, _, cs, tanh_cs, _, (runs, (t, j), _) = cache
+        rows = np.argsort(-lengths, kind="stable")[j]
+        zero = runs[0][2]
+        inputs = x, reverse_within_lengths(x, lengths)
+        for d, name in enumerate(("fw", "bw")):
+            weights = (named[f"{name}_{k}"] for k in ("wx", "wh", "b"))
+            states, per_step = lstm_forward(inputs[d], *weights)
+            # each step's cell as the loop forms it, and its tanh
+            cells = np.stack([gf * c + gi * gg for _, _, c, gi, gf, gg, _, _ in per_step], axis=1)
+            tanhs = np.stack([tanh_c for *_, tanh_c in per_step], axis=1)
+            assert bits(hs[d, zero:]) == bits(states[rows, t])
+            assert bits(cs[d, zero:]) == bits(cells[rows, t])
+            assert bits(tanh_cs[d]) == bits(tanhs[rows, t])
+            assert not hs[d, :zero].any() and not cs[d, :zero].any()
+        # the head is the same with and without the cache, padded positions
+        # included
+        without, _ = forward(params, x, lengths, keep_cache=False)
+        assert bits(without) == bits(log_probs)
+
+    def test_training_batch_memory_follows_the_live_positions(self):
+        # the paper's dim and hidden, one 150-token row and 31 rows of 20
+        # tokens: 20 steps of 32 rows and 130 of the floor's 2, so the
+        # batch has P = 900 live positions among B * T = 4,800
+        d = h = 100
+        batch, steps, live, classes = 32, 150, 20 * 32 + 130 * 2, len(ALL_TAGS)
+        rng = np.random.default_rng(49)
+        params = init_params(BlstmConfig(dim=d, hidden=h), rng)
+        lengths = np.array([steps] + [20] * (batch - 1))
+        x = rng.normal(size=(batch, steps, d))
+        x[np.arange(steps)[None, :] >= lengths[:, None]] = 0.0
+        tag_ids = rng.integers(0, classes, size=(batch, steps))
+        # in floats: the cache's packed inputs (2 P d), gates (2 P 4h) and
+        # tanh of the cells (2 P h), its states and cells with their zero
+        # block (2 * 2 (P + B) h); beside them one padded head array at a
+        # time, its input or its gradient ((B T + 1) 2h), the packed state
+        # gradients (2 P h), and at most eight (B T classes) arrays
+        kept = 2 * live * (d + 4 * h + h) + 2 * 2 * (live + batch) * h
+        bound = 8 * (kept + (batch * steps + 1) * 2 * h + 2 * live * h
+                     + 8 * batch * steps * classes)
+        tracemalloc.start()
+        try:
+            loss_and_grads(params, x, tag_ids, lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_layouts_convert_both_ways(self):
         named = toy_named(np.random.default_rng(41), 3, 2, len(ALL_TAGS))
@@ -719,15 +791,35 @@ class TestStackedDirections:
         got = init_params(config, np.random.default_rng(42))
         assert_same_bits(split_directions(got), reference_init(config, np.random.default_rng(42)))
 
-    def test_reversal_is_the_row_loop(self):
+    @pytest.mark.parametrize(
+        "lengths", [[5, 1, 3, 5, 2], [5, 1, 3, 1, 2]], ids=["ragged", "floor row past its end"]
+    )
+    def test_head_scatter_and_gather_are_the_row_loop(self, lengths):
         rng = np.random.default_rng(43)
-        lengths = np.array([5, 1, 3, 5, 2])
+        lengths = np.array(lengths)
         x = rng.normal(size=(5, 5, 4))
-        # padded steps hold values the reversal must not carry over
-        x[np.arange(5)[None, :] >= lengths[:, None]] = [-0.0, np.nan, -1.0, np.inf]
-        got = _reverse_within_lengths(x, _reversal(lengths, 5))
-        assert bits(got) == bits(reverse_within_lengths(x, lengths))
-        assert not np.signbit(got[1, 1:]).any()
+        # padded steps hold values neither direction may carry over
+        real = np.arange(5)[None, :] < lengths[:, None]
+        x[~real] = [-0.0, np.nan, -1.0, np.inf]
+        order = np.argsort(-lengths, kind="stable")
+        t, j = positions = _packed_index(_live_runs(lengths[order].tolist(), 5), 5)
+        head = _head_rows(lengths[order], order, positions, 5)
+        # packed states that hold their row's x at their step: the forward
+        # ones land there, the backward ones at the step reversed
+        packed = np.stack([x[order[j], t]] * 2)
+        got = _to_head(packed, head, 5, 5)
+        want = np.concatenate([np.where(real[:, :, None], x, 0.0),
+                               reverse_within_lengths(x, lengths)], axis=2)
+        assert bits(got) == bits(want)
+        assert not np.signbit(got[~real]).any()
+        # the gather gives each packed position its value back, and exact
+        # zeros at the padded ones
+        back = _from_head(got, head)
+        live_real = t < lengths[order][j]
+        assert bits(back[:, live_real]) == bits(packed[:, live_real])
+        assert not back[:, ~live_real].any() and not np.signbit(back[:, ~live_real]).any()
+        # only a floor row past its end is live at a padded position
+        assert (~live_real).any() == (lengths.tolist() == [5, 1, 3, 1, 2])
 
     def test_demo_shape_training_and_tagging(self, demo_models):
         # the demo tagger's shape, batch and learning rate; two epochs
